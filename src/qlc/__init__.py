@@ -13,7 +13,7 @@ from .closure import (ForcingAlgebra, MembershipTable, QseqReport,
                       test_element_search, tight_membership_table)
 from .config import DEFAULT, BudgetExhausted, JobConfig, budget
 from .content import (ContentRow, ContentTable, LimitClosureResult,
-                      content_scan, limit_closure, underline_content_scan)
+                      content_scan, limit_closure)
 from .dsl import (DslError, format_poly, format_ring, parse_poly, parse_polys,
                   parse_ring)
 from .fields import (GF2, GF3, QQ, PrimeField, RationalField,

@@ -20,7 +20,7 @@ from .closure import (generic_forcing_algebra, lc_class_vanishing,
                       qseq_verdict_charp, test_element_search,
                       tight_membership_table)
 from .config import DEFAULT, JobConfig
-from .content import content_scan, underline_content_scan
+from .content import content_scan
 from .groebner import ideal
 from .poly import PolyRing
 from .quasilength import (FiltrationCertificate, RingContext, quasilength,
@@ -433,7 +433,7 @@ def segre_example(config: JobConfig = DEFAULT) -> ExampleReport:
     ring, (x1, x2, x3) = _segre_ring("Q")
     pres = QuotientPresentation(ring)
     plain = content_scan(pres, (x1, x2, x3), (1, 2), config=config)
-    under = underline_content_scan(pres, (x1, x2, x3), (1,), config=config)
+    under = content_scan(pres, (x1, x2, x3), (1,), mode="underline", config=config)
     checks.append(_eq("plain rows (t, upper, lower)",
                       [(1, 1, 0), (2, 8, 0)],
                       [(r.t, r.upper, r.lower) for r in plain.rows]))

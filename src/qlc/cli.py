@@ -22,7 +22,7 @@ from . import casebook, dsl
 from .closure import (generic_forcing_algebra, lc_class_vanishing,
                       qseq_verdict_charp, test_element_search,
                       tight_membership_table)
-from .config import BudgetExhausted, default_budget_seconds, set_deadline
+from .config import BudgetExhausted, budget, default_budget_seconds
 from .content import content_scan, limit_closure
 from .dsl import DslError
 from .groebner import colon, ideal, ideal_compare, intersect
@@ -582,9 +582,9 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as stop:
         return EXIT_OK if not stop.code else EXIT_USAGE
-    set_deadline(default_budget_seconds())
     try:
-        echo, payload, lines, code = args.func(args)
+        with budget(default_budget_seconds()):
+            echo, payload, lines, code = args.func(args)
     except DslError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
@@ -604,8 +604,6 @@ def run(argv) -> int:
     except (ValueError, KeyError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
-    finally:
-        set_deadline(None)
     _emit(args, _render(args, echo, payload, lines))
     return code
 

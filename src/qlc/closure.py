@@ -16,8 +16,8 @@ from dataclasses import dataclass, field as dc_field
 
 from . import dsl
 from .config import DEFAULT, JobConfig, check_budget
-from .groebner import (IdealHandle, InternalError, buchberger, ideal,
-                       ideal_power, normal_form)
+from .groebner import (IdealHandle, InternalError, basis_key, buchberger,
+                       ideal, ideal_power, normal_form)
 from .poly import Polynomial, grevlex
 from .quasilength import (FiltrationCertificate, RingContext, Verdict,
                           validate_filtration)
@@ -264,9 +264,6 @@ def short_filtration_search(pres: QuotientPresentation, xs, t: int,
     budget = config.disproof_node_budget
     state = {"nodes": 0, "out_of_budget": False}
     dead: set = set()  # (basis key, remaining) that provably cannot finish
-
-    def basis_key(basis) -> tuple:
-        return tuple(tuple(sorted(g.terms.items())) for g in basis)
 
     def closing(basis) -> bool:
         return all(normal_form(x, basis, order).is_zero() for x in xs)

@@ -1,4 +1,4 @@
-"""Job-level knobs: time budget, search caps, degree bounds.
+"""Job-level knobs: time budget and search caps.
 
 Engine code is deterministic and seed-free; the only nondeterminism a budget
 introduces is *whether* a computation finishes, never its value.
@@ -9,7 +9,7 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class BudgetExhausted(RuntimeError):
@@ -21,12 +21,10 @@ class JobConfig:
     """Caps shared by the search routines.
 
     time_budget: wall-clock seconds, None = unlimited.
-    degree_bound: spin/closure degree cap for module construction.
     dim_caps: exhaustive quasilength search caps, keyed by field size.
     """
 
     time_budget: float | None = None
-    degree_bound: int = 64
     dim_cap_f2: int = 12
     dim_cap_f3: int = 8
     dim_cap_other: int = 8
@@ -43,15 +41,10 @@ class JobConfig:
 
 DEFAULT = JobConfig()
 
-# Active deadline, set by the CLI (or tests) around a whole job.  Monotonic
-# clock value, or None.  Checked cooperatively from the inner loops.
+# Active deadline, set by budget() around a whole job.  Monotonic clock
+# value, or None.  Checked cooperatively from the inner loops.
 _deadline: float | None = None
 _check_counter = 0
-
-
-def set_deadline(seconds: float | None) -> None:
-    global _deadline
-    _deadline = None if seconds is None else time.monotonic() + seconds
 
 
 @contextlib.contextmanager

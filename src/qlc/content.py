@@ -200,10 +200,3 @@ def content_scan(pres: QuotientPresentation, xs, ts, mode: str = "plain",
         rows.append(ContentRow(t, upper, lower, Fraction(upper, t ** d),
                                Fraction(lower, t ** d), upper_from, lower_from))
     return ContentTable(tuple(rows), d, mode)
-
-
-def underline_content_scan(pres: QuotientPresentation, xs, ts,
-                           supplied: dict | None = None,
-                           config: JobConfig = DEFAULT) -> ContentTable:
-    """content_scan over the limit closures of the parameter powers."""
-    return content_scan(pres, xs, ts, mode="underline", supplied=supplied, config=config)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 
-from .fields import QQ, PrimeField, RationalFunctionField, _uformat
+from .fields import QQ, PrimeField, RationalFunctionField
 from .poly import Polynomial, PolyRing, grevlex
 
 
@@ -230,18 +230,6 @@ def _format_mono(ring: PolyRing, exps) -> str:
     return "*".join(parts)
 
 
-def _coeff_factor(field, c) -> str:
-    if isinstance(field, RationalFunctionField):
-        num, den = c
-        ns = _uformat(num)
-        if sum(1 for x in num if x) > 1:
-            ns = f"({ns})"  # wrap sums so the string recomposes as one factor
-        if den != (1,):
-            ns = f"{ns}/({_uformat(den)})"
-        return ns
-    return field.format(c)
-
-
 def format_poly(f: Polynomial, order=grevlex) -> str:
     """Canonical text: terms in descending order, reparses to f."""
     if f.is_zero():
@@ -256,11 +244,11 @@ def format_poly(f: Polynomial, order=grevlex) -> str:
             c = field.neg(c)
         mono = _format_mono(ring, m)
         if not mono:
-            body = _coeff_factor(field, c)
+            body = field.format_factor(c)
         elif c == field.one:
             body = mono
         else:
-            body = f"{_coeff_factor(field, c)}*{mono}"
+            body = f"{field.format_factor(c)}*{mono}"
         out.append((sign, body))
     first_sign, first_body = out[0]
     text = first_body if first_sign == "+" else f"-{first_body}"

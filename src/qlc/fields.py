@@ -66,6 +66,8 @@ class RationalField:
     def format(self, a) -> str:
         return str(a)
 
+    format_factor = format
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -117,6 +119,8 @@ class PrimeField:
 
     def format(self, a) -> str:
         return str(a)
+
+    format_factor = format
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -273,13 +277,19 @@ class RationalFunctionField:
         return False
 
     def format(self, a) -> str:
+        """Text that parses back to a: t^2+1, t/(t+1), (t^2+1)/(t)."""
+        if a[1] == (1,):
+            return _uformat(a[0])
+        return self.format_factor(a)
+
+    def format_factor(self, a) -> str:
+        """format(a) fit to stand as one factor of a product: the numerator
+        goes in parentheses when it has more than one nonzero term."""
         num, den = a
         ns = _uformat(num)
-        if den == (1,):
-            return ns
-        if len(num) > 1:
+        if sum(1 for c in num if c) > 1:
             ns = f"({ns})"
-        return f"{ns}/({_uformat(den)})"
+        return ns if den == (1,) else f"{ns}/({_uformat(den)})"
 
     def __eq__(self, other):
         return isinstance(other, RationalFunctionField) and other.p == self.p

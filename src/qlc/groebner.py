@@ -1,16 +1,15 @@
 """Buchberger engine and ideal operations.
 
 Reduced Groebner bases are canonical per (ideal, order) and cached on the
-IdealHandle behind a lock.  Pair selection is by sugar degree; both classic
-pair criteria (coprime leading terms, chain) are applied at pop time, which
-is safe because a pair can only be chain-skipped after both partner pairs
-were popped earlier.
+IdealHandle; basis_key turns one into a hashable ideal identity.  Pair
+selection is by sugar degree; both classic pair criteria (coprime leading
+terms, chain) are applied at pop time, which is safe because a pair can only
+be chain-skipped after both partner pairs were popped earlier.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 
 from . import config
 from .poly import (
@@ -226,6 +225,11 @@ def _reduce_basis(basis, order) -> list[Polynomial]:
 # ideal handles and derived operations
 
 
+def basis_key(basis) -> tuple:
+    """Hashable snapshot of a reduced Groebner basis: equal keys, equal ideals."""
+    return tuple(tuple(sorted(g.terms.items())) for g in basis)
+
+
 class IdealHandle:
     """An ideal given by generators, with cached reduced GBs per order."""
 
@@ -237,20 +241,13 @@ class IdealHandle:
         self.ring = ring
         self.generators = gens
         self._cache: dict = {}
-        self._lock = threading.Lock()
 
     def groebner_basis(self, order=grevlex) -> tuple[Polynomial, ...]:
-        with self._lock:
-            got = self._cache.get(order.tag)
-            if got is None:
-                got = tuple(buchberger(self.generators, order))
-                self._cache[order.tag] = got
-            return got
-
-    def seed_cache(self, order, gb) -> None:
-        """Install a known reduced GB (used by incremental construction)."""
-        with self._lock:
-            self._cache.setdefault(order.tag, tuple(gb))
+        got = self._cache.get(order.tag)
+        if got is None:
+            got = tuple(buchberger(self.generators, order))
+            self._cache[order.tag] = got
+        return got
 
     def normal_form(self, f: Polynomial, order=grevlex) -> Polynomial:
         return normal_form(f, self.groebner_basis(order), order)
@@ -265,14 +262,9 @@ class IdealHandle:
         gb = self.groebner_basis()
         return len(gb) == 1 and gb[0].is_constant() and not gb[0].is_zero()
 
-    def is_zero_ideal(self) -> bool:
-        return not self.groebner_basis()
-
     def key(self, order=grevlex) -> tuple:
         """Hashable canonical identity of the ideal (reduced GB snapshot)."""
-        return tuple(
-            tuple(sorted(g.terms.items())) for g in self.groebner_basis(order)
-        )
+        return basis_key(self.groebner_basis(order))
 
     def __repr__(self):
         inside = "; ".join(repr(g) for g in self.generators) or "0"
@@ -281,12 +273,6 @@ class IdealHandle:
 
 def ideal(ring: PolyRing, gens) -> IdealHandle:
     return IdealHandle(ring, gens)
-
-
-def member(f: Polynomial, I: IdealHandle, order=grevlex):
-    """(is_member, normal_form) - the normal form is the membership witness."""
-    nf = I.normal_form(f, order)
-    return nf.is_zero(), nf
 
 
 def ideal_sum(I: IdealHandle, J: IdealHandle) -> IdealHandle:
@@ -414,11 +400,3 @@ class GrowingBasis:
         r = self.normal_form(f)
         if not r.is_zero():
             self.basis = buchberger([r], self.order, seed=self.basis)
-
-    def key(self) -> tuple:
-        return tuple(tuple(sorted(g.terms.items())) for g in self.basis)
-
-    def to_handle(self) -> IdealHandle:
-        h = IdealHandle(self.ring, tuple(self.basis))
-        h.seed_cache(self.order, self.basis)
-        return h

@@ -44,15 +44,6 @@ class RowSpace:
                     out[col] = s
         return out
 
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
-    def coords(self, vec: dict) -> dict | None:
-        """Pivot -> coefficient writing vec in the row basis, None if outside."""
-        if not self.contains(vec):
-            return None
-        return {p: vec[p] for p in self.rows if p in vec}
-
     def insert(self, vec: dict):
         """Add vec to the span.  Returns the new reduced row, or None."""
         F = self.field

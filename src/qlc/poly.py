@@ -203,9 +203,6 @@ class Polynomial:
         """-1 for the zero polynomial."""
         return max((mono_deg(m) for m in self.terms), default=-1)
 
-    def num_terms(self) -> int:
-        return len(self.terms)
-
     def leading(self, order=grevlex):
         """(monomial, coefficient) maximal under order; error on zero."""
         if not self.terms:
@@ -326,44 +323,6 @@ class Polynomial:
         from .dsl import format_poly
 
         return format_poly(self)
-
-
-def apply_map(f: Polynomial, images: dict, target: PolyRing | None = None) -> Polynomial:
-    """Ring map determined by variable images (endomorphism when target is the
-    same ring).  Every variable of f's ring must have an image; images must
-    share one ring.  Coefficients map via from_int only in char p... they are
-    carried over verbatim, so source and target fields must agree."""
-    ring = f.ring
-    missing = [v for v in ring.variables if v not in images]
-    if missing:
-        raise KeyError(f"no image for variables {missing}")
-    rings = {g.ring for g in images.values()}
-    if len(rings) != 1:
-        raise RingMismatch("variable images live in different rings")
-    tring = rings.pop()
-    if target is not None and target != tring:
-        raise RingMismatch(f"images live in {tring!r}, expected {target!r}")
-    if tring.field != ring.field:
-        raise RingMismatch("coefficient fields differ")
-
-    pow_cache: dict = {}
-
-    def var_pow(i: int, e: int) -> Polynomial:
-        key = (i, e)
-        got = pow_cache.get(key)
-        if got is None:
-            got = images[ring.variables[i]] ** e
-            pow_cache[key] = got
-        return got
-
-    out = tring.zero()
-    for m, c in f.terms.items():
-        piece = tring.constant(c)
-        for i, e in enumerate(m):
-            if e:
-                piece = piece * var_pow(i, e)
-        out = out + piece
-    return out
 
 
 def frobenius_power(f: Polynomial, q: int) -> Polynomial:

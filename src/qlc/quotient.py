@@ -98,47 +98,34 @@ def length(I: IdealHandle, order=grevlex) -> int:
 
 class VectorModule:
     """Finite-length module as explicit data: basis labels, dimension, and one
-    action matrix per ambient variable (columns are images of basis vectors)."""
+    action matrix per ambient variable, row-major (A[i][j] is the coefficient
+    of basis vector i in x * basis vector j).
 
-    def __init__(self, ring, space: RowSpace, k_gb, order=grevlex):
+    k_gb is the reduced GB of the ideal the module is taken modulo, or None.
+    space, when given, is the RowSpace of normal forms modulo k_gb whose
+    pivot rows are the basis: the polynomial model behind element_from_poly.
+    """
+
+    def __init__(self, ring, actions: dict, labels=None, k_gb=None, order=grevlex,
+                 space=None):
+        dims = {len(m) for m in actions.values()}
+        if set(actions) != set(ring.variables):
+            raise ValueError("need exactly one action matrix per ring variable")
+        if len(dims) != 1:
+            raise ValueError("action matrices disagree on dimension")
+        n = dims.pop()
+        for m in actions.values():
+            if any(len(row) != n for row in m):
+                raise ValueError("action matrices must be square")
         self.ring = ring
         self.order = order
         self.field = ring.field
-        self.k_gb = k_gb  # reduced GB the module is taken modulo
-        pivots = space.pivots()
-        self.pivots = pivots
-        self.pivot_index = {p: i for i, p in enumerate(pivots)}
-        self.rows = [dict(space.rows[p]) for p in pivots]
+        self.k_gb = k_gb
         self.space = space
-        self.dim = len(pivots)
-        self.labels = [dsl._format_mono(ring, p) or "1" for p in pivots]
-        self.actions = {}
-        for vi, var in enumerate(ring.variables):
-            cols = []
-            for row in self.rows:
-                image = self._act_poly(vi, row)
-                coords = self._coords(image)
-                cols.append(coords)
-            # stored row-major: A[i][j] = coeff of basis i in x*basis_j
-            self.actions[var] = [
-                [cols[j][i] for j in range(self.dim)] for i in range(self.dim)
-            ]
+        self.dim = n
+        self.labels = list(labels) if labels is not None else [f"e{i}" for i in range(n)]
+        self.actions = {v: [list(row) for row in actions[v]] for v in ring.variables}
         self._assert_commuting()
-
-    def _act_poly(self, var_index: int, row: dict) -> dict:
-        shifted = {}
-        for m, c in row.items():
-            e = list(m)
-            e[var_index] += 1
-            shifted[tuple(e)] = c
-        nf = normal_form(Polynomial(self.ring, shifted), self.k_gb, self.order)
-        return nf.terms
-
-    def _coords(self, vec: dict) -> list:
-        residue = self.space.reduce(vec)
-        if residue:
-            raise InternalError("module spin was not action-closed")
-        return [vec.get(p, self.field.zero) for p in self.pivots]
 
     def _assert_commuting(self):
         names = self.ring.variables
@@ -149,12 +136,14 @@ class VectorModule:
                     raise InternalError(f"actions of {names[i]} and {names[j]} do not commute")
 
     def element_from_poly(self, f: Polynomial) -> list:
-        """Coordinates of f's class, or ValueError if f is not in the module."""
-        nf = normal_form(f, self.k_gb, self.order)
-        vec = nf.terms
+        """Coordinates of f's class; ValueError if f is not in the module or
+        the module has no polynomial model (from_actions, direct_sum)."""
+        if self.space is None:
+            raise ValueError("the module has no polynomial model")
+        vec = normal_form(f, self.k_gb, self.order).terms
         if self.space.reduce(vec):
             raise ValueError(f"{f!r} does not lie in the module")
-        return [vec.get(p, self.field.zero) for p in self.pivots]
+        return [vec.get(p, self.field.zero) for p in self.space.pivots()]
 
     def format_vector(self, v) -> str:
         parts = []
@@ -162,42 +151,29 @@ class VectorModule:
         for c, lbl in zip(v, self.labels):
             if c == F.zero:
                 continue
-            parts.append(lbl if c == F.one else f"{F.format(c)}*{lbl}")
+            parts.append(lbl if c == F.one else f"{F.format_factor(c)}*{lbl}")
         return " + ".join(parts) if parts else "0"
-
-    def zero_vector(self) -> list:
-        return [self.field.zero] * self.dim
 
     @classmethod
     def from_actions(cls, ring, actions: dict, labels=None, k_gb=None) -> "VectorModule":
         """Module given directly by its action matrices (one per ring variable).
 
-        Matrices are row-major over ring.field and must commute pairwise; no
-        polynomial model is attached unless k_gb is supplied, so
-        element_from_poly is unavailable in that case.
+        Matrices are row-major over ring.field and must commute pairwise.  No
+        polynomial model is attached, so element_from_poly raises ValueError;
+        k_gb, when given, names the ideal the module is taken modulo and only
+        feeds lower_length_ratio.
         """
-        dims = {len(m) for m in actions.values()}
-        if set(actions) != set(ring.variables):
-            raise ValueError("need exactly one action matrix per ring variable")
-        if len(dims) != 1:
-            raise ValueError("action matrices disagree on dimension")
-        n = dims.pop()
-        for m in actions.values():
-            if any(len(row) != n for row in m):
-                raise ValueError("action matrices must be square")
-        out = cls.__new__(cls)
-        out.ring = ring
-        out.order = grevlex
-        out.field = ring.field
-        out.k_gb = k_gb
-        out.dim = n
-        out.labels = list(labels) if labels is not None else [f"e{i}" for i in range(n)]
-        out.pivots = None
-        out.space = None
-        out.rows = None
-        out.actions = {v: [list(row) for row in actions[v]] for v in ring.variables}
-        out._assert_commuting()
-        return out
+        return cls(ring, actions, labels, k_gb)
+
+
+def _times_var(ring, var_index: int, row: dict, k_gb, order) -> dict:
+    """Terms of x_i * row reduced modulo k_gb."""
+    shifted = {}
+    for m, c in row.items():
+        e = list(m)
+        e[var_index] += 1
+        shifted[tuple(e)] = c
+    return normal_form(Polynomial(ring, shifted), k_gb, order).terms
 
 
 def vector_module(J: IdealHandle, K: IdealHandle, degree_bound: int = 64,
@@ -224,16 +200,23 @@ def vector_module(J: IdealHandle, K: IdealHandle, degree_bound: int = 64,
         if any(sum(m) > degree_bound for m in row):
             raise ValueError(f"module spin exceeded degree bound {degree_bound}")
         for vi in range(ring.nvars):
-            shifted = {}
-            for m, c in row.items():
-                e = list(m)
-                e[vi] += 1
-                shifted[tuple(e)] = c
-            nf = normal_form(Polynomial(ring, shifted), k_gb, order)
-            new = space.insert(nf.terms)
+            new = space.insert(_times_var(ring, vi, row, k_gb, order))
             if new is not None:
                 queue.append(dict(new))
-    return VectorModule(ring, space, k_gb, order)
+    pivots = space.pivots()
+    dim = len(pivots)
+    zero = ring.field.zero
+    actions = {}
+    for vi, var in enumerate(ring.variables):
+        cols = []
+        for p in pivots:
+            image = _times_var(ring, vi, space.rows[p], k_gb, order)
+            if space.reduce(image):
+                raise InternalError("module spin was not action-closed")
+            cols.append([image.get(q, zero) for q in pivots])
+        actions[var] = [[cols[j][i] for j in range(dim)] for i in range(dim)]
+    labels = [dsl._format_mono(ring, p) or "1" for p in pivots]
+    return VectorModule(ring, actions, labels, k_gb, order, space)
 
 
 def quotient_module(Q: IdealHandle, degree_bound: int = 64, order=grevlex) -> VectorModule:
@@ -254,35 +237,15 @@ def min_generators(M: VectorModule) -> int:
 
 
 def direct_sum(M: VectorModule, N: VectorModule) -> VectorModule:
-    """Block sum; the two modules must share their ambient ring."""
+    """Block sum; the two modules must share their ambient ring.  The sum has
+    no single polynomial model (k_gb is None)."""
     if M.ring != N.ring:
         raise ValueError("direct sum across different rings")
-    out = VectorModule.__new__(VectorModule)
-    out.ring = M.ring
-    out.order = M.order
-    out.field = M.field
-    out.k_gb = None  # no single polynomial model; element_from_poly unsupported
-    out.dim = M.dim + N.dim
-    out.labels = [f"({l},0)" for l in M.labels] + [f"(0,{l})" for l in N.labels]
-    out.pivots = None
-    out.space = None
-    out.rows = None
     F = M.field
-    out.actions = {}
+    actions = {}
     for var in M.ring.variables:
-        A, B = M.actions[var], N.actions[var]
-        n = out.dim
-        mat = [[F.zero] * n for _ in range(n)]
-        for i in range(M.dim):
-            for j in range(M.dim):
-                mat[i][j] = A[i][j]
-        for i in range(N.dim):
-            for j in range(N.dim):
-                mat[M.dim + i][M.dim + j] = B[i][j]
-        out.actions[var] = mat
-    return out
-
-
-def pair_vector(M: VectorModule, N: VectorModule, f: Polynomial, g: Polynomial) -> list:
-    """Element (f, g) of the direct sum, by coordinates in each summand."""
-    return M.element_from_poly(f) + N.element_from_poly(g)
+        top = [list(row) + [F.zero] * N.dim for row in M.actions[var]]
+        bottom = [[F.zero] * M.dim + list(row) for row in N.actions[var]]
+        actions[var] = top + bottom
+    labels = [f"({l},0)" for l in M.labels] + [f"(0,{l})" for l in N.labels]
+    return VectorModule(M.ring, actions, labels, order=M.order)

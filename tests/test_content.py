@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from qlc import dsl
 from qlc.config import JobConfig
-from qlc.content import content_scan, limit_closure, underline_content_scan
+from qlc.content import content_scan, limit_closure
 from qlc.groebner import colon, ideal, ideal_compare
 from qlc.quasilength import FiltrationCertificate, staircase_filtration
 from qlc.quotient import QuotientPresentation, length
@@ -110,7 +110,7 @@ def test_quadric_rows_and_underline_gap():
     plain = content_scan(pres, xs, (1,))
     assert (plain.rows[0].upper, plain.rows[0].lower) == (1, 0)
     assert plain.rows[0].lower_from == "none"  # not zero-dimensional
-    under = underline_content_scan(pres, xs, (1,))
+    under = content_scan(pres, xs, (1,), mode="underline")
     assert (under.rows[0].upper, under.rows[0].lower) == (1, 1)
     assert under.mode == "underline"
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qlc import dsl
-from qlc.fields import GF2, GF3, QQ
+from qlc.fields import GF2, GF3, QQ, RationalFunctionField
 from qlc.groebner import InternalError, ideal
 from qlc.poly import PolyRing
 from qlc.quotient import (NotZeroDimensional, QuotientPresentation,
@@ -133,6 +133,47 @@ def test_element_from_poly_and_format():
     assert M.format_vector(v) in ("x + x^2", "x^2 + x")
     with pytest.raises(ValueError):
         M.element_from_poly(ring.one())  # 1 is not in (x)/(x^3)
+    # modules without a polynomial model refuse with the documented error
+    bare = VectorModule.from_actions(ring, M.actions, k_gb=M.k_gb)
+    for N in (bare, direct_sum(M, M)):
+        with pytest.raises(ValueError, match="no polynomial model"):
+            N.element_from_poly(x)
+
+
+def test_fpt_coefficients_round_trip():
+    ring = PolyRing(RationalFunctionField(2), ["x"])
+    x = ring.var("x")
+    F = ring.field
+    t1 = F.add(F.t, F.one)
+    M = quotient_module(ideal(ring, [x ** 2]))
+    assert M.format_vector([t1, F.one]) == "(t+1)*x + 1"
+    M = vector_module(ideal(ring, [ring.one()]),
+                      ideal(ring, [dsl.parse_poly(ring, "(t+1)*x^2+t*x")]))
+    assert F.format(M.actions["x"][0][0]) == "t/(t+1)"
+
+    for text, bottom in (("F2(t)[x]", "(t+1)*x^2+t*x"),
+                         ("F5(t)[x,y]", "x^2-t*y; y^2; x*y"),
+                         ("F5(t)[x,y]", "(t+2)*x^2-(t^2+1)*y; x*y; y^2")):
+        ring, _ = dsl.parse_ring(text)
+        F = ring.field
+        M = vector_module(ideal(ring, [ring.one()]),
+                          ideal(ring, dsl.parse_polys(ring, bottom)))
+        t, one = F.t, F.one
+        t1 = F.add(t, one)
+        extra = [t, t1, F.mul(t, t1), F.div(t, t1), F.div(t1, t),
+                 F.div(F.add(F.mul(t, t), one), F.mul(t1, t1)), F.neg(t1)]
+        coeffs = [c for A in M.actions.values() for row in A for c in row] + extra
+        for c in coeffs:
+            assert dsl.parse_poly(ring, F.format(c)) == ring.constant(c)
+        vectors = [list(col) for A in M.actions.values() for col in zip(*A)]
+        vectors += [[c] * M.dim for c in extra]
+        for v in vectors:
+            nonzero = [(c, lbl) for c, lbl in zip(v, M.labels) if c != F.zero]
+            terms = M.format_vector(v).split(" + ")
+            assert len(terms) == len(nonzero) or not nonzero
+            for term, (c, lbl) in zip(terms, nonzero):
+                want = ring.constant(c) * dsl.parse_poly(ring, lbl)
+                assert dsl.parse_poly(ring, term) == want
 
 
 def test_direct_sum_blocks():
