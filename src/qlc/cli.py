@@ -36,6 +36,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, the shell's code for Ctrl-C
 
 _ORDERS = {"grevlex": grevlex, "lex": lex}
 
@@ -588,7 +589,10 @@ def run(argv) -> int:
     except DslError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
-    except (BudgetExhausted, KeyboardInterrupt):
+    except KeyboardInterrupt:
+        sys.stderr.write("interrupted\n")
+        return EXIT_INTERRUPTED
+    except BudgetExhausted:
         envelope = {"schema": 1, "command": _command_name(args),
                     "incomplete": True,
                     "error": "time budget exhausted before the computation "

@@ -286,11 +286,12 @@ def short_filtration_search(pres: QuotientPresentation, xs, t: int,
             dead.add(key)
             return None
         for c in pool:
-            if normal_form(c, basis, order).is_zero():
+            r = normal_form(c, basis, order)
+            if r.is_zero():
                 continue
             if any(not normal_form(x * c, basis, order).is_zero() for x in xs):
                 continue
-            nxt = buchberger([normal_form(c, basis, order)], order, seed=basis)
+            nxt = buchberger([r], order, seed=basis)
             found = dive(nxt, remaining - 1, chain + [c])
             if found is not None or state["out_of_budget"]:
                 return found

@@ -10,18 +10,36 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Miller-Rabin with the first twelve prime bases is exact for every n below
+# psi_12 (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86 (2017)); larger n are rejected rather than guessed.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_BOUND = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality for n < PRIME_BOUND; ValueError for larger n."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"primality of {n} is only decided below {PRIME_BOUND}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

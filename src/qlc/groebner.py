@@ -10,6 +10,7 @@ be chain-skipped after both partner pairs were popped earlier.
 from __future__ import annotations
 
 import heapq
+from operator import add, ge, sub
 
 from . import config
 from .poly import (
@@ -25,7 +26,6 @@ from .poly import (
     mono_divides,
     mono_gcd_is_one,
     mono_lcm,
-    mono_mul,
 )
 
 
@@ -37,51 +37,69 @@ class InternalError(AssertionError):
 # reduction
 
 
-def _prep(basis, order):
-    """[(lt, tail)] for monic basis elements, in the given list order."""
-    prepped = []
-    for g in basis:
-        lt, lc = g.leading(order)
-        tail = [(m, c) for m, c in g.terms.items() if m != lt]
-        prepped.append((lt, tail, lc))
-    return prepped
+def _heap_of(work: dict, order) -> list:
+    """Max-heap of the monomials of work: (heap_key, monomial) entries."""
+    heap = [(order.heap_key(m), m) for m in work]
+    heapq.heapify(heap)
+    return heap
+
+
+def _add_multiple(work: dict, heap: list, heap_key, factor, q, tail, field) -> None:
+    """work += factor * x^q * tail; a monomial new to work goes on the heap."""
+    fmul, fadd, zero = field.mul, field.add, field.zero
+    for tm, tc in tail:
+        nm = tuple(map(add, tm, q))
+        old = work.get(nm)
+        if old is None:
+            work[nm] = fmul(factor, tc)
+            heapq.heappush(heap, (heap_key(nm), nm))
+        else:
+            s = fadd(old, fmul(factor, tc))
+            if s == zero:
+                del work[nm]
+            else:
+                work[nm] = s
 
 
 def _reduce_terms(terms: dict, prepped, order, field) -> dict:
-    """Full normal form of a term dict against prepped reducers."""
+    """Full normal form of a term dict against prepared reducers (lt, lc, tail).
+
+    The terms still to treat live in work, and a heap over them yields the
+    biggest one next.  Each monomial's heap key is computed once, when it
+    enters work; entries whose monomial cancelled out of work are skipped.
+    """
     work = dict(terms)
+    heap = _heap_of(work, order)
+    heap_key = order.heap_key
     out: dict = {}
-    key = order.key
-    zero = field.zero
-    while work:
+    one = field.one
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
         config.check_budget()
-        m = max(work, key=key)
-        c = work.pop(m)
-        for lt, tail, lc in prepped:
-            q = mono_div(m, lt)
-            if q is None:
-                continue
-            # work -= (c/lc) * x^q * g; the leading term cancels exactly
-            factor = c if lc == field.one else field.div(c, lc)
-            for tm, tc in tail:
-                nm = mono_mul(tm, q)
-                s = field.sub(work.get(nm, zero), field.mul(factor, tc))
-                if s == zero:
-                    work.pop(nm, None)
-                else:
-                    work[nm] = s
-            break
+        for lt, lc, tail in prepped:
+            if all(map(ge, m, lt)):
+                # work -= (c/lc) * x^q * g; the leading term cancels exactly
+                factor = field.neg(c if lc == one else field.div(c, lc))
+                _add_multiple(work, heap, heap_key, factor, tuple(map(sub, m, lt)), tail, field)
+                break
         else:
             out[m] = c
     return out
 
 
 def normal_form(f: Polynomial, basis, order=grevlex) -> Polynomial:
-    """Reduce f against a polynomial list (unique NF when basis is a GB)."""
-    basis = [g for g in basis if not g.is_zero()]
-    if not basis or f.is_zero():
+    """Reduce f against a polynomial list (unique NF when basis is a GB).
+
+    Each term is reduced by the first element of the list, in list order,
+    whose leading term divides it.
+    """
+    prepped = [g.prepared(order) for g in basis if g.terms]
+    if not prepped or not f.terms:
         return f
-    return Polynomial(f.ring, _reduce_terms(f.terms, _prep(basis, order), order, f.ring.field))
+    return Polynomial(f.ring, _reduce_terms(f.terms, prepped, order, f.ring.field))
 
 
 def poly_divide_exact(f: Polynomial, g: Polynomial, order=grevlex) -> Polynomial:
@@ -89,26 +107,21 @@ def poly_divide_exact(f: Polynomial, g: Polynomial, order=grevlex) -> Polynomial
     if g.is_zero():
         raise InternalError("division by the zero polynomial")
     field = f.ring.field
-    ltg, lcg = g.leading(order)
+    ltg, lcg, tail = g.prepared(order)
     work = dict(f.terms)
+    heap = _heap_of(work, order)
     quot: dict = {}
-    key = order.key
-    while work:
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
         config.check_budget()
-        m = max(work, key=key)
-        c = work[m]
         d = mono_div(m, ltg)
         if d is None:
             raise InternalError(f"exact division failed: remainder has term {m}")
-        coef = field.div(c, lcg)
-        quot[d] = field.add(quot.get(d, field.zero), coef)
-        for tm, tc in g.terms.items():
-            nm = mono_mul(tm, d)
-            s = field.sub(work.get(nm, field.zero), field.mul(coef, tc))
-            if s == field.zero:
-                work.pop(nm, None)
-            else:
-                work[nm] = s
+        quot[d] = coef = field.div(c, lcg)
+        _add_multiple(work, heap, order.heap_key, field.neg(coef), d, tail, field)
     return f.ring.from_terms(quot)
 
 

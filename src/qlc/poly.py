@@ -1,12 +1,15 @@
 """Sparse multivariate polynomials over an exact field.
 
-Monomials are exponent tuples; a polynomial is an immutable-by-convention
+Monomials are exponent tuples; a polynomial is an immutable
 {exponents: coefficient} map tied to a PolyRing.  Monomial orders are small
 key objects so Groebner bases can be cached per (ideal, order).
 """
 
 from __future__ import annotations
 
+from operator import add, ge, le, sub
+
+from . import config
 from .fields import field_name
 
 
@@ -18,17 +21,16 @@ class RingMismatch(ValueError):
 # monomials
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a, b):
     """a / b, or None when b does not divide a."""
-    out = tuple(x - y for x, y in zip(a, b))
-    return out if all(e >= 0 for e in out) else None
+    return tuple(map(sub, a, b)) if all(map(ge, a, b)) else None
 
 
 def mono_lcm(a, b):
@@ -44,12 +46,19 @@ def mono_deg(a) -> int:
 
 
 class MonomialOrder:
-    """Total order on exponent tuples via a sort key; bigger key = bigger monomial."""
+    """Total order on exponent tuples via a sort key; bigger key = bigger monomial.
+
+    heap_key is the same order reversed (smaller heap_key = bigger monomial),
+    so heapq's min-heap pops the biggest monomial first.
+    """
 
     name = "?"
     tag: tuple = ()
 
     def key(self, exps):
+        raise NotImplementedError
+
+    def heap_key(self, exps):
         raise NotImplementedError
 
     def __eq__(self, other):
@@ -69,6 +78,9 @@ class Lex(MonomialOrder):
     def key(self, exps):
         return exps
 
+    def heap_key(self, exps):
+        return tuple([-e for e in exps])
+
 
 class GrevLex(MonomialOrder):
     """Graded reverse lexicographic: by total degree, ties broken by the
@@ -79,6 +91,9 @@ class GrevLex(MonomialOrder):
 
     def key(self, exps):
         return (sum(exps), tuple(-e for e in reversed(exps)))
+
+    def heap_key(self, exps):
+        return (-sum(exps), exps[::-1])
 
 
 class Block(MonomialOrder):
@@ -95,6 +110,10 @@ class Block(MonomialOrder):
 
     def key(self, exps):
         return (self.left.key(exps[: self.split]), self.right.key(exps[self.split :]))
+
+    def heap_key(self, exps):
+        return (self.left.heap_key(exps[: self.split]),
+                self.right.heap_key(exps[self.split :]))
 
 
 lex = Lex()
@@ -182,12 +201,21 @@ class PolyRing:
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms", "_hash")
+    """An element of a PolyRing: terms maps exponent tuples to nonzero coefficients.
+
+    The terms dict is owned by the polynomial and must not be mutated once the
+    polynomial is built: the hash and the prepared form per monomial order
+    (leading term, its coefficient and the remaining terms, see prepared) are
+    computed from it once and cached.
+    """
+
+    __slots__ = ("ring", "terms", "_hash", "_prep")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
         self._hash = None
+        self._prep = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -203,12 +231,24 @@ class Polynomial:
         """-1 for the zero polynomial."""
         return max((mono_deg(m) for m in self.terms), default=-1)
 
+    def prepared(self, order=grevlex):
+        """(lt, lc, tail) under order: the leading monomial, its coefficient and
+        the other terms as (monomial, coefficient) pairs; cached per order."""
+        cache = self._prep
+        if cache is None:
+            cache = self._prep = {}
+        got = cache.get(order.tag)
+        if got is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            lt = max(self.terms, key=order.key)
+            tail = [(m, c) for m, c in self.terms.items() if m != lt]
+            got = cache[order.tag] = (lt, self.terms[lt], tail)
+        return got
+
     def leading(self, order=grevlex):
         """(monomial, coefficient) maximal under order; error on zero."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=order.key)
-        return m, self.terms[m]
+        return self.prepared(order)[:2]
 
     def _need(self, other) -> "Polynomial":
         if isinstance(other, int):
@@ -257,6 +297,7 @@ class Polynomial:
             return self.ring.zero()
         out: dict = {}
         for ma, ca in self.terms.items():
+            config.check_budget(every=1)
             for mb, cb in other.terms.items():
                 m = mono_mul(ma, mb)
                 s = F.add(out.get(m, F.zero), F.mul(ca, cb))

@@ -1,11 +1,14 @@
 """End-to-end command tests: rendering, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
-from qlc import casebook
-from qlc.cli import (EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, run)
+from qlc import casebook, cli
+from qlc.cli import (EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_INTERRUPTED, EXIT_OK,
+                     EXIT_USAGE, run)
+from qlc.fields import PRIME_BOUND
 
 
 def test_length_text_output(capsys):
@@ -187,3 +190,31 @@ def test_tight_table_and_test_element_commands(capsys):
                 "--degree-bound", "2", "--json"])
     assert code == EXIT_OK
     assert json.loads(capsys.readouterr().out)["result"] == {"found": None}
+
+
+def test_powering_respects_the_budget(monkeypatch):
+    budget = 1
+    monkeypatch.setenv("QLC_BUDGET_SECS", str(budget))
+    start = time.monotonic()
+    code = run(["member", "--ring", "Q[x,y,z]", "--ideal", "x",
+                "--poly", "(x+y+z+1)^300"])
+    assert code == EXIT_BUDGET
+    assert time.monotonic() - start < budget + 1
+
+
+def test_field_size_beyond_the_primality_bound_is_a_usage_error(capsys):
+    code = run(["gb", "--ring", f"F{PRIME_BOUND}[x]", "--ideal", "x"])
+    assert code == EXIT_USAGE
+    assert "primality" in capsys.readouterr().err
+
+
+def test_interrupt_has_its_own_exit_code(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_gb", interrupted)
+    code = run(["gb", "--ring", "Q[x]", "--ideal", "x", "--json"])
+    assert code == EXIT_INTERRUPTED == 130
+    captured = capsys.readouterr()
+    assert captured.err == "interrupted\n"
+    assert captured.out == ""

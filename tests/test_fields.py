@@ -1,9 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from qlc.fields import (GF2, GF3, QQ, PrimeField, RationalField,
-                        RationalFunctionField, field_name)
+from qlc.dsl import parse_ring
+from qlc.fields import (GF2, GF3, PRIME_BOUND, QQ, PrimeField, RationalField,
+                        RationalFunctionField, field_name, is_prime)
 
 
 def _axioms(F, elements):
@@ -56,3 +58,37 @@ def test_field_names():
     assert field_name(QQ) == "Q"
     assert field_name(RationalFunctionField(5)) == "F5(t)"
     assert field_name(RationalField()) == "Q"
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(10 ** 5) if is_prime(n)] == \
+        [n for n in range(10 ** 5) if _trial_division(n)]
+
+
+def test_large_prime_field_parses_fast():
+    start = time.monotonic()
+    ring, _ = parse_ring("F1000000000000000003[x]")
+    assert time.monotonic() - start < 1
+    assert ring.field.p == 10 ** 18 + 3
+
+
+def test_primality_bound_is_enforced():
+    assert is_prime(2 ** 61 - 1)
+    # a strong pseudoprime to the first eleven prime bases; base 37 catches it
+    assert not is_prime(149491 * 747451 * 34233211)
+    # the bound itself passes all twelve bases, so it must be refused
+    with pytest.raises(ValueError):
+        is_prime(PRIME_BOUND)
+    with pytest.raises(ValueError):
+        PrimeField(PRIME_BOUND + 2)

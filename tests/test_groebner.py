@@ -8,14 +8,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qlc import dsl
-from qlc.fields import GF2, QQ
+from qlc.fields import GF2, QQ, PrimeField
 from qlc.groebner import (GrowingBasis, InternalError, bracket_power,
                           buchberger, colon, ideal, ideal_compare,
                           ideal_power, ideal_product, ideal_sum, intersect,
                           normal_form, poly_divide_exact)
-from qlc.poly import PolyRing, grevlex, lex
+from qlc.poly import Block, PolyRing, grevlex, lex
 
 
 def qring(names="xy"):
@@ -288,3 +290,87 @@ def test_growing_basis_tracks_buchberger():
     assert not grow.contains_one()
     grow.add(x - 2)  # now 8 = 1, so the ideal collapses
     assert grow.contains_one()
+
+
+# ---------------------------------------------------------------------------
+# the heap-driven reducer against a plain reference division
+
+F5 = PrimeField(5)
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def reference_normal_form(f, basis, order):
+    """Textbook division: take the biggest remaining term, reduce it by the
+    first element of basis (in list order) whose leading term divides it."""
+    F = f.ring.field
+    basis = [g for g in basis if g.terms]
+    work = dict(f.terms)
+    out = {}
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for g in basis:
+            lt = max(g.terms, key=order.key)
+            if all(a >= b for a, b in zip(m, lt)):
+                q = tuple(a - b for a, b in zip(m, lt))
+                factor = F.div(c, g.terms[lt])
+                for tm, tc in g.terms.items():
+                    if tm == lt:
+                        continue
+                    nm = tuple(a + b for a, b in zip(tm, q))
+                    s = F.sub(work.get(nm, F.zero), F.mul(factor, tc))
+                    if s == F.zero:
+                        work.pop(nm, None)
+                    else:
+                        work[nm] = s
+                break
+        else:
+            out[m] = c
+    return out
+
+
+def poly3(field):
+    ring = PolyRing(field, ["x", "y", "z"])
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * 3), st.integers(-4, 4))
+    return st.lists(term, max_size=5).map(
+        lambda ts: ring.from_terms({m: field.from_int(c) for m, c in ts}))
+
+
+def assert_matches_reference(f, basis, order):
+    assert normal_form(f, basis, order).terms == reference_normal_form(f, basis, order)
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
+@pytest.mark.parametrize("order", [grevlex, lex, Block(1, lex, grevlex)],
+                         ids=["grevlex", "lex", "block"])
+@PROPERTY
+@given(data=st.data())
+def test_normal_form_matches_reference_division(field, order, data):
+    f = data.draw(poly3(field))
+    basis = data.draw(st.lists(poly3(field), min_size=0, max_size=4))
+    assert_matches_reference(f, basis, order)
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
+@PROPERTY
+@given(data=st.data())
+def test_prepared_form_never_leaks_across_orders(field, data):
+    f = data.draw(poly3(field))
+    basis = data.draw(st.lists(poly3(field), min_size=1, max_size=4))
+    for order in (lex, grevlex, lex):
+        assert_matches_reference(f, basis, order)
+        for g in basis:
+            if g.terms:
+                lt = max(g.terms, key=order.key)
+                assert g.leading(order) == (lt, g.terms[lt])
+
+
+@pytest.mark.parametrize("order", [grevlex, lex, Block(1, lex, grevlex)],
+                         ids=["grevlex", "lex", "block"])
+@PROPERTY
+@given(data=st.data())
+def test_exact_division_recovers_the_cofactor(order, data):
+    f = data.draw(poly3(QQ))
+    g = data.draw(poly3(QQ))
+    assume(not g.is_zero())
+    assert poly_divide_exact(f * g, g, order) == f
