@@ -17,7 +17,7 @@ from .content import (ContentRow, ContentTable, LimitClosureResult,
 from .dsl import (DslError, format_poly, format_ring, parse_poly, parse_polys,
                   parse_ring)
 from .fields import (GF2, GF3, QQ, PrimeField, RationalField,
-                     RationalFunctionField, field_name)
+                     RationalFunctionField)
 from .groebner import (IdealHandle, InternalError, bracket_power, colon,
                        ideal, ideal_compare, ideal_power, ideal_product,
                        ideal_sum, intersect, normal_form)

@@ -19,7 +19,6 @@ from . import dsl
 from .closure import (generic_forcing_algebra, lc_class_vanishing,
                       qseq_verdict_charp, test_element_search,
                       tight_membership_table)
-from .config import DEFAULT, JobConfig
 from .content import content_scan
 from .groebner import ideal
 from .poly import PolyRing
@@ -73,7 +72,7 @@ def _eq(description, expected, computed) -> Check:
 # discrete valuation ring model
 
 
-def dvr_example(config: JobConfig = DEFAULT) -> ExampleReport:
+def dvr_example() -> ExampleReport:
     """Quasilengths of (x)/(x^4) and (x)/(x^2) over F2[x] against (x^2),
     and their direct sum; a reversed chain must fail validation."""
     pres = QuotientPresentation.parse("F2[x]")
@@ -83,9 +82,9 @@ def dvr_example(config: JobConfig = DEFAULT) -> ExampleReport:
     M = vector_module(J, ideal(ring, [x ** 4]))
     N = vector_module(J, ideal(ring, [x ** 2]))
     I = ideal(ring, [x ** 2])
-    bm = quasilength(M, I, config)
-    bn = quasilength(N, I, config)
-    bd = quasilength(direct_sum(M, N), I, config)
+    bm = quasilength(M, I)
+    bn = quasilength(N, I)
+    bd = quasilength(direct_sum(M, N), I)
     reversed_cert = FiltrationCertificate(
         bm.certificate.context, bm.certificate.killing,
         tuple(reversed(bm.certificate.generators)))
@@ -112,7 +111,7 @@ def dvr_example(config: JobConfig = DEFAULT) -> ExampleReport:
 # the two-lines ring k[u,v]/(uv)
 
 
-def uv_example(config: JobConfig = DEFAULT) -> ExampleReport:
+def uv_example() -> ExampleReport:
     """x = u+v on F2[u,v]/(uv): each branch has full content, but the
     quasilength of the branch direct sum grows like t+1, not 2t."""
     amb, _ = dsl.parse_ring("F2[u,v]")
@@ -121,7 +120,7 @@ def uv_example(config: JobConfig = DEFAULT) -> ExampleReport:
     checks = []
     for branch, kill in (("u", u), ("v", v)):
         pres = QuotientPresentation(amb, [u * v, kill])
-        tab = content_scan(pres, (x,), (1, 2, 3), config=config)
+        tab = content_scan(pres, (x,), (1, 2, 3))
         got = [(r.t, r.upper, r.lower) for r in tab.rows]
         checks.append(_eq(f"content rows for the {branch}-branch",
                           [(1, 1, 1), (2, 2, 2), (3, 3, 3)], got))
@@ -131,8 +130,8 @@ def uv_example(config: JobConfig = DEFAULT) -> ExampleReport:
     for t in (1, 2, 3):
         A = vector_module(one, ideal(amb, [u * v, u, x ** t]))
         B = vector_module(one, ideal(amb, [u * v, v, x ** t]))
-        qa = quasilength(A, I, config)
-        qd = quasilength(direct_sum(A, B), I, config)
+        qa = quasilength(A, I)
+        qd = quasilength(direct_sum(A, B), I)
         sums.append((t, qa.exact, qd.exact))
         checks.append(_eq(f"branch quasilength at t={t}", t, qa.exact))
         checks.append(_eq(f"direct-sum quasilength at t={t}", t + 1, qd.exact))
@@ -152,7 +151,7 @@ def uv_example(config: JobConfig = DEFAULT) -> ExampleReport:
 # a degree-six element forced into cube powers
 
 
-def roberts_example(config: JobConfig = DEFAULT) -> ExampleReport:
+def roberts_example() -> ExampleReport:
     """(x1 x2 x3)^2 forced into (x1^3, x2^3, x3^3) over Q: the product class
     survives k=1 but dies from k=2 on, and dropping the top staircase
     generator leaves a valid 26-step chain at t=3."""
@@ -166,7 +165,7 @@ def roberts_example(config: JobConfig = DEFAULT) -> ExampleReport:
     full = staircase_filtration(S, xs, 3)
     short = FiltrationCertificate(full.context, full.killing, full.generators[1:])
     verdict = validate_filtration(short)
-    tab = content_scan(S, xs, (3,), supplied={3: short}, config=config)
+    tab = content_scan(S, xs, (3,), supplied={3: short})
     row = tab.rows[0]
     checks = (
         _eq("class of (x1 x2 x3)^1 vanishes", False, van.rows[0].vanished),
@@ -192,7 +191,7 @@ def roberts_example(config: JobConfig = DEFAULT) -> ExampleReport:
 # Fermat cubic in characteristic 7
 
 
-def fermat_example(config: JobConfig = DEFAULT) -> ExampleReport:
+def fermat_example() -> ExampleReport:
     """z^2 against (x, y) in F7[x,y,z]/(x^3+y^3+z^3): multiplier z passes
     q = 7 and 49, and the bounded search also finds a multiplier."""
     pres = QuotientPresentation.parse("F7[x,y,z]/(x^3+y^3+z^3)")
@@ -214,7 +213,7 @@ def fermat_example(config: JobConfig = DEFAULT) -> ExampleReport:
 # the quartic surface family with a transcendental coefficient
 
 
-def brenner_monsky_example(config: JobConfig = DEFAULT) -> ExampleReport:
+def brenner_monsky_example() -> ExampleReport:
     """x^3 y^3 against (x^4, y^4, z^4) over F2(t) with the quartic relation
     z^4 + xyz^2 + x^3 z + y^3 z + t x^2 y^2."""
     pres = QuotientPresentation.parse(
@@ -245,7 +244,7 @@ def brenner_monsky_example(config: JobConfig = DEFAULT) -> ExampleReport:
 # cubic cone with z^2 forced into (x, y)
 
 
-def cubic_forcing_example(config: JobConfig = DEFAULT) -> ExampleReport:
+def cubic_forcing_example() -> ExampleReport:
     """Forcing z^2 into (x, y) over Q[x,y,z]/(x^3+y^3+z^3) makes the
     membership true by fiat, yet the parameter-product classes all survive."""
     A = QuotientPresentation.parse("Q[x,y,z]/(x^3+y^3+z^3)")
@@ -271,7 +270,7 @@ def cubic_forcing_example(config: JobConfig = DEFAULT) -> ExampleReport:
 # an extended presentation carrying a fraction w
 
 
-def normalization_w_example(config: JobConfig = DEFAULT) -> ExampleReport:
+def normalization_w_example() -> ExampleReport:
     """Six-variable presentation where w plays (y^2+zv)/x = -(x^2+zu)/y:
     exact cofactor identities tie the generators together."""
     P = QuotientPresentation.parse(
@@ -382,8 +381,7 @@ def segre_matrix_check(s: int, t: int, field: str = "F2") -> dict:
     }
 
 
-def segre_special_filtration(s: int, t: int, field: str = "F2",
-                             config: JobConfig = DEFAULT) -> tuple:
+def segre_special_filtration(s: int, t: int, field: str = "F2") -> tuple:
     """The (s+t)^3 - t^3 step certificate for the variant power ideal at
     exponent s+t, modulo the determinant, killed by (x1, x2, x3).
 
@@ -412,7 +410,7 @@ def segre_special_filtration(s: int, t: int, field: str = "F2",
     return cert, (s + t) ** 3 - t ** 3
 
 
-def segre_example(config: JobConfig = DEFAULT) -> ExampleReport:
+def segre_example() -> ExampleReport:
     """Containment comparisons for t = 1, 2, 3 over F2 and Q, plus content
     rows for the three quadrics."""
     checks = []
@@ -432,8 +430,8 @@ def segre_example(config: JobConfig = DEFAULT) -> ExampleReport:
                       "identity", False, diag["xv_squared_identity"]))
     ring, (x1, x2, x3) = _segre_ring("Q")
     pres = QuotientPresentation(ring)
-    plain = content_scan(pres, (x1, x2, x3), (1, 2), config=config)
-    under = content_scan(pres, (x1, x2, x3), (1,), mode="underline", config=config)
+    plain = content_scan(pres, (x1, x2, x3), (1, 2))
+    under = content_scan(pres, (x1, x2, x3), (1,), mode="underline")
     checks.append(_eq("plain rows (t, upper, lower)",
                       [(1, 1, 0), (2, 8, 0)],
                       [(r.t, r.upper, r.lower) for r in plain.rows]))
@@ -450,7 +448,7 @@ def segre_example(config: JobConfig = DEFAULT) -> ExampleReport:
                          "comparisons and content rows", tuple(checks), arts)
 
 
-def segre_matrix_example(config: JobConfig = DEFAULT) -> ExampleReport:
+def segre_matrix_example() -> ExampleReport:
     """Transition-matrix checks at (s, t) = (1,1), (2,1), (3,2), both fields."""
     checks = []
     for field in ("F2", "Q"):
@@ -465,18 +463,18 @@ def segre_matrix_example(config: JobConfig = DEFAULT) -> ExampleReport:
                          "matrices and their determinants", tuple(checks), arts)
 
 
-def segre_filtration_example(config: JobConfig = DEFAULT) -> ExampleReport:
+def segre_filtration_example() -> ExampleReport:
     """Special filtrations at (s, t) = (2, 1) and (2, 2) over F2, with the
     case-split identities behind the step containments."""
     checks = []
     counts = {}
     for (s, t, expected) in ((2, 1, 26), (2, 2, 56)):
-        cert, count = segre_special_filtration(s, t, "F2", config)
+        cert, count = segre_special_filtration(s, t, "F2")
         counts[f"(s={s}, t={t})"] = count
         checks.append(_eq(f"(s={s}, t={t}) step count", expected, count))
         checks.append(_eq(f"(s={s}, t={t}) certificate validates", "valid",
                           cert.validated.status))
-    certQ, _ = segre_special_filtration(2, 1, "Q", config)
+    certQ, _ = segre_special_filtration(2, 1, "Q")
     checks.append(_eq("(s=2, t=1) also validates over Q", "valid",
                       certQ.validated.status))
     ring, (x1, x2, x3) = _segre_ring("Q")
@@ -503,13 +501,12 @@ def segre_filtration_example(config: JobConfig = DEFAULT) -> ExampleReport:
 # the short-filtration counterexample in a polynomial ring
 
 
-def square_shortcut_example(config: JobConfig = DEFAULT) -> ExampleReport:
+def square_shortcut_example() -> ExampleReport:
     """xy against (x^2, y^2) over F2[x,y]: the forcing algebra admits a
     3-step filtration where the staircase needs 4."""
     pres = QuotientPresentation.parse("F2[x,y]")
     x, y = pres.ambient.var("x"), pres.ambient.var("y")
-    rep = qseq_verdict_charp(pres, (x, y), x * y, t=2, e_list=(1, 2),
-                             config=config)
+    rep = qseq_verdict_charp(pres, (x, y), x * y, t=2, e_list=(1, 2))
     chain = ([dsl.format_poly(g) for g in rep.disproof.generators]
              if rep.disproof else None)
     checks = (
@@ -550,14 +547,14 @@ def example_names(long: bool = False) -> list:
     return [n for n, (_f, is_long) in REGISTRY.items() if long or not is_long]
 
 
-def run_example(name: str, config: JobConfig = DEFAULT) -> ExampleReport:
+def run_example(name: str) -> ExampleReport:
     try:
         fn, _is_long = REGISTRY[name]
     except KeyError:
         known = ", ".join(REGISTRY)
         raise KeyError(f"unknown example {name!r}; known: {known}") from None
-    return fn(config)
+    return fn()
 
 
-def run_all(long: bool = False, config: JobConfig = DEFAULT) -> list:
-    return [run_example(n, config) for n in example_names(long)]
+def run_all(long: bool = False) -> list:
+    return [run_example(n) for n in example_names(long)]

@@ -3,13 +3,15 @@
 Every subcommand parses its inputs with the shared ring/polynomial DSL,
 dispatches to the library, and writes one report to stdout (or --out).  The
 default rendering is plain text; --json switches to a versioned JSON envelope
-that echoes the inputs and contains nothing run-dependent, so identical
+that echoes the inputs (every option the subcommand declares, less the output
+flags and --cert-out) and contains nothing run-dependent, so identical
 argument vectors produce byte-identical JSON.
 
 Exit codes: 0 success, 1 a worked example reported a failing check, 2 usage
-or input errors (DSL errors point at the offending span), 3 the time budget
-ran out (the report is emitted anyway, marked incomplete).  The budget
-defaults to 300 seconds and follows QLC_BUDGET_SECS.
+or input errors (DSL errors point at the offending span; also an unwritable
+--out path), 3 the time budget ran out (the report is emitted anyway, marked
+incomplete).  The budget defaults to 300 seconds; QLC_BUDGET_SECS sets it to
+any finite number of seconds above 0, and any other value exits 2.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .closure import (generic_forcing_algebra, lc_class_vanishing,
                       tight_membership_table)
 from .config import BudgetExhausted, budget, default_budget_seconds
 from .content import content_scan, limit_closure
-from .dsl import DslError
 from .groebner import colon, ideal, ideal_compare, intersect
 from .poly import grevlex, lex
 from .quasilength import (NoFiltration, SearchLimit, certificate_from_json,
@@ -66,7 +67,7 @@ def _fmt(polys) -> list:
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (input echo, result payload, text lines, exit code)
+# handlers: each returns (result payload, text lines, exit code)
 
 
 def _cmd_gb(args):
@@ -74,23 +75,20 @@ def _cmd_gb(args):
     order = _ORDERS[args.order]
     basis = pres.ideal(_polys(pres, args.ideal)).groebner_basis(order)
     out = _fmt(basis)
-    echo = {"ring": args.ring, "ideal": args.ideal, "order": args.order}
-    return echo, {"basis": out}, out, EXIT_OK
+    return {"basis": out}, out, EXIT_OK
 
 
 def _cmd_member(args):
     pres = _presentation(args)
     inside = pres.ideal(_polys(pres, args.ideal)).contains_poly(_poly(pres, args.poly))
-    echo = {"ring": args.ring, "ideal": args.ideal, "poly": args.poly}
-    return echo, {"member": inside}, ["true" if inside else "false"], EXIT_OK
+    return {"member": inside}, ["true" if inside else "false"], EXIT_OK
 
 
 def _cmd_compare(args):
     pres = _presentation(args)
     rel = ideal_compare(pres.ideal(_polys(pres, args.left)),
                         pres.ideal(_polys(pres, args.right)))
-    echo = {"ring": args.ring, "left": args.left, "right": args.right}
-    return echo, {"relation": rel}, [rel], EXIT_OK
+    return {"relation": rel}, [rel], EXIT_OK
 
 
 def _cmd_colon(args):
@@ -98,8 +96,7 @@ def _cmd_colon(args):
     quot = colon(pres.ideal(_polys(pres, args.ideal)),
                  ideal(pres.ambient, _polys(pres, args.by)))
     out = _fmt(quot.groebner_basis())
-    echo = {"ring": args.ring, "ideal": args.ideal, "by": args.by}
-    return echo, {"generators": out}, out, EXIT_OK
+    return {"generators": out}, out, EXIT_OK
 
 
 def _cmd_intersect(args):
@@ -107,15 +104,13 @@ def _cmd_intersect(args):
     meet = intersect(pres.ideal(_polys(pres, args.left)),
                      pres.ideal(_polys(pres, args.right)))
     out = _fmt(meet.groebner_basis())
-    echo = {"ring": args.ring, "left": args.left, "right": args.right}
-    return echo, {"generators": out}, out, EXIT_OK
+    return {"generators": out}, out, EXIT_OK
 
 
 def _cmd_length(args):
     pres = _presentation(args)
     n = length(pres.ideal(_polys(pres, args.ideal)))
-    echo = {"ring": args.ring, "ideal": args.ideal}
-    return echo, {"length": n}, [str(n)], EXIT_OK
+    return {"length": n}, [str(n)], EXIT_OK
 
 
 def _module(args):
@@ -139,9 +134,7 @@ def _cmd_vmod(args):
         lines.append(f"{v}:")
         lines.extend("  [" + ", ".join(F.format(c) for c in row) + "]"
                      for row in M.actions[v])
-    echo = {"ring": args.ring, "top": args.top, "bottom": args.bottom,
-            "degree_bound": args.degree_bound}
-    return echo, payload, lines, EXIT_OK
+    return payload, lines, EXIT_OK
 
 
 def _module_cert_payload(M, cert) -> dict:
@@ -164,11 +157,6 @@ def _write_cert(path: str, payload) -> None:
         fh.write(text)
 
 
-def _ql_echo(args) -> dict:
-    return {"ring": args.ring, "top": args.top, "bottom": args.bottom,
-            "killing": args.killing, "degree_bound": args.degree_bound}
-
-
 def _cmd_ql_exact(args):
     pres, M = _module(args)
     I = pres.ideal(_polys(pres, args.killing))
@@ -176,7 +164,7 @@ def _cmd_ql_exact(args):
         value, cert = quasilength_exact(M, I)
     except NoFiltration:
         payload = {"exact": None, "filtration_exists": False}
-        return _ql_echo(args), payload, ["no finite filtration"], EXIT_OK
+        return payload, ["no finite filtration"], EXIT_OK
     payload = {"exact": value, "filtration_exists": True,
                "certificate": _module_cert_payload(M, cert)}
     if args.cert_out:
@@ -184,7 +172,7 @@ def _cmd_ql_exact(args):
     lines = [f"exact {value}"]
     lines.extend(f"  step {i}: {M.format_vector(list(g))}"
                  for i, g in enumerate(cert.generators, 1))
-    return _ql_echo(args), payload, lines, EXIT_OK
+    return payload, lines, EXIT_OK
 
 
 def _cmd_ql_bounds(args):
@@ -195,7 +183,7 @@ def _cmd_ql_bounds(args):
     except NoFiltration:
         payload = {"lower": None, "upper": None, "exact": None,
                    "filtration_exists": False}
-        return _ql_echo(args), payload, ["no finite filtration"], EXIT_OK
+        return payload, ["no finite filtration"], EXIT_OK
     payload = {
         "lower": b.lower,
         "upper": b.upper,
@@ -210,7 +198,7 @@ def _cmd_ql_bounds(args):
     lines = [f"lower {b.lower} ({b.lower_method})", f"upper {b.upper}",
              f"exact {b.exact if b.exact is not None else 'undetermined'}"]
     lines.extend(f"  note: {f}" for f in b.flags)
-    return _ql_echo(args), payload, lines, EXIT_OK
+    return payload, lines, EXIT_OK
 
 
 def _cmd_ql_validate(args):
@@ -223,7 +211,7 @@ def _cmd_ql_validate(args):
         lines = [f"valid ({len(cert)} steps)"]
     else:
         lines = [f"invalid at step {verdict.step}: {verdict.witness}"]
-    return {"cert": args.cert}, payload, lines, EXIT_OK
+    return payload, lines, EXIT_OK
 
 
 def _cmd_content_scan(args):
@@ -238,9 +226,7 @@ def _cmd_content_scan(args):
             f"t={r['t']}  upper={r['upper']} ({r['upper_from']}, ratio "
             f"{r['upper_ratio']})  lower={r['lower']} ({r['lower_from']}, "
             f"ratio {r['lower_ratio']})")
-    echo = {"ring": args.ring, "params": args.params, "t": args.t,
-            "mode": args.mode}
-    return echo, payload, lines, EXIT_OK
+    return payload, lines, EXIT_OK
 
 
 def _cmd_content_limit_closure(args):
@@ -253,9 +239,7 @@ def _cmd_content_limit_closure(args):
                "stabilized": res.stabilized}
     lines = [f"k={res.k} stabilized={str(res.stabilized).lower()} "
              f"(window {res.window})"] + gens
-    echo = {"ring": args.ring, "params": args.params, "t": args.t,
-            "window": args.window, "max_k": args.max_k}
-    return echo, payload, lines, EXIT_OK
+    return payload, lines, EXIT_OK
 
 
 def _cmd_force_build(args):
@@ -265,9 +249,7 @@ def _cmd_force_build(args):
     payload = {"presentation": fa.describe(), "fresh_variables": list(fa.z_names),
                "element": dsl.format_poly(fa.element),
                "generators": _fmt(fa.generators)}
-    echo = {"ring": args.ring, "gens": args.gens, "element": args.element,
-            "prefix": args.prefix}
-    return echo, payload, [fa.describe()], EXIT_OK
+    return payload, [fa.describe()], EXIT_OK
 
 
 def _cmd_force_tight_table(args):
@@ -279,9 +261,7 @@ def _cmd_force_tight_table(args):
     payload = {"rows": table.as_dicts(), "all_pass": table.all_pass()}
     lines = [f"e={r.e} q={r.q} member={str(r.member).lower()}"
              for r in table.rows]
-    echo = {"ring": args.ring, "element": args.element, "gens": args.gens,
-            "multiplier": args.multiplier, "e": args.e}
-    return echo, payload, lines, EXIT_OK
+    return payload, lines, EXIT_OK
 
 
 def _cmd_force_test_element(args):
@@ -291,9 +271,7 @@ def _cmd_force_test_element(args):
                                 degree_bound=args.degree_bound)
     rendered = dsl.format_poly(found) if found is not None else None
     payload = {"found": rendered}
-    echo = {"ring": args.ring, "element": args.element, "gens": args.gens,
-            "e": args.e, "degree_bound": args.degree_bound}
-    return echo, payload, [rendered if rendered else "none"], EXIT_OK
+    return payload, [rendered if rendered else "none"], EXIT_OK
 
 
 def _cmd_force_lc_class(args):
@@ -301,8 +279,7 @@ def _cmd_force_lc_class(args):
     table = lc_class_vanishing(pres, _polys(pres, args.params), args.k_max)
     payload = {"rows": table.as_dicts()}
     lines = [f"k={r.k} vanished={str(r.vanished).lower()}" for r in table.rows]
-    echo = {"ring": args.ring, "params": args.params, "k_max": args.k_max}
-    return echo, payload, lines, EXIT_OK
+    return payload, lines, EXIT_OK
 
 
 def _cmd_force_qseq(args):
@@ -337,9 +314,7 @@ def _cmd_force_qseq(args):
             _write_cert(args.cert_out, certificate_to_json(report.disproof))
         else:
             lines.append("no disproof certificate to write")
-    echo = {"ring": args.ring, "params": args.params, "element": args.element,
-            "t": args.t, "e": args.e, "degree_bound": args.degree_bound}
-    return echo, payload, lines, EXIT_OK
+    return payload, lines, EXIT_OK
 
 
 def _example_lines(rep) -> list:
@@ -355,7 +330,7 @@ def _example_lines(rep) -> list:
 def _cmd_examples_run(args):
     rep = casebook.run_example(args.name)
     code = EXIT_OK if rep.passed else EXIT_CHECK_FAILED
-    return {"name": args.name}, rep.as_dict(), _example_lines(rep), code
+    return rep.as_dict(), _example_lines(rep), code
 
 
 def _cmd_examples_run_all(args):
@@ -372,24 +347,28 @@ def _cmd_examples_run_all(args):
     lines.append("all examples pass" if ok else "some examples FAILED")
     payload = {"reports": [rep.as_dict() for rep in reports],
                "all_passed": ok}
-    echo = {"long": args.long}
-    return echo, payload, lines, EXIT_OK if ok else EXIT_CHECK_FAILED
+    return payload, lines, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(sp):
-    sp.add_argument("--json", action="store_true",
-                    help="emit the versioned JSON report instead of text")
-    sp.add_argument("--out", metavar="PATH",
-                    help="write the report to PATH instead of stdout")
-
-
-def _add_ring(sp):
-    sp.add_argument("--ring", required=True,
-                    help="ring DSL, e.g. \"F2[x,y]/(x*y)\" or \"Q[x,y,z]\"")
+def _subcommand(sub, name, func, ring=True, **kw):
+    """Register one subcommand: --ring (unless ring=False), the output flags
+    and its handler.  Every other option it declares is an input, echoed in
+    the JSON report."""
+    p = sub.add_parser(name, **kw)
+    if ring:
+        p.add_argument("--ring", required=True,
+                       help="ring DSL, e.g. \"F2[x,y]/(x*y)\" or \"Q[x,y,z]\"")
+    out = p.add_argument_group("output")
+    out.add_argument("--json", action="store_true",
+                     help="emit the versioned JSON report instead of text")
+    out.add_argument("--out", metavar="PATH",
+                     help="write the report to PATH instead of stdout")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,133 +378,91 @@ def build_parser() -> argparse.ArgumentParser:
                     "for quotients of polynomial rings.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gb", help="reduced Groebner basis of an ideal")
-    _add_ring(p)
+    p = _subcommand(sub, "gb", _cmd_gb, help="reduced Groebner basis of an ideal")
     p.add_argument("--ideal", required=True, help="';'-separated generators")
     p.add_argument("--order", choices=sorted(_ORDERS), default="grevlex")
-    _add_common(p)
-    p.set_defaults(func=_cmd_gb)
 
-    p = sub.add_parser("member", help="ideal membership of one polynomial")
-    _add_ring(p)
+    p = _subcommand(sub, "member", _cmd_member,
+                    help="ideal membership of one polynomial")
     p.add_argument("--ideal", required=True)
     p.add_argument("--poly", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_member)
 
-    p = sub.add_parser("compare", help="mutual containment of two ideals")
-    _add_ring(p)
+    p = _subcommand(sub, "compare", _cmd_compare,
+                    help="mutual containment of two ideals")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("colon", help="ideal quotient (I : J)")
-    _add_ring(p)
+    p = _subcommand(sub, "colon", _cmd_colon, help="ideal quotient (I : J)")
     p.add_argument("--ideal", required=True)
     p.add_argument("--by", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_colon)
 
-    p = sub.add_parser("intersect", help="intersection of two ideals")
-    _add_ring(p)
+    p = _subcommand(sub, "intersect", _cmd_intersect,
+                    help="intersection of two ideals")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_intersect)
 
-    p = sub.add_parser("length", help="vector-space dimension of R/I")
-    _add_ring(p)
+    p = _subcommand(sub, "length", _cmd_length,
+                    help="vector-space dimension of R/I")
     p.add_argument("--ideal", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_length)
 
-    p = sub.add_parser("vmod", help="finite-length subquotient as explicit "
-                                    "basis and action matrices")
-    _add_ring(p)
+    p = _subcommand(sub, "vmod", _cmd_vmod, help="finite-length subquotient as "
+                    "explicit basis and action matrices")
     p.add_argument("--top", default="1", help="generators of the submodule "
                                               "(default: the whole ring)")
     p.add_argument("--bottom", required=True,
                    help="generators quotiented out")
     p.add_argument("--degree-bound", type=int, default=64)
-    _add_common(p)
-    p.set_defaults(func=_cmd_vmod)
 
     ql = sub.add_parser("ql", help="minimum filtration length of a module "
                                    "against a killing ideal")
     qsub = ql.add_subparsers(dest="action", required=True)
-    for name, fn, needs_module in (("exact", _cmd_ql_exact, True),
-                                   ("bounds", _cmd_ql_bounds, True),
-                                   ("validate", _cmd_ql_validate, False)):
-        p = qsub.add_parser(name)
-        if needs_module:
-            _add_ring(p)
-            p.add_argument("--top", default="1")
-            p.add_argument("--bottom", required=True)
-            p.add_argument("--killing", required=True)
-            p.add_argument("--degree-bound", type=int, default=64)
-            p.add_argument("--cert-out", metavar="PATH",
-                           help="also write the certificate as JSON")
-        else:
-            p.add_argument("--cert", required=True,
-                           help="certificate JSON file to re-validate")
-        _add_common(p)
-        p.set_defaults(func=fn)
+    for name, fn in (("exact", _cmd_ql_exact), ("bounds", _cmd_ql_bounds)):
+        p = _subcommand(qsub, name, fn)
+        p.add_argument("--top", default="1")
+        p.add_argument("--bottom", required=True)
+        p.add_argument("--killing", required=True)
+        p.add_argument("--degree-bound", type=int, default=64)
+        p.add_argument("--cert-out", metavar="PATH",
+                       help="also write the certificate as JSON")
+    p = _subcommand(qsub, "validate", _cmd_ql_validate, ring=False)
+    p.add_argument("--cert", required=True,
+                   help="certificate JSON file to re-validate")
 
     content = sub.add_parser("content", help="upper/lower bound tables for "
                                              "filtration lengths of parameter-"
                                              "power quotients")
     csub = content.add_subparsers(dest="action", required=True)
-    p = csub.add_parser("scan")
-    _add_ring(p)
+    p = _subcommand(csub, "scan", _cmd_content_scan)
     p.add_argument("--params", required=True)
     p.add_argument("--t", required=True, help="';'-separated exponents")
     p.add_argument("--mode", choices=["plain", "underline"], default="plain")
-    _add_common(p)
-    p.set_defaults(func=_cmd_content_scan)
-    p = csub.add_parser("limit-closure")
-    _add_ring(p)
+    p = _subcommand(csub, "limit-closure", _cmd_content_limit_closure)
     p.add_argument("--params", required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--max-k", type=int, default=64)
-    _add_common(p)
-    p.set_defaults(func=_cmd_content_limit_closure)
 
     force = sub.add_parser("force", help="forcing algebras and bounded "
                                          "closure-membership evidence")
     fsub = force.add_subparsers(dest="action", required=True)
-    p = fsub.add_parser("build")
-    _add_ring(p)
+    p = _subcommand(fsub, "build", _cmd_force_build)
     p.add_argument("--gens", required=True)
     p.add_argument("--element", required=True)
     p.add_argument("--prefix", default="Z")
-    _add_common(p)
-    p.set_defaults(func=_cmd_force_build)
-    p = fsub.add_parser("tight-table")
-    _add_ring(p)
+    p = _subcommand(fsub, "tight-table", _cmd_force_tight_table)
     p.add_argument("--element", required=True)
     p.add_argument("--gens", required=True)
     p.add_argument("--multiplier", required=True)
     p.add_argument("--e", required=True, help="';'-separated exponents")
-    _add_common(p)
-    p.set_defaults(func=_cmd_force_tight_table)
-    p = fsub.add_parser("test-element")
-    _add_ring(p)
+    p = _subcommand(fsub, "test-element", _cmd_force_test_element)
     p.add_argument("--element", required=True)
     p.add_argument("--gens", required=True)
     p.add_argument("--e", required=True)
     p.add_argument("--degree-bound", type=int, default=4)
-    _add_common(p)
-    p.set_defaults(func=_cmd_force_test_element)
-    p = fsub.add_parser("lc-class")
-    _add_ring(p)
+    p = _subcommand(fsub, "lc-class", _cmd_force_lc_class)
     p.add_argument("--params", required=True)
     p.add_argument("--k-max", type=int, default=4)
-    _add_common(p)
-    p.set_defaults(func=_cmd_force_lc_class)
-    p = fsub.add_parser("qseq")
-    _add_ring(p)
+    p = _subcommand(fsub, "qseq", _cmd_force_qseq)
     p.add_argument("--params", required=True)
     p.add_argument("--element", required=True)
     p.add_argument("--t", type=int, default=2)
@@ -533,21 +470,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-bound", type=int, default=4)
     p.add_argument("--cert-out", metavar="PATH",
                    help="write the disproof certificate when one is found")
-    _add_common(p)
-    p.set_defaults(func=_cmd_force_qseq)
 
     examples = sub.add_parser("examples", help="run the built-in worked "
                                                "examples with expected values")
     esub = examples.add_subparsers(dest="action", required=True)
-    p = esub.add_parser("run")
+    p = _subcommand(esub, "run", _cmd_examples_run, ring=False)
     p.add_argument("name", choices=sorted(casebook.REGISTRY))
-    _add_common(p)
-    p.set_defaults(func=_cmd_examples_run)
-    p = esub.add_parser("run-all")
+    p = _subcommand(esub, "run-all", _cmd_examples_run_all, ring=False)
     p.add_argument("--long", action="store_true",
                    help="include the long-running entries")
-    _add_common(p)
-    p.set_defaults(func=_cmd_examples_run_all)
 
     return parser
 
@@ -555,22 +486,18 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # driver
 
+# Parsed attributes that are not inputs: dispatch, output flags and side files.
+_NOT_INPUTS = ("command", "action", "func", "json", "out", "cert_out")
+
 
 def _command_name(args) -> str:
     action = getattr(args, "action", None)
     return f"{args.command} {action}" if action else args.command
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _render(args, echo, payload, lines) -> str:
-    if getattr(args, "json", False):
+def _render(args, payload, lines) -> str:
+    if args.json:
+        echo = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
         envelope = {"schema": 1, "command": _command_name(args),
                     "input": echo, "result": payload}
         return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
@@ -585,10 +512,8 @@ def run(argv) -> int:
         return EXIT_OK if not stop.code else EXIT_USAGE
     try:
         with budget(default_budget_seconds()):
-            echo, payload, lines, code = args.func(args)
-    except DslError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_USAGE
+            payload, lines, code = args.func(args)
+        text = _render(args, payload, lines)
     except KeyboardInterrupt:
         sys.stderr.write("interrupted\n")
         return EXIT_INTERRUPTED
@@ -597,18 +522,23 @@ def run(argv) -> int:
                     "incomplete": True,
                     "error": "time budget exhausted before the computation "
                              "finished"}
-        _emit(args, json.dumps(envelope, indent=2, sort_keys=True) + "\n")
-        return EXIT_BUDGET
+        text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+        code = EXIT_BUDGET
     except SearchLimit as err:
         sys.stderr.write(f"error: {err} (try 'ql bounds')\n")
         return EXIT_USAGE
+    except (OSError, ValueError, KeyError) as err:
+        sys.stderr.write(f"error: {err}\n")
+        return EXIT_USAGE
+    try:
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except OSError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
-    except (ValueError, KeyError) as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_USAGE
-    _emit(args, _render(args, echo, payload, lines))
     return code
 
 

@@ -242,8 +242,8 @@ def short_filtration_search(pres: QuotientPresentation, xs, t: int,
     2*t*d) whose products with every parameter already reduce to zero; the
     chain always closes with 1.  Iterative deepening tries 1, 2, ... up to
     max_steps (default t^d - 1), so a found certificate is shortest within
-    the candidate pool.  Nodes are capped by the configured budget; running
-    out returns complete=False and no certificate.
+    the candidate pool.  Nodes are capped by config.disproof_node_budget;
+    running out returns complete=False and no certificate.
     """
     xs = tuple(xs)
     d = len(xs)

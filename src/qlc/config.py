@@ -1,4 +1,4 @@
-"""Job-level knobs: time budget and search caps.
+"""Job-level bounds: the wall-clock budget and the disproof node budget.
 
 Engine code is deterministic and seed-free; the only nondeterminism a budget
 introduces is *whether* a computation finishes, never its value.
@@ -7,6 +7,7 @@ introduces is *whether* a computation finishes, never its value.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -18,25 +19,15 @@ class BudgetExhausted(RuntimeError):
 
 @dataclass
 class JobConfig:
-    """Caps shared by the search routines.
+    """The one setting a library caller passes to the disproof search.
 
-    time_budget: wall-clock seconds, None = unlimited.
-    dim_caps: exhaustive quasilength search caps, keyed by field size.
+    disproof_node_budget: nodes short_filtration_search (and so
+    qseq_verdict_charp) may visit before it gives up incomplete.  Wall-clock
+    time is bounded separately, by running the call inside
+    ``with budget(seconds):``.
     """
 
-    time_budget: float | None = None
-    dim_cap_f2: int = 12
-    dim_cap_f3: int = 8
-    dim_cap_other: int = 8
     disproof_node_budget: int = 200000
-    stabilization_window: int = 3
-
-    def dim_cap(self, field_size: int | None) -> int:
-        if field_size == 2:
-            return self.dim_cap_f2
-        if field_size == 3:
-            return self.dim_cap_f3
-        return self.dim_cap_other
 
 
 DEFAULT = JobConfig()
@@ -74,8 +65,16 @@ def check_budget(every: int = 64) -> None:
 
 
 def default_budget_seconds() -> float:
+    """Seconds from QLC_BUDGET_SECS: 300 when unset or empty, otherwise a
+    finite number above 0; any other value raises ValueError."""
     raw = os.environ.get("QLC_BUDGET_SECS", "")
-    try:
-        return float(raw) if raw else 300.0
-    except ValueError:
+    if not raw:
         return 300.0
+    try:
+        seconds = float(raw)
+        if 0 < seconds < math.inf:
+            return seconds
+    except ValueError:
+        pass
+    raise ValueError("QLC_BUDGET_SECS must be a finite number of seconds "
+                     f"above 0, got {raw!r}")

@@ -18,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import DEFAULT, JobConfig, check_budget
+from .config import check_budget
 from .groebner import IdealHandle, InternalError, colon, ideal, ideal_compare
-from .quasilength import (FiltrationCertificate, quasilength_exact,
-                          staircase_filtration, validate_filtration)
+from .quasilength import (FiltrationCertificate, exact_search_cap,
+                          quasilength_exact, staircase_filtration,
+                          validate_filtration)
 from .quotient import (NotZeroDimensional, QuotientPresentation, is_zero_dimensional,
                        length, quotient_module)
 
@@ -35,19 +36,19 @@ class LimitClosureResult:
 
 
 def limit_closure(pres: QuotientPresentation, xs, t: int, window: int | None = None,
-                  max_k: int = 64, config: JobConfig = DEFAULT) -> LimitClosureResult:
+                  max_k: int = 64) -> LimitClosureResult:
     """Union of the ascending chain (relations + (x^(t+k))) : (prod x)^k.
 
     The chain genuinely ascends (multiply any member by the parameter product
     and absorb one extra power of each x_i); each step is verified.  The
     union is reported once `window` consecutive stages agree, which is a
     stopping heuristic, not a proof of stabilization: the stabilized flag
-    records only that the window was observed.
+    records only that the window was observed.  window None means 3.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
     xs = tuple(xs)
-    window = config.stabilization_window if window is None else window
+    window = 3 if window is None else window
     if window < 1:
         raise ValueError("window must be at least 1")
     ambient = pres.ambient
@@ -131,8 +132,7 @@ def _check_supplied(cert: FiltrationCertificate, K: IdealHandle, xs) -> int:
 
 
 def content_scan(pres: QuotientPresentation, xs, ts, mode: str = "plain",
-                 supplied: dict | None = None,
-                 config: JobConfig = DEFAULT) -> ContentTable:
+                 supplied: dict | None = None) -> ContentTable:
     """One ContentRow per exponent t in ts.
 
     mode "plain" works modulo relations + (x^t); mode "underline" works
@@ -156,7 +156,7 @@ def content_scan(pres: QuotientPresentation, xs, ts, mode: str = "plain",
         if mode == "plain":
             K = ideal(ambient, rels + [x ** t for x in xs])
         else:
-            K = limit_closure(pres, xs, t, config=config).ideal
+            K = limit_closure(pres, xs, t).ideal
         if K.is_unit_ideal():
             rows.append(ContentRow(t, 0, 0, Fraction(0), Fraction(0), "zero", "zero"))
             continue
@@ -172,9 +172,9 @@ def content_scan(pres: QuotientPresentation, xs, ts, mode: str = "plain",
         lam = None
         if is_zero_dimensional(K):
             lam = length(K)
-            if ambient.field.size is not None and lam <= config.dim_cap(ambient.field.size):
+            if ambient.field.size is not None and lam <= exact_search_cap(ambient.field.size):
                 M = quotient_module(K)
-                exact, _cert = quasilength_exact(M, ideal(ambient, list(xs)), config)
+                exact, _cert = quasilength_exact(M, ideal(ambient, list(xs)))
                 if exact < upper:
                     upper = exact
                     upper_from = "exact-search"

@@ -258,9 +258,7 @@ def format_poly(f: Polynomial, order=grevlex) -> str:
 
 
 def format_ring(ring: PolyRing, relations=()) -> str:
-    from .fields import field_name
-
-    base = f"{field_name(ring.field)}[{','.join(ring.variables)}]"
+    base = repr(ring)
     rels = [r for r in relations if not r.is_zero()]
     if rels:
         base += "/(" + ";".join(format_poly(r) for r in rels) + ")"

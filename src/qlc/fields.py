@@ -322,11 +322,3 @@ class RationalFunctionField:
 QQ = RationalField()
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
-
-
-def field_name(field) -> str:
-    if isinstance(field, RationalField):
-        return "Q"
-    if isinstance(field, PrimeField):
-        return f"F{field.p}"
-    return f"F{field.p}(t)"

@@ -10,7 +10,6 @@ from __future__ import annotations
 from operator import add, ge, le, sub
 
 from . import config
-from .fields import field_name
 
 
 class RingMismatch(ValueError):
@@ -197,7 +196,7 @@ class PolyRing:
         return hash((self.field, self.variables))
 
     def __repr__(self):
-        return f"{field_name(self.field)}[{','.join(self.variables)}]"
+        return f"{self.field!r}[{','.join(self.variables)}]"
 
 
 class Polynomial:

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field as dc_field
 
 from . import dsl
-from .config import DEFAULT, JobConfig, check_budget
+from .config import check_budget
 from .groebner import GrowingBasis, IdealHandle, InternalError
 from .linalg import RowSpace, identity, mat_mul, nullspace
 from .poly import Polynomial, frobenius_power, grevlex
@@ -113,6 +113,7 @@ def _validate_module(cert: FiltrationCertificate) -> Verdict:
     M = cert.context.module
     F = M.field
     mats = [(f, poly_action(M, f)) for f in cert.killing]
+    images = _action_images(M)
     space = RowSpace(F)
     for j, gen in enumerate(cert.generators, 1):
         vec = {i: c for i, c in enumerate(gen) if c != F.zero}
@@ -122,7 +123,7 @@ def _validate_module(cert: FiltrationCertificate) -> Verdict:
                 witness = (f"({dsl.format_poly(f)})*({M.format_vector(list(gen))})"
                            f" not in stage {j - 1}")
                 return Verdict("invalid", j, witness)
-        _spin_insert(M, space, vec)
+        space.close([vec], images)
     if space.dim != M.dim:
         return Verdict("invalid", len(cert.generators) + 1, None)
     return Verdict("valid")
@@ -192,23 +193,20 @@ def _apply_sparse(F, A, vec: dict) -> dict:
     return out
 
 
-def _spin_insert(M: VectorModule, space: RowSpace, vec: dict) -> None:
-    """Insert vec and close the span under every variable action, in place.
-
-    Later inserts back-substitute into stored rows, so the worklist keeps
-    copies; mutated rows differ from their processed versions by multiples of
-    rows that are themselves queued, which keeps the closure argument linear.
-    """
+def _action_images(M: VectorModule):
+    """images for RowSpace.close: a row's images under every variable."""
     F = M.field
-    new = space.insert(dict(vec))
-    work = [dict(new)] if new else []
-    while work:
-        row = work.pop()
-        for var in M.ring.variables:
-            img = _apply_sparse(F, M.actions[var], row)
-            added = space.insert(img)
-            if added:
-                work.append(dict(added))
+    mats = [M.actions[var] for var in M.ring.variables]
+
+    def images(row):
+        # a loop: map() or a comprehension here costs the search about 1%
+        # wall time on CPython 3.11
+        out = []
+        for A in mats:
+            out.append(_apply_sparse(F, A, row))
+        return out
+
+    return images
 
 
 def _colon_basis(M: VectorModule, space: RowSpace, mats) -> list:
@@ -328,11 +326,12 @@ def _lower_bound(M: VectorModule, I: IdealHandle) -> tuple:
     return best, method
 
 
-def _search(M: VectorModule, I: IdealHandle, coeff_pool, config: JobConfig):
+def _search(M: VectorModule, I: IdealHandle, coeff_pool):
     """Breadth-first search over action-closed subspaces; returns the first
     chain reaching the full module (shortest within the candidate pool)."""
     F = M.field
     mats = [poly_action(M, f) for f in I.generators]
+    images = _action_images(M)
     start = RowSpace(F)
     start_key = start.key()
     if M.dim == 0:
@@ -347,7 +346,7 @@ def _search(M: VectorModule, I: IdealHandle, coeff_pool, config: JobConfig):
         for vec in _combos(F, rows, coeff_pool):
             check_budget()
             nxt = space.copy()
-            _spin_insert(M, nxt, vec)
+            nxt.close([vec], images)
             nkey = nxt.key()
             if nkey in parents:
                 continue
@@ -364,10 +363,11 @@ def _search(M: VectorModule, I: IdealHandle, coeff_pool, config: JobConfig):
     raise NoFiltration("search exhausted every reachable stage short of the module")
 
 
-def _greedy_chain(M: VectorModule, I: IdealHandle, config: JobConfig) -> list:
+def _greedy_chain(M: VectorModule, I: IdealHandle) -> list:
     """Sweep upper bound: absorb a whole colon layer per round."""
     F = M.field
     mats = [poly_action(M, f) for f in I.generators]
+    images = _action_images(M)
     space = RowSpace(F)
     chain = []
     while space.dim < M.dim:
@@ -379,7 +379,7 @@ def _greedy_chain(M: VectorModule, I: IdealHandle, config: JobConfig) -> list:
             if not space.reduce(vec):
                 continue  # absorbed by an earlier addition this round
             chain.append(tuple(vec.get(i, F.zero) for i in range(M.dim)))
-            _spin_insert(M, space, vec)
+            space.close([vec], images)
     return chain
 
 
@@ -391,28 +391,31 @@ def _module_cert(M: VectorModule, I: IdealHandle, chain) -> FiltrationCertificat
     return cert
 
 
-def quasilength_exact(M: VectorModule, I: IdealHandle,
-                      config: JobConfig = DEFAULT) -> tuple:
+def exact_search_cap(field_size: int | None) -> int:
+    """Largest dimension the exhaustive search takes on: 12 over F_2, else 8."""
+    return 12 if field_size == 2 else 8
+
+
+def quasilength_exact(M: VectorModule, I: IdealHandle) -> tuple:
     """Exact minimum filtration length with an optimal certificate.
 
     Only runs when the coefficient field is finite and dim M is at or below
-    the configured cap (the candidate enumeration is exhaustive there);
+    exact_search_cap (the candidate enumeration is exhaustive there);
     otherwise raises SearchLimit.  Raises NoFiltration when no finite chain
     exists, e.g. for a unit killing ideal on a nonzero module.
     """
     F = M.field
     if F.size is None:
         raise SearchLimit("exact search requires a finite coefficient field")
-    cap = config.dim_cap(F.size)
+    cap = exact_search_cap(F.size)
     if M.dim > cap:
         raise SearchLimit(f"dim {M.dim} exceeds the exact-search cap {cap}")
     pool = tuple(F.from_int(i) for i in range(F.size))
-    chain = _search(M, I, pool, config)
+    chain = _search(M, I, pool)
     return len(chain), _module_cert(M, I, chain)
 
 
-def quasilength(M: VectorModule, I: IdealHandle,
-                config: JobConfig = DEFAULT) -> QuasilengthBounds:
+def quasilength(M: VectorModule, I: IdealHandle) -> QuasilengthBounds:
     """Best available information on the minimum filtration length.
 
     Finite field and small dimension: exact value with an optimal
@@ -428,18 +431,18 @@ def quasilength(M: VectorModule, I: IdealHandle,
     lower, method = _lower_bound(M, I)
     flags: tuple = ()
     try:
-        exact, cert = quasilength_exact(M, I, config)
+        exact, cert = quasilength_exact(M, I)
         if not (lower <= exact):
             raise InternalError("lower bound exceeds exact search result")
         return QuasilengthBounds(exact, exact, exact, cert, "exact")
     except SearchLimit as limit:
         flags += (str(limit),)
-    if M.field.size is None and M.dim <= config.dim_cap(M.field.size):
+    if M.field.size is None and M.dim <= exact_search_cap(M.field.size):
         pool = (M.field.zero, M.field.one, M.field.neg(M.field.one))
-        chain = _search(M, I, pool, config)
+        chain = _search(M, I, pool)
         flags += ("upper bound from the {0,1,-1}-coordinate pool",)
     else:
-        chain = _greedy_chain(M, I, config)
+        chain = _greedy_chain(M, I)
         flags += ("upper bound from the greedy sweep",)
     cert = _module_cert(M, I, chain)
     upper = len(chain)

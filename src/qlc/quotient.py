@@ -188,21 +188,14 @@ def vector_module(J: IdealHandle, K: IdealHandle, degree_bound: int = 64,
     for g in K.generators:
         if not J.contains_poly(g):
             raise ValueError("K is not contained in J")
-    space = RowSpace(ring.field, colkey=order.key)
-    queue = []
-    for g in J.generators:
-        nf = normal_form(g, k_gb, order)
-        row = space.insert(nf.terms)
-        if row is not None:
-            queue.append(dict(row))
-    while queue:
-        row = queue.pop()
+
+    def images(row):
         if any(sum(m) > degree_bound for m in row):
             raise ValueError(f"module spin exceeded degree bound {degree_bound}")
-        for vi in range(ring.nvars):
-            new = space.insert(_times_var(ring, vi, row, k_gb, order))
-            if new is not None:
-                queue.append(dict(new))
+        return (_times_var(ring, vi, row, k_gb, order) for vi in range(ring.nvars))
+
+    space = RowSpace(ring.field, colkey=order.key)
+    space.close((normal_form(g, k_gb, order).terms for g in J.generators), images)
     pivots = space.pivots()
     dim = len(pivots)
     zero = ring.field.zero

@@ -131,7 +131,7 @@ def test_examples_run_pass_and_fail(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "dvr: PASS" in out
 
-    def broken(config=None):
+    def broken():
         bad = casebook.Check("always wrong", "1", "2", False)
         return casebook.ExampleReport("broken", "forced failure", (bad,), {})
 
@@ -169,6 +169,31 @@ def test_budget_exhaustion_marks_incomplete(capsys, monkeypatch):
     assert code == EXIT_BUDGET
     env = json.loads(capsys.readouterr().out)
     assert env["incomplete"] is True and "budget" in env["error"]
+
+
+@pytest.mark.parametrize("value", ["nan", "abc"])
+def test_malformed_budget_is_a_usage_error(value, capsys, monkeypatch):
+    monkeypatch.setenv("QLC_BUDGET_SECS", value)
+    start = time.monotonic()
+    code = run(["member", "--ring", "Q[x,y,z]", "--ideal", "x",
+                "--poly", "(x+y+z+1)^300"])
+    assert code == EXIT_USAGE
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "QLC_BUDGET_SECS" in captured.err
+    assert captured.out == ""
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "missing" / "report.json")
+    assert run(["length", "--ring", "F3[x,y]", "--ideal", "x^2;y^2",
+                "--out", path]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    # the budget-exhausted envelope goes through the same writer
+    monkeypatch.setenv("QLC_BUDGET_SECS", "0.001")
+    assert run(["examples", "run", "segre_filtration", "--out", path]) \
+        == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_out_writes_file_and_stdout_stays_quiet(tmp_path, capsys):
@@ -218,3 +243,82 @@ def test_interrupt_has_its_own_exit_code(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == "interrupted\n"
     assert captured.out == ""
+
+
+# One sample argv per subcommand and the input echo its JSON must carry.
+# CERT stands for a certificate path under the test's tmp_path.
+_ECHO_CASES = [
+    (["gb", "--ring", "Q[x,y]", "--ideal", "x^2 - y; y^2 - x", "--order", "lex"],
+     {"ring": "Q[x,y]", "ideal": "x^2 - y; y^2 - x", "order": "lex"}),
+    (["member", "--ring", "Q[x]", "--ideal", "x", "--poly", "x^2"],
+     {"ring": "Q[x]", "ideal": "x", "poly": "x^2"}),
+    (["compare", "--ring", "Q[x]", "--left", "x^2", "--right", "x"],
+     {"ring": "Q[x]", "left": "x^2", "right": "x"}),
+    (["colon", "--ring", "F2[x,y]", "--ideal", "x^2;x*y", "--by", "x"],
+     {"ring": "F2[x,y]", "ideal": "x^2;x*y", "by": "x"}),
+    (["intersect", "--ring", "Q[x,y]", "--left", "x", "--right", "y"],
+     {"ring": "Q[x,y]", "left": "x", "right": "y"}),
+    (["length", "--ring", "F3[x,y]", "--ideal", "x^2; x*y; y^3"],
+     {"ring": "F3[x,y]", "ideal": "x^2; x*y; y^3"}),
+    (["vmod", "--ring", "F2[x]", "--bottom", "x^4"],
+     {"ring": "F2[x]", "top": "1", "bottom": "x^4", "degree_bound": 64}),
+    (["ql", "exact", "--ring", "F2[x]", "--top", "x", "--bottom", "x^4",
+      "--killing", "x^2", "--degree-bound", "8"],
+     {"ring": "F2[x]", "top": "x", "bottom": "x^4", "killing": "x^2",
+      "degree_bound": 8}),
+    (["ql", "bounds", "--ring", "F2[x]", "--bottom", "x^3", "--killing", "x",
+      "--cert-out", "CERT"],
+     {"ring": "F2[x]", "top": "1", "bottom": "x^3", "killing": "x",
+      "degree_bound": 64}),
+    (["ql", "validate", "--cert", "CERT"],
+     {"cert": "CERT"}),
+    (["content", "scan", "--ring", "F2[x,y]", "--params", "x;y", "--t", "1;2",
+      "--mode", "underline"],
+     {"ring": "F2[x,y]", "params": "x;y", "t": "1;2", "mode": "underline"}),
+    (["content", "limit-closure", "--ring", "F2[x,y]", "--params", "x;y",
+      "--t", "1"],
+     {"ring": "F2[x,y]", "params": "x;y", "t": 1, "window": None,
+      "max_k": 64}),
+    (["force", "build", "--ring", "Q[x,y,z]", "--gens", "x;y",
+      "--element", "z^2"],
+     {"ring": "Q[x,y,z]", "gens": "x;y", "element": "z^2", "prefix": "Z"}),
+    (["force", "tight-table", "--ring", "F7[x,y,z]/(x^3+y^3+z^3)",
+      "--element", "z^2", "--gens", "x;y", "--multiplier", "z", "--e", "1"],
+     {"ring": "F7[x,y,z]/(x^3+y^3+z^3)", "element": "z^2", "gens": "x;y",
+      "multiplier": "z", "e": "1"}),
+    (["force", "test-element", "--ring", "F2[x,y]", "--element", "x*y",
+      "--gens", "x^2;y^2", "--e", "1;2", "--degree-bound", "2"],
+     {"ring": "F2[x,y]", "element": "x*y", "gens": "x^2;y^2", "e": "1;2",
+      "degree_bound": 2}),
+    (["force", "lc-class", "--ring", "Q[x,y]", "--params", "x;y",
+      "--k-max", "2"],
+     {"ring": "Q[x,y]", "params": "x;y", "k_max": 2}),
+    (["force", "qseq", "--ring", "F2[x,y]", "--params", "x;y",
+      "--element", "x*y", "--cert-out", "CERT"],
+     {"ring": "F2[x,y]", "params": "x;y", "element": "x*y", "t": 2,
+      "e": "1;2", "degree_bound": 4}),
+    (["examples", "run", "dvr"],
+     {"name": "dvr"}),
+    (["examples", "run-all"],
+     {"long": False}),
+]
+
+
+def _command_of(argv) -> str:
+    return " ".join(a for a in argv[:2] if not a.startswith("-"))
+
+
+@pytest.mark.parametrize("argv, expected", _ECHO_CASES,
+                         ids=[_command_of(a) for a, _e in _ECHO_CASES])
+def test_json_input_echo(argv, expected, tmp_path, capsys):
+    cert = str(tmp_path / "cert.json")
+    argv = [cert if a == "CERT" else a for a in argv]
+    expected = {k: cert if v == "CERT" else v for k, v in expected.items()}
+    if argv[:2] == ["ql", "validate"]:
+        assert run(["force", "qseq", "--ring", "F2[x,y]", "--params", "x;y",
+                    "--element", "x*y", "--cert-out", cert]) == EXIT_OK
+        capsys.readouterr()
+    assert run(argv + ["--json"]) == EXIT_OK
+    env = json.loads(capsys.readouterr().out)
+    assert env["input"] == expected
+    assert env["command"] == _command_of(argv)

@@ -9,7 +9,6 @@ import pytest
 from fractions import Fraction
 
 from qlc import dsl
-from qlc.config import JobConfig
 from qlc.content import content_scan, limit_closure
 from qlc.groebner import colon, ideal, ideal_compare
 from qlc.quasilength import FiltrationCertificate, staircase_filtration

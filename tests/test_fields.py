@@ -5,7 +5,7 @@ import pytest
 
 from qlc.dsl import parse_ring
 from qlc.fields import (GF2, GF3, PRIME_BOUND, QQ, PrimeField, RationalField,
-                        RationalFunctionField, field_name, is_prime)
+                        RationalFunctionField, is_prime)
 
 
 def _axioms(F, elements):
@@ -53,11 +53,11 @@ def test_rational_functions():
 
 
 def test_field_names():
-    assert field_name(GF2) == "F2"
-    assert field_name(GF3) == "F3"
-    assert field_name(QQ) == "Q"
-    assert field_name(RationalFunctionField(5)) == "F5(t)"
-    assert field_name(RationalField()) == "Q"
+    assert repr(GF2) == "F2"
+    assert repr(GF3) == "F3"
+    assert repr(QQ) == "Q"
+    assert repr(RationalFunctionField(5)) == "F5(t)"
+    assert repr(RationalField()) == "Q"
 
 
 def _trial_division(n):

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from qlc import dsl
-from qlc.config import JobConfig
 from qlc.fields import GF2, GF3
 from qlc.groebner import ideal
 from qlc.poly import PolyRing
