@@ -9,8 +9,9 @@ argument vectors produce byte-identical JSON.
 
 Exit codes: 0 success, 1 a worked example reported a failing check, 2 usage
 or input errors (DSL errors point at the offending span; also an unwritable
---out path), 3 the time budget ran out (the report is emitted anyway, marked
-incomplete).  The budget defaults to 300 seconds; QLC_BUDGET_SECS sets it to
+--out path), 3 the time budget ran out (no report: a JSON error envelope
+with schema, command, incomplete: true and error, but no result, is written
+instead, in text mode too).  The budget defaults to 300 seconds; QLC_BUDGET_SECS sets it to
 any finite number of seconds above 0, and any other value exits 2.
 """
 

@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
-from . import dsl
 from .config import DEFAULT, JobConfig, check_budget
-from .groebner import (IdealHandle, InternalError, basis_key, buchberger,
-                       ideal, ideal_power, normal_form)
-from .poly import Polynomial, grevlex
-from .quasilength import (FiltrationCertificate, RingContext, Verdict,
-                          validate_filtration)
+from .groebner import InternalError, ideal, ideal_power, normal_form
+from .poly import Polynomial
+from .quasilength import FiltrationCertificate, RingContext, validate_filtration
 from .quotient import QuotientPresentation
 
 
@@ -253,9 +250,7 @@ def short_filtration_search(pres: QuotientPresentation, xs, t: int,
     max_steps = full - 1 if max_steps is None else max_steps
     degree_cap = 2 * t * d if degree_cap is None else degree_cap
     ambient = pres.ambient
-    order = grevlex
     target = tuple(x ** t for x in xs)
-    base = buchberger(list(pres.relations.generators) + list(target), order)
     pool = [m for m in _monomials_by_degree(ambient, degree_cap) if not m.is_constant()]
     param_ideal = ideal(ambient, list(xs))
     # I^r must fit inside a stage that can still finish within r steps
@@ -263,41 +258,37 @@ def short_filtration_search(pres: QuotientPresentation, xs, t: int,
 
     budget = config.disproof_node_budget
     state = {"nodes": 0, "out_of_budget": False}
-    dead: set = set()  # (basis key, remaining) that provably cannot finish
+    dead: set = set()  # (ideal key, remaining) that provably cannot finish
 
-    def closing(basis) -> bool:
-        return all(normal_form(x, basis, order).is_zero() for x in xs)
-
-    def dive(basis, remaining: int, chain: list) -> list | None:
+    def dive(stage, remaining: int, chain: list) -> list | None:
         check_budget()
         state["nodes"] += 1
         if state["nodes"] > budget:
             state["out_of_budget"] = True
             return None
-        if remaining >= 1 and closing(basis):
+        if remaining >= 1 and all(stage.contains_poly(x) for x in xs):
             return chain + [ambient.one()]
         if remaining <= 1:
             return None
-        key = (basis_key(basis), remaining)
+        key = (stage.key(), remaining)
         if key in dead:
             return None
-        if any(not normal_form(g, basis, order).is_zero()
-               for g in power_gens[remaining]):
+        if not all(stage.contains_poly(g) for g in power_gens[remaining]):
             dead.add(key)
             return None
         for c in pool:
-            r = normal_form(c, basis, order)
+            r = normal_form(c, stage)
             if r.is_zero():
                 continue
-            if any(not normal_form(x * c, basis, order).is_zero() for x in xs):
+            if not all(stage.contains_poly(x * c) for x in xs):
                 continue
-            nxt = buchberger([r], order, seed=basis)
-            found = dive(nxt, remaining - 1, chain + [c])
+            found = dive(stage.plus(r), remaining - 1, chain + [c])
             if found is not None or state["out_of_budget"]:
                 return found
         dead.add(key)
         return None
 
+    base = pres.ideal(target)
     for limit in range(1, max_steps + 1):
         dead.clear()
         chain = dive(base, limit, [])

@@ -35,7 +35,6 @@ DEFAULT = JobConfig()
 # Active deadline, set by budget() around a whole job.  Monotonic clock
 # value, or None.  Checked cooperatively from the inner loops.
 _deadline: float | None = None
-_check_counter = 0
 
 
 @contextlib.contextmanager
@@ -52,13 +51,10 @@ def budget(seconds: float | None):
         _deadline = old
 
 
-def check_budget(every: int = 64) -> None:
-    """Cheap cooperative check; raises BudgetExhausted past the deadline."""
-    global _check_counter
+def check_budget() -> None:
+    """Cooperative check: under a deadline, reads the clock on every call and
+    raises BudgetExhausted once the deadline has passed."""
     if _deadline is None:
-        return
-    _check_counter += 1
-    if _check_counter % every:
         return
     if time.monotonic() > _deadline:
         raise BudgetExhausted("time budget exhausted")

@@ -20,11 +20,11 @@ from fractions import Fraction
 
 from .config import check_budget
 from .groebner import IdealHandle, InternalError, colon, ideal, ideal_compare
-from .quasilength import (FiltrationCertificate, exact_search_cap,
+from .quasilength import (FiltrationCertificate, RingContext, exact_search_cap,
                           quasilength_exact, staircase_filtration,
                           validate_filtration)
-from .quotient import (NotZeroDimensional, QuotientPresentation, is_zero_dimensional,
-                       length, quotient_module)
+from .quotient import (QuotientPresentation, is_zero_dimensional, length,
+                       quotient_module)
 
 
 @dataclass
@@ -55,13 +55,12 @@ def limit_closure(pres: QuotientPresentation, xs, t: int, window: int | None = N
     prod = ambient.one()
     for x in xs:
         prod = prod * x
-    rels = list(pres.relations.generators)
     current: IdealHandle | None = None
     moved_at = 0
     run = 0
     for k in range(max_k + 1):
         check_budget()
-        base = ideal(ambient, rels + [x ** (t + k) for x in xs])
+        base = pres.ideal([x ** (t + k) for x in xs])
         stage = colon(base, ideal(ambient, [prod ** k])) if k else base
         if current is None:
             current = stage
@@ -114,13 +113,10 @@ class ContentTable:
 def _check_supplied(cert: FiltrationCertificate, K: IdealHandle, xs) -> int:
     """Length of a caller-supplied certificate, after checking it proves a
     bound for this row: same module, killing ideal at least (x_1, ..., x_d)."""
-    from .quasilength import RingContext
-
     if not isinstance(cert.context, RingContext):
         raise ValueError("supplied certificates must be ring-context")
     pres = cert.context.presentation
-    claimed = ideal(pres.ambient,
-                    list(pres.relations.generators) + list(cert.context.target))
+    claimed = pres.ideal(cert.context.target)
     if ideal_compare(claimed, K) != "equal":
         raise ValueError("supplied certificate presents a different module")
     if not ideal(pres.ambient, list(cert.killing)).contains_ideal(ideal(pres.ambient, list(xs))):
@@ -147,14 +143,13 @@ def content_scan(pres: QuotientPresentation, xs, ts, mode: str = "plain",
         raise ValueError("need at least one parameter")
     d = len(xs)
     ambient = pres.ambient
-    rels = list(pres.relations.generators)
     rows = []
     for t in ts:
         check_budget()
         if t < 1:
             raise ValueError("exponents must be at least 1")
         if mode == "plain":
-            K = ideal(ambient, rels + [x ** t for x in xs])
+            K = pres.ideal([x ** t for x in xs])
         else:
             K = limit_closure(pres, xs, t).ideal
         if K.is_unit_ideal():

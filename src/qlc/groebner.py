@@ -1,10 +1,13 @@
 """Buchberger engine and ideal operations.
 
-Reduced Groebner bases are canonical per (ideal, order) and cached on the
-IdealHandle; basis_key turns one into a hashable ideal identity.  Pair
-selection is by sugar degree; both classic pair criteria (coprime leading
-terms, chain) are applied at pop time, which is safe because a pair can only
-be chain-skipped after both partner pairs were popped earlier.
+IdealHandle is the one ideal object: its generators, plus the reduced
+Groebner basis per order (canonical per ideal and order, so IdealHandle.key
+is a hashable ideal identity) cached next to that basis's prepared reducers.
+IdealHandle.plus grows an ideal one generator at a time, seeding Buchberger
+with the cached basis.  Pair selection is by sugar degree; both classic pair
+criteria (coprime leading terms, chain) are applied at pop time, which is
+safe because a pair can only be chain-skipped after both partner pairs were
+popped earlier.
 """
 
 from __future__ import annotations
@@ -91,12 +94,16 @@ def _reduce_terms(terms: dict, prepped, order, field) -> dict:
 
 
 def normal_form(f: Polynomial, basis, order=grevlex) -> Polynomial:
-    """Reduce f against a polynomial list (unique NF when basis is a GB).
+    """Reduce f against a polynomial list (unique NF when basis is a GB), or
+    against an IdealHandle's reduced basis and its cached reducers.
 
     Each term is reduced by the first element of the list, in list order,
     whose leading term divides it.
     """
-    prepped = [g.prepared(order) for g in basis if g.terms]
+    if isinstance(basis, IdealHandle):
+        prepped = basis._cached(order)[1]
+    else:
+        prepped = [g.prepared(order) for g in basis if g.terms]
     if not prepped or not f.terms:
         return f
     return Polynomial(f.ring, _reduce_terms(f.terms, prepped, order, f.ring.field))
@@ -184,7 +191,7 @@ def buchberger(gens, order=grevlex, seed=()) -> list[Polynomial]:
             append(r, g.total_degree())
 
     while heap:
-        config.check_budget(every=16)
+        config.check_budget()
         _, _, _, i, j = heapq.heappop(heap)
         if (i, j) in done:
             continue
@@ -238,13 +245,9 @@ def _reduce_basis(basis, order) -> list[Polynomial]:
 # ideal handles and derived operations
 
 
-def basis_key(basis) -> tuple:
-    """Hashable snapshot of a reduced Groebner basis: equal keys, equal ideals."""
-    return tuple(tuple(sorted(g.terms.items())) for g in basis)
-
-
 class IdealHandle:
-    """An ideal given by generators, with cached reduced GBs per order."""
+    """An ideal given by generators, with the reduced GB per order cached
+    next to its prepared reducers (lt, lc, tail)."""
 
     def __init__(self, ring: PolyRing, gens):
         gens = tuple(gens)
@@ -253,31 +256,52 @@ class IdealHandle:
                 raise RingMismatch(f"generator ring {g.ring!r} differs from {ring!r}")
         self.ring = ring
         self.generators = gens
-        self._cache: dict = {}
+        self._cache: dict = {}  # order.tag -> (reduced GB, its prepared reducers)
 
-    def groebner_basis(self, order=grevlex) -> tuple[Polynomial, ...]:
-        got = self._cache.get(order.tag)
-        if got is None:
-            got = tuple(buchberger(self.generators, order))
-            self._cache[order.tag] = got
+    def _store(self, basis, order) -> tuple:
+        got = self._cache[order.tag] = (tuple(basis), [g.prepared(order) for g in basis])
         return got
 
+    def _cached(self, order) -> tuple:
+        got = self._cache.get(order.tag)
+        if got is None:
+            got = self._store(buchberger(self.generators, order), order)
+        return got
+
+    def groebner_basis(self, order=grevlex) -> tuple[Polynomial, ...]:
+        return self._cached(order)[0]
+
     def normal_form(self, f: Polynomial, order=grevlex) -> Polynomial:
-        return normal_form(f, self.groebner_basis(order), order)
+        return normal_form(f, self, order)
 
     def contains_poly(self, f: Polynomial, order=grevlex) -> bool:
-        return self.normal_form(f, order).is_zero()
+        return normal_form(f, self, order).is_zero()
 
     def contains_ideal(self, other: "IdealHandle", order=grevlex) -> bool:
         return all(self.contains_poly(g, order) for g in other.generators)
 
-    def is_unit_ideal(self) -> bool:
-        gb = self.groebner_basis()
+    def is_unit_ideal(self, order=grevlex) -> bool:
+        gb = self.groebner_basis(order)
         return len(gb) == 1 and gb[0].is_constant() and not gb[0].is_zero()
 
     def key(self, order=grevlex) -> tuple:
-        """Hashable canonical identity of the ideal (reduced GB snapshot)."""
-        return basis_key(self.groebner_basis(order))
+        """Hashable canonical identity of the ideal (reduced GB snapshot):
+        equal keys, equal ideals."""
+        return tuple(tuple(sorted(g.terms.items())) for g in self.groebner_basis(order))
+
+    def plus(self, f: Polynomial, order=grevlex) -> "IdealHandle":
+        """The ideal (self, f); self when f already lies in it.
+
+        The new handle's basis under order grows from this one's, which
+        seeds Buchberger, so a chain of plus calls costs about one Buchberger
+        run on the union.
+        """
+        r = self.normal_form(f, order)
+        if r.is_zero():
+            return self
+        grown = IdealHandle(self.ring, self.generators + (f,))
+        grown._store(buchberger([r], order, seed=self.groebner_basis(order)), order)
+        return grown
 
     def __repr__(self):
         inside = "; ".join(repr(g) for g in self.generators) or "0"
@@ -385,31 +409,3 @@ def colon(I: IdealHandle, J: IdealHandle, order=grevlex) -> IdealHandle:
         )
         result = part if result is None else intersect(result, part)
     return result
-
-
-class GrowingBasis:
-    """A Groebner basis that absorbs new generators one at a time.
-
-    Appending reuses the current basis as a seed, so a chain of adds costs
-    about one Buchberger run on the union.  The basis is always the canonical
-    reduced GB of everything added so far.
-    """
-
-    def __init__(self, ring: PolyRing, order=grevlex, start=()):  # start: polys
-        self.ring = ring
-        self.order = order
-        self.basis = buchberger(list(start), order)
-
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.basis, self.order)
-
-    def contains(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero()
-
-    def contains_one(self) -> bool:
-        return len(self.basis) == 1 and self.basis[0].is_constant()
-
-    def add(self, f: Polynomial) -> None:
-        r = self.normal_form(f)
-        if not r.is_zero():
-            self.basis = buchberger([r], self.order, seed=self.basis)

@@ -296,7 +296,7 @@ class Polynomial:
             return self.ring.zero()
         out: dict = {}
         for ma, ca in self.terms.items():
-            config.check_budget(every=1)
+            config.check_budget()
             for mb, cb in other.terms.items():
                 m = mono_mul(ma, mb)
                 s = F.add(out.get(m, F.zero), F.mul(ca, cb))

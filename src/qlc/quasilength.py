@@ -24,11 +24,11 @@ from dataclasses import dataclass, field as dc_field
 
 from . import dsl
 from .config import check_budget
-from .groebner import GrowingBasis, IdealHandle, InternalError
+from .groebner import IdealHandle, InternalError
 from .linalg import RowSpace, identity, mat_mul, nullspace
 from .poly import Polynomial, frobenius_power, grevlex
 from .quotient import (NotZeroDimensional, QuotientPresentation, VectorModule,
-                       length, min_generators, quotient_module)
+                       length, min_generators)
 
 
 class NoFiltration(Exception):
@@ -95,16 +95,15 @@ def validate_filtration(cert: FiltrationCertificate, order=grevlex) -> Verdict:
 
 def _validate_ring(cert: FiltrationCertificate, order) -> Verdict:
     pres = cert.context.presentation
-    start = list(pres.relations.generators) + list(cert.context.target)
-    stage = GrowingBasis(pres.ambient, order, start=start)
+    stage = pres.ideal(cert.context.target)
     for j, g in enumerate(cert.generators, 1):
         for f in cert.killing:
             check_budget()
-            if not stage.contains(f * g):
+            if not stage.contains_poly(f * g, order):
                 witness = f"({dsl.format_poly(f)})*({dsl.format_poly(g)}) not in stage {j - 1}"
                 return Verdict("invalid", j, witness)
-        stage.add(g)
-    if not stage.contains_one():
+        stage = stage.plus(g, order)
+    if not stage.is_unit_ideal(order):
         return Verdict("invalid", len(cert.generators) + 1, None)
     return Verdict("valid")
 

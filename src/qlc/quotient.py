@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from . import dsl
-from .groebner import IdealHandle, InternalError, ideal_sum, normal_form
+from .groebner import IdealHandle, InternalError, normal_form
 from .linalg import RowSpace, mat_mul
 from .poly import Polynomial, PolyRing, grevlex, mono_divides
 

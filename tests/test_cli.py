@@ -169,6 +169,7 @@ def test_budget_exhaustion_marks_incomplete(capsys, monkeypatch):
     assert code == EXIT_BUDGET
     env = json.loads(capsys.readouterr().out)
     assert env["incomplete"] is True and "budget" in env["error"]
+    assert "result" not in env
 
 
 @pytest.mark.parametrize("value", ["nan", "abc"])

@@ -161,7 +161,9 @@ def test_short_search_finds_three_step_chain():
     assert res.certificate is not None and res.complete
     assert len(res.certificate) == 3 and res.target_count == 4
     assert validate_filtration(res.certificate).ok
-    assert res.nodes > 0
+    # the walk itself is pinned: candidate order and dead-set pruning
+    assert res.nodes == 77
+    assert [dsl.format_poly(g) for g in res.certificate.generators] == ["x", "y", "1"]
 
 
 def test_short_search_negative_control():
@@ -170,8 +172,22 @@ def test_short_search_negative_control():
     xs = (pres.ambient.var("x"), pres.ambient.var("y"))
     res = short_filtration_search(pres, xs, 2)
     assert res.certificate is None and res.complete
+    assert res.nodes == 6
+    # at t=3 the dead set prunes the walk (144 nodes without it)
+    res = short_filtration_search(pres, xs, 3)
+    assert res.certificate is None and res.complete
+    assert res.nodes == 64
     with pytest.raises(ValueError):
         short_filtration_search(pres, xs, 0)
+
+
+def test_short_search_exhausts_on_forced_fermat_cubic():
+    base = QuotientPresentation.parse("F2[x,y,z]/(x^3 + y^3 + z^3)")
+    x, y, z = (base.ambient.var(n) for n in "xyz")
+    S = generic_forcing_algebra(base, (x ** 2, y ** 2), z ** 2).presentation
+    res = short_filtration_search(S, (S.ambient.var("x"), S.ambient.var("y")), 2)
+    assert res.certificate is None and res.complete
+    assert res.nodes == 180
 
 
 def test_qseq_refuted_on_square_product():

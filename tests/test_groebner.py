@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from qlc import dsl
 from qlc.fields import GF2, QQ, PrimeField
-from qlc.groebner import (GrowingBasis, InternalError, bracket_power,
+from qlc.groebner import (InternalError, bracket_power,
                           buchberger, colon, ideal, ideal_compare,
                           ideal_power, ideal_product, ideal_sum, intersect,
                           normal_form, poly_divide_exact)
@@ -282,14 +282,14 @@ def test_growing_basis_tracks_buchberger():
     ring = qring("xy")
     x, y = ring.gens()
     gens = [x ** 2 - y, y ** 2 - x, x * y - 1]
-    grow = GrowingBasis(ring, grevlex)
+    grow = ideal(ring, [])
     for g in gens:
-        grow.add(g)
-    assert set(map(repr, grow.basis)) == set(map(repr, buchberger(gens, grevlex)))
-    assert grow.contains(x ** 3 - 1)  # x is a unit here, so x^3 = 1
-    assert not grow.contains_one()
-    grow.add(x - 2)  # now 8 = 1, so the ideal collapses
-    assert grow.contains_one()
+        grow = grow.plus(g, grevlex)
+    assert set(map(repr, grow.groebner_basis())) == set(map(repr, buchberger(gens, grevlex)))
+    assert grow.contains_poly(x ** 3 - 1)  # x is a unit here, so x^3 = 1
+    assert not grow.is_unit_ideal()
+    grow = grow.plus(x - 2)  # now 8 = 1, so the ideal collapses
+    assert grow.is_unit_ideal()
 
 
 # ---------------------------------------------------------------------------
@@ -374,3 +374,32 @@ def test_exact_division_recovers_the_cofactor(order, data):
     g = data.draw(poly3(QQ))
     assume(not g.is_zero())
     assert poly_divide_exact(f * g, g, order) == f
+
+
+
+def poly2(field):
+    """Polynomials in x, y of degree at most 2 in each: a few of them keep
+    Buchberger cheap under lex over Q."""
+    ring = PolyRing(field, ["x", "y"])
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * 2), st.integers(-4, 4))
+    return st.lists(term, max_size=3).map(
+        lambda ts: ring.from_terms({m: field.from_int(c) for m, c in ts}))
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
+@pytest.mark.parametrize("order", [grevlex, lex], ids=["grevlex", "lex"])
+@PROPERTY
+@given(data=st.data())
+def test_plus_folds_to_buchberger(field, order, data):
+    gens = data.draw(st.lists(poly2(field), max_size=3))
+    stage = ideal(PolyRing(field, ["x", "y"]), [])
+    for g in gens:
+        stage = stage.plus(g, order)
+    assert list(stage.groebner_basis(order)) == buchberger(gens, order)
+    h = data.draw(poly2(field))
+    for g in gens:
+        assert stage.plus(g, order) is stage
+        assert stage.plus(h * g, order) is stage
+    # grown under one order, queried under the other
+    other = lex if order is grevlex else grevlex
+    assert list(stage.groebner_basis(other)) == buchberger(gens, other)
