@@ -231,8 +231,8 @@ def brenner_monsky_example() -> ExampleReport:
                 "extension of the coefficient field",
     }
     if found is not None:
-        tab = tight_membership_table(pres, u, gens, found, (1, 2))
-        checks.append(_eq("found multiplier passes q=2 and q=4", True,
+        tab = tight_membership_table(pres, u, gens, found, (1, 2, 3))
+        checks.append(_eq("found multiplier passes q=2, 4, 8", True,
                           tab.all_pass()))
         arts["table"] = tab.as_dicts()
     return ExampleReport("brenner_monsky", "quartic family over F2(t): "

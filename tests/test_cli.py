@@ -228,6 +228,18 @@ def test_powering_respects_the_budget(monkeypatch):
     assert time.monotonic() - start < budget + 1
 
 
+def test_one_long_gcd_respects_the_budget(monkeypatch):
+    # both denominators are quick to build over F3, but their gcd alone runs
+    # for seconds: the budget has to reach into Euclid's algorithm
+    budget = 1
+    monkeypatch.setenv("QLC_BUDGET_SECS", str(budget))
+    start = time.monotonic()
+    code = run(["member", "--ring", "F3(t)[x]", "--ideal", "x^2",
+                "--poly", "x/((t+1)^12000+t)+x/((t^2+1)^5999+1)"])
+    assert code == EXIT_BUDGET
+    assert time.monotonic() - start < budget + 1
+
+
 def test_field_size_beyond_the_primality_bound_is_a_usage_error(capsys):
     code = run(["gb", "--ring", f"F{PRIME_BOUND}[x]", "--ideal", "x"])
     assert code == EXIT_USAGE

@@ -13,6 +13,7 @@ from qlc.closure import (generic_forcing_algebra, lc_class_vanishing,
                          qseq_verdict_charp, short_filtration_search,
                          tight_membership_table)
 from qlc.closure import test_element_search as element_search
+from qlc.config import budget
 from qlc.quasilength import validate_filtration
 from qlc.quotient import QuotientPresentation
 
@@ -75,6 +76,18 @@ def test_multiplier_search_at_degree_one():
     assert dsl.format_poly(found) == "x"  # first passing monomial in scan order
     # the returned multiplier really passes its own table
     assert tight_membership_table(pres, z ** 2, (x, y), found, (1, 2)).all_pass()
+
+
+def test_brenner_monsky_q8_row_within_budget():
+    # the e=3 row of the brenner_monsky example: x * (x^3 y^3)^8 lies in
+    # (x^32, y^32, z^32) plus the quartic relation over F2(t)
+    pres = QuotientPresentation.parse(
+        "F2(t)[x,y,z]/(z^4+x*y*z^2+x^3*z+y^3*z+t*x^2*y^2)")
+    x, y, z = (pres.ambient.var(n) for n in "xyz")
+    with budget(10):
+        table = tight_membership_table(pres, x ** 3 * y ** 3,
+                                       (x ** 4, y ** 4, z ** 4), x, (3,))
+    assert [(r.e, r.q, r.member) for r in table.rows] == [(3, 8, True)]
 
 
 def test_membership_table_input_checks():

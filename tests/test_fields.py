@@ -1,7 +1,11 @@
+import random
 import time
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from qlc.dsl import parse_ring
 from qlc.fields import (GF2, GF3, PRIME_BOUND, QQ, PrimeField, RationalField,
@@ -92,3 +96,244 @@ def test_primality_bound_is_enforced():
         is_prime(PRIME_BOUND)
     with pytest.raises(ValueError):
         PrimeField(PRIME_BOUND + 2)
+
+
+# ---------------------------------------------------------------------------
+# F_p(t) against a plain reference: polynomials are tuples of coefficients in
+# [0, p), lowest degree first, no trailing zeros; products are schoolbook and
+# every operation normalises through one gcd of the full numerator and
+# denominator, with no packing and no gcd splitting.
+
+
+def _trim(c: list) -> tuple:
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _uadd(a, b, p):
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = c
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
+    return _trim(out)
+
+
+def _uneg(a, p):
+    return tuple(-c % p for c in a)
+
+
+def _umul(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] = (out[i + j] + ca * cb) % p
+    return _trim(out)
+
+
+def _udivmod(a, b, p):
+    a = list(a)
+    binv = pow(b[-1], p - 2, p)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b) and any(a):
+        if a[-1] == 0:
+            a.pop()
+            continue
+        shift = len(a) - len(b)
+        c = a[-1] * binv % p
+        q[shift] = c
+        for i, cb in enumerate(b):
+            a[shift + i] = (a[shift + i] - c * cb) % p
+        while a and a[-1] == 0:
+            a.pop()
+    return _trim(q), _trim(a)
+
+
+def _ugcd(a, b, p):
+    while b:
+        a, b = b, _udivmod(a, b, p)[1]
+    if a:
+        inv = pow(a[-1], p - 2, p)
+        a = tuple(c * inv % p for c in a)
+    return a
+
+
+def _uformat(a) -> str:
+    if not a:
+        return "0"
+    parts = []
+    for e in range(len(a) - 1, -1, -1):
+        c = a[e]
+        if not c:
+            continue
+        if e == 0:
+            parts.append(str(c))
+        else:
+            head = "" if c == 1 else f"{c}*"
+            parts.append(f"{head}t" if e == 1 else f"{head}t^{e}")
+    return "+".join(parts)
+
+
+class ReferenceFunctionField:
+    """F_p(t) on (num, den) coefficient-tuple pairs, den monic, coprime."""
+
+    def __init__(self, p):
+        self.p = p
+        self.zero = ((), (1,))
+        self.one = ((1,), (1,))
+
+    def norm(self, num, den):
+        if not num:
+            return self.zero
+        g = _ugcd(num, den, self.p)
+        if g != (1,):
+            num = _udivmod(num, g, self.p)[0]
+            den = _udivmod(den, g, self.p)[0]
+        inv = pow(den[-1], self.p - 2, self.p)
+        return (tuple(c * inv % self.p for c in num),
+                tuple(c * inv % self.p for c in den))
+
+    def add(self, a, b):
+        (an, ad), (bn, bd) = a, b
+        p = self.p
+        return self.norm(_uadd(_umul(an, bd, p), _umul(bn, ad, p), p),
+                         _umul(ad, bd, p))
+
+    def neg(self, a):
+        return (_uneg(a[0], self.p), a[1])
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        (an, ad), (bn, bd) = a, b
+        return self.norm(_umul(an, bn, self.p), _umul(ad, bd, self.p))
+
+    def inv(self, a):
+        return self.norm(a[1], a[0])
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+    def format(self, a):
+        return _uformat(a[0]) if a[1] == (1,) else self.format_factor(a)
+
+    def format_factor(self, a):
+        num, den = a
+        ns = _uformat(num)
+        if sum(1 for c in num if c) > 1:
+            ns = f"({ns})"
+        return ns if den == (1,) else f"{ns}/({_uformat(den)})"
+
+
+# p = 2 packs bits; 32003 and 2^61 - 1 with 65 coefficients need Kronecker
+# slots of several bytes
+PRIMES = (2, 3, 5, 7, 32003, 2 ** 61 - 1)
+MAX_DEGREE = 64
+FPT_SUITE = settings(max_examples=200, deadline=None, derandomize=True,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+def _packed(p, a):
+    """Reference polynomial -> the field's polynomial."""
+    return sum(c << i for i, c in enumerate(a)) if p == 2 else a
+
+
+def _unpacked(p, a):
+    """The field's polynomial -> reference polynomial."""
+    return tuple((a >> i) & 1 for i in range(a.bit_length())) if p == 2 else a
+
+
+def _element(p, pair):
+    return tuple(_packed(p, x) for x in pair)
+
+
+def _reference(p, element):
+    return tuple(_unpacked(p, x) for x in element)
+
+
+def _poly(rnd, p, nonzero=False):
+    """A random polynomial of degree below MAX_DEGREE + 1; a third of its
+    coefficients are 0, 1 or p - 1, the extremes of a Kronecker slot."""
+    n = rnd.randint(1 if nonzero else 0, MAX_DEGREE + 1)
+    c = [rnd.choice((0, 1, p - 1)) if rnd.random() < 1 / 3 else rnd.randrange(p)
+         for _ in range(n)]
+    if nonzero:
+        c[-1] = c[-1] or 1
+    return _trim(c)
+
+
+@st.composite
+def _fields_and_elements(draw, count):
+    """(p, field, reference field, [reference elements])"""
+    p = draw(st.sampled_from(PRIMES))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    ref = ReferenceFunctionField(p)
+    # denominators 1 and shared ones take the gcd-free paths of add and mul
+    shared = _poly(rnd, p, nonzero=True)
+    dens = ((1,), shared, _poly(rnd, p, nonzero=True))
+    elements = [ref.norm(_poly(rnd, p), rnd.choice(dens)) for _ in range(count)]
+    return p, RationalFunctionField(p), ref, elements
+
+
+@FPT_SUITE
+@given(_fields_and_elements(2))
+def test_fpt_arithmetic_matches_reference(case):
+    p, F, ref, (a, b) = case
+    x, y = _element(p, a), _element(p, b)
+    for op in ("add", "sub", "mul"):
+        assert _reference(p, getattr(F, op)(x, y)) == getattr(ref, op)(a, b), op
+    assert _reference(p, F.neg(x)) == ref.neg(a)
+    if b[0]:
+        assert _reference(p, F.div(x, y)) == ref.div(a, b)
+        assert _reference(p, F.inv(y)) == ref.inv(b)
+    else:
+        for fails in (lambda: F.div(x, y), lambda: F.inv(y)):
+            with pytest.raises(ZeroDivisionError):
+                fails()
+
+
+@FPT_SUITE
+@given(_fields_and_elements(3))
+def test_fpt_values_built_differently_are_equal(case):
+    p, F, ref, (a, b, c) = case
+    assume(b[0] and c[0])
+    x, y, z = (_element(p, e) for e in (a, b, c))
+    # (x*z) / (y*z) and x / y: the same value through different gcds
+    left = F.div(F.mul(x, z), F.mul(y, z))
+    right = F.div(x, y)
+    assert left == right and hash(left) == hash(right)
+    # a fraction rebuilt from its polynomial numerator and denominator
+    num, den = ((_packed(p, part), F.one[1]) for part in a)
+    assert F.div(num, den) == x
+    assert F.sub(F.add(x, y), y) == x
+    assert F.sub(x, x) == F.add(x, F.neg(x)) == F.zero
+    assert F.mul(F.div(x, y), y) == x
+
+
+@FPT_SUITE
+@given(_fields_and_elements(1))
+def test_fpt_format_matches_reference(case):
+    p, F, ref, (a,) = case
+    for e in (a, ref.norm(a[0], (1,))):
+        x = _element(p, e)
+        assert F.format(x) == ref.format(e)
+        assert F.format_factor(x) == ref.format_factor(e)
+
+
+@FPT_SUITE
+@given(st.sampled_from(PRIMES), st.integers(0, 2 ** 32))
+def test_fpt_gcd_matches_sympy(p, seed):
+    rnd = random.Random(seed)
+    a, b = _poly(rnd, p), _poly(rnd, p, nonzero=True)
+    polys = RationalFunctionField(p)._polys
+    got = _unpacked(p, polys.gcd(_packed(p, a), _packed(p, b)))
+    t = sympy.Symbol("t")
+    as_sympy = lambda c: sympy.Poly(list(reversed(c)) or [0], t, modulus=p)
+    want = as_sympy(a).gcd(as_sympy(b))
+    assert got == tuple(int(c) % p for c in reversed(want.all_coeffs()))
+    assert got == _ugcd(a, b, p)
