@@ -159,7 +159,7 @@ def content_scan(pres: QuotientPresentation, xs, ts, mode: str = "plain",
         upper = t ** d
         upper_from = "staircase"
         # staircase steps stay valid over any larger target ideal
-        stair = staircase_filtration(QuotientPresentation(ambient, K.generators), xs, t)
+        stair = staircase_filtration(QuotientPresentation(ambient, K), xs, t)
         if not stair.validated.ok:
             raise InternalError("staircase failed over the row ideal")
 

@@ -1,36 +1,79 @@
 """Exact linear algebra over the coefficient fields.
 
-RowSpace keeps a growing span of sparse vectors in reduced row echelon form;
-column keys are arbitrary hashable values (monomials during module spins,
-integers for coordinate vectors), compared through a key function.  Because
-rows stay fully reduced and pivot-monic, the row set is a canonical basis of
+RowSpace keeps a growing span of vectors in reduced row echelon form.  Rows
+stay fully reduced and pivot-monic, so the row set is a canonical basis of
 the span no matter the insertion order, which makes spans usable as search
-states.
+states.  A span holds one of two row kinds:
+
+- dict rows, RowSpace(field, colkey): sparse {column: coeff} vectors whose
+  column keys are arbitrary hashable values (monomials during module spins,
+  integers for coordinate vectors), compared through colkey; the pivot is
+  the largest column.
+- packed rows over F_2, from RowSpace.coordinates(field): a vector is an int
+  read as a bit vector, bit i being coordinate i.  The pivot is the highest
+  set bit, reduction XORs in the rows whose pivot bits are set, and the key
+  is the frozenset of the rows (Albrecht, Bard and Hart, "Algorithm 898",
+  ACM TOMS 37, 2010, on GF(2) linear algebra in machine words).
+
+RowSpace.coordinates picks the kind from the field: packed over F_2, dict
+rows with integer columns over any other field.  Both kinds give the same
+span, the same pivots and the same rows, read through the vector map.
 """
 
 from __future__ import annotations
 
 
 class RowSpace:
+    """A span in reduced row echelon form, as dict rows or packed F_2 rows.
+
+    rows maps each pivot to its row.  Dict rows are keyed by the pivot
+    column and carry coefficient 1 there; packed rows are keyed by the pivot
+    bit (1 << column), and mask is the OR of those bits.  Every method takes
+    and returns vectors of the span's own kind.
+    """
+
     def __init__(self, field, colkey=None):
         self.field = field
-        self.colkey = colkey if colkey is not None else lambda k: k
-        self.rows: dict = {}  # pivot column -> {column: coeff}, pivot coeff 1
+        self.colkey = colkey  # None: columns compare as themselves
+        self.rows: dict = {}
+        self.packed = False
+        self.mask = 0
+
+    @classmethod
+    def coordinates(cls, field) -> "RowSpace":
+        """An empty span of coordinate vectors: packed over F_2, else dict
+        rows keyed by coordinate index."""
+        space = cls(field)
+        space.packed = field.size == 2
+        return space
 
     def copy(self) -> "RowSpace":
         out = RowSpace(self.field, self.colkey)
-        out.rows = {p: dict(r) for p, r in self.rows.items()}
+        if self.packed:
+            out.packed = True
+            out.mask = self.mask
+            out.rows = dict(self.rows)
+        else:
+            out.rows = {p: dict(r) for p, r in self.rows.items()}
         return out
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: dict) -> dict:
-        """Residue of vec modulo the span (fresh dict; empty iff contained)."""
+    def reduce(self, vec):
+        """Residue of vec modulo the span (fresh; zero or empty iff contained)."""
+        # rows are fully reduced, so one pass over pivot hits suffices
+        if self.packed:
+            rows = self.rows
+            hits = vec & self.mask
+            while hits:
+                low = hits & -hits
+                vec ^= rows[low]
+                hits ^= low
+            return vec
         F = self.field
         out = dict(vec)
-        # rows are fully reduced, so one pass over pivot hits suffices
         hits = [k for k in out if k in self.rows]
         for hit in hits:
             c = out.pop(hit)
@@ -44,8 +87,25 @@ class RowSpace:
                     out[col] = s
         return out
 
-    def insert(self, vec: dict):
+    def insert(self, vec):
         """Add vec to the span.  Returns the new reduced row, or None."""
+        if self.packed:
+            # reduce, inlined: the search spends most of its time in insert
+            rows = self.rows
+            hits = vec & self.mask
+            while hits:
+                low = hits & -hits
+                vec ^= rows[low]
+                hits ^= low
+            if not vec:
+                return None
+            pivot = 1 << (vec.bit_length() - 1)
+            for p, row in rows.items():
+                if row & pivot:
+                    rows[p] = row ^ vec
+            rows[pivot] = vec
+            self.mask |= pivot
+            return vec
         F = self.field
         red = self.reduce(vec)
         if not red:
@@ -72,36 +132,46 @@ class RowSpace:
 
         images(row) yields the vectors the span must contain along with row
         (its images under every action); it gets a copy of each new row, last
-        in first out.  Later inserts back-substitute into stored rows, so the
-        worklist keeps copies; mutated rows differ from their processed
-        versions by multiples of rows that are themselves queued, which keeps
-        the closure argument linear.
+        in first out.  Later inserts back-substitute into stored dict rows,
+        so the worklist keeps copies of those (packed rows are immutable
+        ints); mutated rows differ from their processed versions by multiples
+        of rows that are themselves queued, which keeps the closure argument
+        linear.
         """
         # plain loops: a comprehension here costs the quasilength search
         # about 1.5% wall time on CPython 3.11, which runs it as a call
+        insert = self.insert
+        fresh = int if self.packed else dict
         work = []
         for vec in vecs:
-            row = self.insert(vec)
+            row = insert(vec)
             if row:
-                work.append(dict(row))
+                work.append(fresh(row))
         while work:
             for img in images(work.pop()):
-                added = self.insert(img)
+                added = insert(img)
                 if added:
-                    work.append(dict(added))
+                    work.append(fresh(added))
 
     def pivots(self) -> list:
+        """Pivots, largest first: columns for dict rows, bits for packed."""
         return sorted(self.rows, key=self.colkey, reverse=True)
 
-    def basis(self) -> list[dict]:
+    def basis(self) -> list:
         return [self.rows[p] for p in self.pivots()]
 
-    def key(self) -> tuple:
+    def key(self):
         """Canonical hashable snapshot of the span."""
+        if self.packed:
+            return frozenset(self.rows.values())
+        colkey = self.colkey
         items = []
         for p in self.pivots():
             row = self.rows[p]
-            items.append(tuple(sorted(row.items(), key=lambda kv: self.colkey(kv[0]))))
+            if colkey is None:  # distinct columns: the sort never reads a coeff
+                items.append(tuple(sorted(row.items())))
+            else:
+                items.append(tuple(sorted(row.items(), key=lambda kv: colkey(kv[0]))))
         return tuple(items)
 
 

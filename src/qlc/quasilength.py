@@ -13,6 +13,14 @@ Certificates come in two flavours.  Ring contexts live in a quotient of a
 polynomial ring: the module is R/(relations + target) and generators are
 polynomials.  Module contexts carry an explicit VectorModule and generators
 are coordinate vectors; they validate in-process but do not serialize.
+
+The search works on coordinate vectors in the row kind the field picks
+(RowSpace.coordinates): ints read as bit vectors over F_2, dicts of nonzero
+coordinates otherwise.  One helper per search holds every action and
+killing matrix as its columns, so applying a matrix visits only the nonzero
+entries.  Both kinds walk the same spans in the same order.  Module
+certificates are checked on dict rows whatever the field, so a fault in the
+packed path cannot certify its own answer.
 """
 
 from __future__ import annotations
@@ -109,20 +117,20 @@ def _validate_ring(cert: FiltrationCertificate, order) -> Verdict:
 
 
 def _validate_module(cert: FiltrationCertificate) -> Verdict:
+    # dict rows whatever the field, so the check shares no row code with the
+    # packed F_2 search whose answers it certifies
     M = cert.context.module
-    F = M.field
-    mats = [(f, poly_action(M, f)) for f in cert.killing]
-    images = _action_images(M)
-    space = RowSpace(F)
+    coords = _DictCoords(M, cert.killing)
+    space = RowSpace(M.field)
     for j, gen in enumerate(cert.generators, 1):
-        vec = {i: c for i, c in enumerate(gen) if c != F.zero}
-        for f, A in mats:
+        vec = coords.pack(gen)
+        for f, cols in zip(cert.killing, coords.killing):
             check_budget()
-            if space.reduce(_apply_sparse(F, A, vec)):
+            if space.reduce(coords.apply(cols, vec)):
                 witness = (f"({dsl.format_poly(f)})*({M.format_vector(list(gen))})"
                            f" not in stage {j - 1}")
                 return Verdict("invalid", j, witness)
-        space.close([vec], images)
+        space.close([vec], coords.images)
     if space.dim != M.dim:
         return Verdict("invalid", len(cert.generators) + 1, None)
     return Verdict("valid")
@@ -174,66 +182,160 @@ def poly_action(M: VectorModule, f: Polynomial):
     return out
 
 
-def _apply_sparse(F, A, vec: dict) -> dict:
-    out: dict = {}
-    n = len(A)
-    for j, c in vec.items():
-        if c == F.zero:
-            continue
-        for i in range(n):
-            a = A[i][j]
-            if a == F.zero:
-                continue
-            s = F.add(out.get(i, F.zero), F.mul(a, c))
-            if s == F.zero:
-                out.pop(i, None)
-            else:
-                out[i] = s
-    return out
+class _Coords:
+    """Coordinate vectors of one module in one row kind, with every matrix
+    (the variable actions, then one per killing generator) kept as its
+    columns: {key of e_j: column j as a vector of the kind}.  Built once per
+    search, so applying a matrix visits only the nonzero entries."""
 
+    def __init__(self, M: VectorModule, killing):
+        self.field = M.field
+        self.dim = M.dim
+        self.actions = [self._columns(M.actions[var]) for var in M.ring.variables]
+        self.killing = [self._columns(poly_action(M, f)) for f in killing]
 
-def _action_images(M: VectorModule):
-    """images for RowSpace.close: a row's images under every variable."""
-    F = M.field
-    mats = [M.actions[var] for var in M.ring.variables]
+    def _columns(self, A) -> dict:
+        rows = range(self.dim)
+        return {self._unit_key(j): self.pack([A[i][j] for i in rows]) for j in rows}
 
-    def images(row):
+    def images(self, row) -> list:
+        """A row's images under every variable, for RowSpace.close."""
         # a loop: map() or a comprehension here costs the search about 1%
         # wall time on CPython 3.11
         out = []
-        for A in mats:
-            out.append(_apply_sparse(F, A, row))
+        for cols in self.actions:
+            out.append(self.apply(cols, row))
         return out
 
-    return images
+
+class _DictCoords(_Coords):
+    """Dict rows {index: coeff} with no zero entries, over any field."""
+
+    @staticmethod
+    def _unit_key(j: int) -> int:
+        return j
+
+    def space(self) -> RowSpace:
+        return RowSpace(self.field)
+
+    def pack(self, dense) -> dict:
+        zero = self.field.zero
+        return {i: c for i, c in enumerate(dense) if c != zero}
+
+    def unpack(self, vec: dict) -> tuple:
+        zero = self.field.zero
+        return tuple(vec.get(i, zero) for i in range(self.dim))
+
+    @staticmethod
+    def support(vecs) -> list:
+        """Coordinates nonzero in some vec, ascending."""
+        return sorted({i for vec in vecs for i in vec})
+
+    def apply(self, cols: dict, vec: dict) -> dict:
+        F = self.field
+        add, mul, zero = F.add, F.mul, F.zero
+        out: dict = {}
+        for j, c in vec.items():
+            for i, a in cols[j].items():
+                s = add(out.get(i, zero), mul(a, c))
+                if s == zero:
+                    del out[i]
+                else:
+                    out[i] = s
+        return out
+
+    def combine(self, coeffs, rows) -> dict:
+        """sum of c * row over zip(coeffs, rows)."""
+        F = self.field
+        add, mul, zero = F.add, F.mul, F.zero
+        vec: dict = {}
+        for c, row in zip(coeffs, rows):
+            if c == zero:
+                continue
+            for col, rc in row.items():
+                s = add(vec.get(col, zero), mul(c, rc))
+                if s == zero:
+                    del vec[col]
+                else:
+                    vec[col] = s
+        return vec
 
 
-def _colon_basis(M: VectorModule, space: RowSpace, mats) -> list:
+class _BitCoords(_Coords):
+    """Packed rows over F_2: ints, bit i being coordinate i.  Columns are
+    keyed by their unit bit, so applying a matrix XORs one column per set
+    bit of the vector."""
+
+    @staticmethod
+    def _unit_key(j: int) -> int:
+        return 1 << j
+
+    def space(self) -> RowSpace:
+        return RowSpace.coordinates(self.field)
+
+    def pack(self, dense) -> int:
+        vec = 0
+        for i, c in enumerate(dense):
+            if c:
+                vec |= 1 << i
+        return vec
+
+    def unpack(self, vec: int) -> tuple:
+        return tuple((vec >> i) & 1 for i in range(self.dim))
+
+    def support(self, vecs) -> list:
+        """Coordinates nonzero in some vec, ascending."""
+        union = 0
+        for vec in vecs:
+            union |= vec
+        return [i for i in range(self.dim) if (union >> i) & 1]
+
+    @staticmethod
+    def apply(cols: dict, vec: int) -> int:
+        out = 0
+        while vec:
+            low = vec & -vec
+            out ^= cols[low]
+            vec ^= low
+        return out
+
+    @staticmethod
+    def combine(coeffs, rows) -> int:
+        """sum of c * row over zip(coeffs, rows)."""
+        vec = 0
+        for c, row in zip(coeffs, rows):
+            if c:
+                vec ^= row
+        return vec
+
+
+def _coordinates(M: VectorModule, I: IdealHandle):
+    """The coordinate helper of one search, in the row kind that
+    RowSpace.coordinates picks for the field."""
+    packed = RowSpace.coordinates(M.field).packed
+    return (_BitCoords if packed else _DictCoords)(M, I.generators)
+
+
+def _colon_basis(coords, space: RowSpace) -> list:
     """Dense basis of {v in M : A*v in space for every killing matrix A}."""
-    F = M.field
-    n = M.dim
     constraints = []
-    for A in mats:
-        residues = []
-        for j in range(n):
-            col = {i: A[i][j] for i in range(n) if A[i][j] != F.zero}
-            residues.append(space.reduce(col))
-        for coord in sorted({k for r in residues for k in r}):
-            constraints.append([residues[j].get(coord, F.zero) for j in range(n)])
-    return nullspace(F, constraints, n)
+    for cols in coords.killing:
+        residues = [space.reduce(col) for col in cols.values()]
+        dense = [coords.unpack(r) for r in residues]
+        for i in coords.support(residues):
+            constraints.append([d[i] for d in dense])
+    return nullspace(coords.field, constraints, coords.dim)
 
 
-def _candidate_rows(M: VectorModule, space: RowSpace, mats) -> list:
-    """Canonical residue basis of (space : I) / space, as sparse dicts."""
-    F = M.field
-    res = RowSpace(F)
-    for b in _colon_basis(M, space, mats):
-        vec = {i: c for i, c in enumerate(b) if c != F.zero}
-        res.insert(space.reduce(vec))
-    return [dict(r) for r in res.basis()]
+def _candidate_rows(coords, space: RowSpace) -> list:
+    """Canonical residue basis of (space : I) / space, in the row kind."""
+    res = coords.space()
+    for b in _colon_basis(coords, space):
+        res.insert(space.reduce(coords.pack(b)))
+    return res.basis()
 
 
-def _combos(F, rows, coeff_pool) -> "itertools.chain":
+def _combos(coords, rows, coeff_pool):
     """Nonzero pool combinations of rows, one per projective class.
 
     The leading coefficient is pinned to the pool's first nonzero entry, the
@@ -241,27 +343,13 @@ def _combos(F, rows, coeff_pool) -> "itertools.chain":
     with an exhaustive pool this walks every one-dimensional class exactly
     once, in a deterministic order.
     """
-    lead = coeff_pool[1] if coeff_pool[0] == F.zero else coeff_pool[0]
-
-    def gen():
-        k = len(rows)
-        for lead_at in range(k):
-            tails = itertools.product(coeff_pool, repeat=k - lead_at - 1)
-            for tail in tails:
-                coeffs = (F.zero,) * lead_at + (lead,) + tail
-                vec: dict = {}
-                for c, row in zip(coeffs, rows):
-                    if c == F.zero:
-                        continue
-                    for col, rc in row.items():
-                        s = F.add(vec.get(col, F.zero), F.mul(c, rc))
-                        if s == F.zero:
-                            vec.pop(col, None)
-                        else:
-                            vec[col] = s
-                yield vec
-
-    return gen()
+    lead = coeff_pool[1] if coeff_pool[0] == coords.field.zero else coeff_pool[0]
+    combine = coords.combine
+    k = len(rows)
+    for lead_at in range(k):
+        rest = rows[lead_at:]
+        for tail in itertools.product(coeff_pool, repeat=k - lead_at - 1):
+            yield combine((lead,) + tail, rest)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +416,9 @@ def _lower_bound(M: VectorModule, I: IdealHandle) -> tuple:
 def _search(M: VectorModule, I: IdealHandle, coeff_pool):
     """Breadth-first search over action-closed subspaces; returns the first
     chain reaching the full module (shortest within the candidate pool)."""
-    F = M.field
-    mats = [poly_action(M, f) for f in I.generators]
-    images = _action_images(M)
-    start = RowSpace(F)
+    coords = _coordinates(M, I)
+    images = coords.images
+    start = coords.space()
     start_key = start.key()
     if M.dim == 0:
         return []
@@ -339,23 +426,23 @@ def _search(M: VectorModule, I: IdealHandle, coeff_pool):
     queue = deque([(start_key, start)])
     while queue:
         key, space = queue.popleft()
-        rows = _candidate_rows(M, space, mats)
+        rows = _candidate_rows(coords, space)
         if not rows:
             continue
-        for vec in _combos(F, rows, coeff_pool):
+        for vec in _combos(coords, rows, coeff_pool):
             check_budget()
             nxt = space.copy()
             nxt.close([vec], images)
             nkey = nxt.key()
             if nkey in parents:
                 continue
-            parents[nkey] = (key, tuple(vec.get(i, F.zero) for i in range(M.dim)))
+            parents[nkey] = (key, vec)
             if nxt.dim == M.dim:
                 chain = []
                 cur = nkey
                 while parents[cur] is not None:
                     cur, gen = parents[cur]
-                    chain.append(gen)
+                    chain.append(coords.unpack(gen))
                 chain.reverse()
                 return chain
             queue.append((nkey, nxt))
@@ -364,20 +451,19 @@ def _search(M: VectorModule, I: IdealHandle, coeff_pool):
 
 def _greedy_chain(M: VectorModule, I: IdealHandle) -> list:
     """Sweep upper bound: absorb a whole colon layer per round."""
-    F = M.field
-    mats = [poly_action(M, f) for f in I.generators]
-    images = _action_images(M)
-    space = RowSpace(F)
+    coords = _coordinates(M, I)
+    images = coords.images
+    space = coords.space()
     chain = []
     while space.dim < M.dim:
         check_budget()
-        rows = _candidate_rows(M, space, mats)
+        rows = _candidate_rows(coords, space)
         if not rows:
             raise NoFiltration("no further one-generator extension exists")
         for vec in rows:
             if not space.reduce(vec):
                 continue  # absorbed by an earlier addition this round
-            chain.append(tuple(vec.get(i, F.zero) for i in range(M.dim)))
+            chain.append(coords.unpack(vec))
             space.close([vec], images)
     return chain
 

@@ -22,15 +22,23 @@ class NotZeroDimensional(ValueError):
 
 
 class QuotientPresentation:
-    """A ring ambient/(relations); the zero ring is rejected at construction."""
+    """A ring ambient/(relations); the zero ring is rejected at construction.
+
+    relations is a sequence of polynomials or an IdealHandle.  A handle over
+    ambient with no zero generator is kept as it is, with the bases it has
+    cached; anything else is rebuilt from its nonzero generators.
+    """
 
     def __init__(self, ambient: PolyRing, relations=()):
-        if isinstance(relations, IdealHandle):
-            relations = relations.generators
-        rels = [r for r in relations if not r.is_zero()]
         self.ambient = ambient
-        self.relations = IdealHandle(ambient, rels)
-        if rels and self.relations.is_unit_ideal():
+        if (isinstance(relations, IdealHandle) and relations.ring == ambient
+                and not any(g.is_zero() for g in relations.generators)):
+            self.relations = relations
+        else:
+            if isinstance(relations, IdealHandle):
+                relations = relations.generators
+            self.relations = IdealHandle(ambient, [r for r in relations if not r.is_zero()])
+        if self.relations.generators and self.relations.is_unit_ideal():
             raise ValueError("relations generate the unit ideal: the ring is zero")
 
     @staticmethod

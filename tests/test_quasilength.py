@@ -1,23 +1,31 @@
-"""Search results cross-checked by a brute-force subspace BFS on tiny modules,
-plus certificate validation, transport, and serialization behavior."""
+"""Search results cross-checked by a brute-force subspace BFS on tiny modules
+and by a dict-row reference search, plus certificate validation, transport,
+and serialization behavior."""
 
 import itertools
 import json
 import random
+from collections import deque
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from qlc import dsl
 from qlc.fields import GF2, GF3
-from qlc.groebner import ideal
+from qlc.groebner import InternalError, ideal
+from qlc.linalg import RowSpace, nullspace
 from qlc.poly import PolyRing
 from qlc.quasilength import (FiltrationCertificate, NoFiltration, RingContext,
-                             SearchLimit, certificate_from_json,
-                             certificate_to_json, frobenius_transport,
+                             SearchLimit, _BitCoords, _search,
+                             certificate_from_json, certificate_to_json,
+                             exact_search_cap, frobenius_transport,
                              lower_length_ratio, poly_action, quasilength,
                              quasilength_exact, staircase_filtration,
                              validate_filtration)
-from qlc.quotient import QuotientPresentation, quotient_module, vector_module
+from qlc.quotient import (QuotientPresentation, direct_sum, quotient_module,
+                          vector_module)
 
 
 # ---------------------------------------------------------------------------
@@ -257,3 +265,241 @@ def test_zero_module_has_zero_quasilength():
     assert M.dim == 0
     b = quasilength(M, ideal(ring, [x]))
     assert b.exact == 0 and len(b.certificate) == 0
+
+
+# ---------------------------------------------------------------------------
+# reference: the search on dict rows, matrices scanned row by row.  The engine
+# runs F_2 searches on packed rows with column-sparse matrices; it must walk
+# the same spans, in the same order, to the same chain.
+
+
+def _ref_apply(F, A, vec):
+    out = {}
+    n = len(A)
+    for j, c in vec.items():
+        if c == F.zero:
+            continue
+        for i in range(n):
+            a = A[i][j]
+            if a == F.zero:
+                continue
+            s = F.add(out.get(i, F.zero), F.mul(a, c))
+            if s == F.zero:
+                out.pop(i, None)
+            else:
+                out[i] = s
+    return out
+
+
+def _ref_candidate_rows(M, space, mats):
+    F = M.field
+    n = M.dim
+    constraints = []
+    for A in mats:
+        residues = []
+        for j in range(n):
+            col = {i: A[i][j] for i in range(n) if A[i][j] != F.zero}
+            residues.append(space.reduce(col))
+        for coord in sorted({k for r in residues for k in r}):
+            constraints.append([residues[j].get(coord, F.zero) for j in range(n)])
+    res = RowSpace(F)
+    for b in nullspace(F, constraints, n):
+        vec = {i: c for i, c in enumerate(b) if c != F.zero}
+        res.insert(space.reduce(vec))
+    return [dict(r) for r in res.basis()]
+
+
+def _ref_combos(F, rows, coeff_pool):
+    lead = coeff_pool[1] if coeff_pool[0] == F.zero else coeff_pool[0]
+    k = len(rows)
+    for lead_at in range(k):
+        for tail in itertools.product(coeff_pool, repeat=k - lead_at - 1):
+            coeffs = (F.zero,) * lead_at + (lead,) + tail
+            vec = {}
+            for c, row in zip(coeffs, rows):
+                if c == F.zero:
+                    continue
+                for col, rc in row.items():
+                    s = F.add(vec.get(col, F.zero), F.mul(c, rc))
+                    if s == F.zero:
+                        vec.pop(col, None)
+                    else:
+                        vec[col] = s
+            yield vec
+
+
+class _TooLarge(Exception):
+    pass
+
+
+def reference_search(M, I, coeff_pool, max_candidates):
+    """Breadth-first search over action-closed subspaces on dict rows;
+    raises _TooLarge past max_candidates candidate closures."""
+    F = M.field
+    mats = [poly_action(M, f) for f in I.generators]
+    actions = [M.actions[var] for var in M.ring.variables]
+
+    def images(row):
+        return [_ref_apply(F, A, row) for A in actions]
+
+    start = RowSpace(F)
+    start_key = start.key()
+    if M.dim == 0:
+        return []
+    parents = {start_key: None}
+    queue = deque([(start_key, start)])
+    candidates = 0
+    while queue:
+        key, space = queue.popleft()
+        rows = _ref_candidate_rows(M, space, mats)
+        for vec in _ref_combos(F, rows, coeff_pool):
+            candidates += 1
+            if candidates > max_candidates:
+                raise _TooLarge
+            nxt = space.copy()
+            nxt.close([vec], images)
+            nkey = nxt.key()
+            if nkey in parents:
+                continue
+            parents[nkey] = (key, tuple(vec.get(i, F.zero) for i in range(M.dim)))
+            if nxt.dim == M.dim:
+                chain = []
+                cur = nkey
+                while parents[cur] is not None:
+                    cur, gen = parents[cur]
+                    chain.append(gen)
+                chain.reverse()
+                return chain
+            queue.append((nkey, nxt))
+    raise NoFiltration("reference search exhausted")
+
+
+@contextmanager
+def _key_log():
+    """Every RowSpace.key result while the block runs: one per span the
+    search reaches, the zero span included."""
+    seen = []
+    original = RowSpace.key
+
+    def key(self):
+        got = original(self)
+        seen.append(got)
+        return got
+
+    RowSpace.key = key
+    try:
+        yield seen
+    finally:
+        RowSpace.key = original
+
+
+R2 = PolyRing(GF2, ["x", "y"])
+R2xyz = PolyRing(GF2, ["x", "y", "z"])
+F2_POOL = (GF2.zero, GF2.one)
+REFERENCE = settings(max_examples=40, deadline=None, derandomize=True,
+                     suppress_health_check=[HealthCheck.too_slow,
+                                            HealthCheck.filter_too_much])
+
+
+@st.composite
+def _f2_modules(draw):
+    """A monomial quotient of F2[x,y] or F2[x,y,z], or a sum of two, and a
+    killing ideal of pure powers."""
+    ring = draw(st.sampled_from([R2, R2xyz]))
+    n = ring.nvars
+
+    def summand():
+        gens = []
+        for i in range(n):
+            exps = [0] * n
+            exps[i] = draw(st.integers(2, 4 if n == 2 else 3))
+            gens.append(ring.monomial(tuple(exps)))
+        for exps in draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), max_size=2)):
+            if any(exps):
+                gens.append(ring.monomial(exps))
+        return quotient_module(ideal(ring, gens))
+
+    M = summand()
+    if draw(st.booleans()):
+        M = direct_sum(M, summand())
+    killing = [v ** draw(st.integers(1, 2)) for v in ring.gens()]
+    return M, ideal(ring, killing)
+
+
+def _above_cap_module(killing):
+    """F2[x,y]/(x^4,y^4), dim 16, above the exact-search cap."""
+    x, y = R2.gens()
+    return quotient_module(ideal(R2, [x ** 4, y ** 4])), ideal(R2, killing(x, y))
+
+
+@REFERENCE
+@given(_f2_modules())
+@example(_above_cap_module(lambda x, y: [x ** 2, y ** 2]))
+@example(_above_cap_module(lambda x, y: [x, y ** 2]))
+def test_packed_search_walks_like_the_dict_reference(case):
+    M, I = case
+    assume(1 <= M.dim <= 16)
+    with _key_log() as want:
+        try:
+            expected = reference_search(M, I, F2_POOL, max_candidates=4000)
+        except _TooLarge:
+            expected = None
+    assume(expected is not None)
+    with _key_log() as got:
+        if M.dim <= exact_search_cap(2):
+            value, cert = quasilength_exact(M, I)
+            chain = list(cert.generators)
+            assert value == len(chain) and cert.validated.ok
+        else:
+            chain = _search(M, I, F2_POOL)  # above the cap: the search itself
+    assert chain == expected
+    assert len(set(got)) == len(set(want))  # distinct spans
+    assert len(got) == len(want)            # candidate closures
+
+
+def _pinned_modules():
+    R3 = PolyRing(GF3, ["x", "y"])
+
+    def quo(ring, text):
+        return quotient_module(ideal(ring, dsl.parse_polys(ring, text)))
+
+    f2 = direct_sum(quo(R2, "x^2;y^3"), quo(R2, "x^3;y^2"))
+    f3 = direct_sum(quo(R3, "x^2;x*y;y^3"), quo(R3, "x^2;y^2"))
+    return ((f2, ideal(R2, dsl.parse_polys(R2, "x^2;y^2"))),
+            (f3, ideal(R3, dsl.parse_polys(R3, "x;y^2"))))
+
+
+@pytest.mark.parametrize("which, spans, candidates, chain", [
+    (0, 830, 22374, ["(0,x)", "(0,1)", "(y,0)", "(1,0)"]),
+    (1, 621, 6416, ["(x,0) + (0,x)", "(x,0) + (y,0) + (0,y)", "(1,0) + (0,1)",
+                    "(1,0)"]),
+])
+def test_exact_search_walks_are_pinned(which, spans, candidates, chain):
+    M, I = _pinned_modules()[which]
+    with _key_log() as keys:
+        value, cert = quasilength_exact(M, I)
+    assert value == 4
+    assert len(set(keys)) == spans           # the zero span included
+    assert len(keys) == 1 + candidates       # the start span, then each closure
+    assert [M.format_vector(g) for g in cert.generators] == chain
+
+
+def test_certificate_check_catches_a_corrupted_packed_step():
+    M, I = _pinned_modules()[0]
+    _, cert = quasilength_exact(M, I)
+    gens = list(cert.generators)
+    gens[2] = tuple(int(label == "(1,0)") for label in M.labels)  # was (y,0)
+    verdict = validate_filtration(FiltrationCertificate(cert.context, cert.killing,
+                                                        tuple(gens)))
+    assert verdict.status == "invalid" and verdict.step == 3
+    assert verdict.witness == "(y^2)*((1,0)) not in stage 2"
+
+
+def test_certificate_check_catches_a_faulty_packed_search(monkeypatch):
+    # a packed-path fault (coordinates read back in reverse) must not
+    # certify its own answer: the dict-row check refuses the chain
+    M, I = _pinned_modules()[0]
+    unpack = _BitCoords.unpack
+    monkeypatch.setattr(_BitCoords, "unpack", lambda self, vec: unpack(self, vec)[::-1])
+    with pytest.raises(InternalError, match="invalid certificate"):
+        quasilength_exact(M, I)

@@ -77,6 +77,26 @@ def test_presentation_rejects_zero_ring():
         QuotientPresentation.parse("Q[x]/(x;x+1)")
 
 
+def test_presentation_keeps_a_passed_handle():
+    ring = PolyRing(GF2, ["x", "y"])
+    x, y = ring.gens()
+    K = ideal(ring, [x ** 2, y ** 3])
+    basis = K.groebner_basis()
+    pres = QuotientPresentation(ring, K)
+    assert pres.relations is K  # with the basis it has cached
+    assert pres.relations.groebner_basis() is basis
+    # rebuilt from the nonzero generators otherwise
+    with_zero = QuotientPresentation(ring, ideal(ring, [x ** 2, ring.zero()]))
+    assert with_zero.relations.generators == (x ** 2,)
+    listed = QuotientPresentation(ring, [x ** 2, y ** 3])
+    assert listed.relations is not K and listed.relations.key() == K.key()
+    other = PolyRing(GF3, ["x", "y"])
+    with pytest.raises(ValueError):
+        QuotientPresentation(other, K)
+    with pytest.raises(ValueError):
+        QuotientPresentation(ring, ideal(ring, [x + 1, x]))
+
+
 def test_presentation_nf_and_membership():
     pres = QuotientPresentation.parse("Q[x,y,z]/(x^3+y^3+z^3)")
     x, y, z = (pres.ambient.var(n) for n in "xyz")
