@@ -259,6 +259,13 @@ def short_filtration_search(pres: QuotientPresentation, xs, t: int,
     budget = config.disproof_node_budget
     state = {"nodes": 0, "out_of_budget": False}
     dead: set = set()  # (ideal key, remaining) that provably cannot finish
+    products: dict = {}  # (parameter, candidate) -> their product, built on first use
+
+    def times(j: int, i: int):
+        got = products.get((j, i))
+        if got is None:
+            got = products[j, i] = xs[j] * pool[i]
+        return got
 
     def dive(stage, remaining: int, chain: list) -> list | None:
         check_budget()
@@ -276,11 +283,11 @@ def short_filtration_search(pres: QuotientPresentation, xs, t: int,
         if not all(stage.contains_poly(g) for g in power_gens[remaining]):
             dead.add(key)
             return None
-        for c in pool:
+        for i, c in enumerate(pool):
             r = normal_form(c, stage)
             if r.is_zero():
                 continue
-            if not all(stage.contains_poly(x * c) for x in xs):
+            if not all(stage.contains_poly(times(j, i)) for j in range(d)):
                 continue
             found = dive(stage.plus(r), remaining - 1, chain + [c])
             if found is not None or state["out_of_budget"]:

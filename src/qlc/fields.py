@@ -3,7 +3,8 @@
 Field elements are plain hashable Python values; the field object carries
 the arithmetic.  Everything is exact, nothing is mutated.
 
-- Q: Fraction.
+- Q: a canonical pair (num, den) of ints with den > 0 and
+  gcd(num, den) = 1.
 - F_p: int in [0, p).
 - F_p(t): a canonical pair (num, den) of F_p[t] polynomials with den monic
   and gcd(num, den) = 1.  For p = 2 a polynomial is an int read as a bit
@@ -14,16 +15,16 @@ the arithmetic.  Everything is exact, nothing is mutated.
   substitution", JSC 2009): pack each factor into one int, multiply once,
   read the slots back mod p.
 
-F_p(t) sums and products split their gcds (Henrici, JACM 3, 1956; Knuth,
-TAOCP 2, 4.5.1): a product cancels gcd(an, bd) and gcd(bn, ad) rather than
-taking the gcd of the two products, and a sum takes gcd(ad, bd) and at most
-one more gcd with that.  Every step of Euclid, of long division and of a
-shift-and-XOR product checks the time budget.
+Q and F_p(t) sums and products split their gcds (Henrici, JACM 3, 1956;
+Knuth, TAOCP 2, 4.5.1): a product cancels gcd(an, bd) and gcd(bn, ad) rather
+than taking the gcd of the two products, and a sum takes gcd(ad, bd) and at
+most one more gcd with that.  Every step of Euclid, of long division and of
+a shift-and-XOR product checks the time budget.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 from . import config
 
@@ -62,45 +63,80 @@ def is_prime(n: int) -> bool:
 
 
 class RationalField:
-    """Q with Fraction elements."""
+    """Q.  An element is a canonical pair (num, den) of ints: den > 0,
+    gcd(num, den) = 1, 0 as (0, 1).  Equal values are equal pairs, so they
+    hash equal.  Sums and products split their gcds as F_p(t) does (see the
+    module docstring); a shared denominator, 1 included, skips the first gcd
+    and an inverse takes none."""
 
     char = 0
     size = None  # infinite
     tag = ("Q",)
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = (0, 1)
+    one = (1, 1)
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> tuple:
+        return (n, 1)
 
     def add(self, a, b):
-        return a + b
+        """a + b with g = gcd(ad, bd) and at most gcd(num, g) more."""
+        an, ad = a
+        bn, bd = b
+        if ad == bd:
+            num = an + bn
+            if ad == 1:
+                return (num, 1)
+            g = gcd(num, ad)  # ad when num is 0, which gives (0, 1)
+            return (num, ad) if g == 1 else (num // g, ad // g)
+        # from here on a != -b, so the numerator is never zero
+        g = gcd(ad, bd)
+        if g == 1:
+            return (an * bd + bn * ad, ad * bd)
+        ad //= g
+        num = an * (bd // g) + bn * ad
+        g = gcd(num, g)
+        return (num, ad * bd) if g == 1 else (num // g, ad * (bd // g))
 
     def sub(self, a, b):
-        return a - b
+        return self.add(a, (-b[0], b[1]))
 
     def neg(self, a):
-        return -a
+        return (-a[0], a[1])
 
     def mul(self, a, b):
-        return a * b
+        """a * b, cancelling gcd(an, bd) and gcd(bn, ad) first."""
+        an, ad = a
+        bn, bd = b
+        if bd != 1:
+            g = gcd(an, bd)  # bd when an is 0, which gives (0, 1)
+            if g != 1:
+                an //= g
+                bd //= g
+        if ad != 1:
+            g = gcd(bn, ad)
+            if g != 1:
+                bn //= g
+                ad //= g
+        return (an * bn, ad * bd)
 
     def inv(self, a):
-        if a == 0:
+        n, d = a
+        if not n:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        # a canonical pair is already coprime: only the sign moves
+        return (d, n) if n > 0 else (-d, -n)
 
     def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by 0")
-        return a / b
+        return self.mul(a, self.inv(b))
 
     def is_negative(self, a) -> bool:
-        return a < 0
+        return a[0] < 0
 
     def format(self, a) -> str:
-        return str(a)
+        """n or n/d, as str(Fraction) prints it."""
+        n, d = a
+        return str(n) if d == 1 else f"{n}/{d}"
 
     format_factor = format
 

@@ -56,6 +56,22 @@ def test_gb_and_compare(capsys):
     assert capsys.readouterr().out == "left-in-right\n"
 
 
+def test_gb_over_q_prints_fractional_and_negative_coefficients(capsys):
+    argv = ["gb", "--ring", "Q[x,y,z]", "--ideal", "x^2-y/3;y^2-2*z/7;z^2-x"]
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == "z^2-x\ny^2-2/7*z\nx^2-1/3*y\n"
+    assert run(argv + ["--json"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        '{\n  "command": "gb",\n  "input": {\n'
+        '    "ideal": "x^2-y/3;y^2-2*z/7;z^2-x",\n    "order": "grevlex",\n'
+        '    "ring": "Q[x,y,z]"\n  },\n  "result": {\n    "basis": [\n'
+        '      "z^2-x",\n      "y^2-2/7*z",\n      "x^2-1/3*y"\n    ]\n  },\n'
+        '  "schema": 1\n}\n')
+    assert run(["gb", "--ring", "Q[x,y]", "--ideal",
+                "3/4*x^2-5/6*y; -7/10*x*y+1/15"]) == EXIT_OK
+    assert capsys.readouterr().out == "y^2-3/35*x\nx*y-2/21\nx^2-10/9*y\n"
+
+
 def test_vmod_json_payload(capsys):
     code = run(["vmod", "--ring", "F2[x]", "--top", "x", "--bottom", "x^4",
                 "--json"])

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -39,10 +40,20 @@ def test_prime_field_rejects_composite():
         PrimeField(6)
 
 
+def _pair(x: Fraction) -> tuple:
+    """Fraction -> the field's Q element."""
+    return (x.numerator, x.denominator)
+
+
+def _fraction(c: tuple) -> Fraction:
+    """The field's Q element -> Fraction."""
+    return Fraction(*c)
+
+
 def test_rationals():
-    _axioms(QQ, [Fraction(n, d) for n in (-2, 0, 1, 3) for d in (1, 2, 5)])
+    _axioms(QQ, [_pair(Fraction(n, d)) for n in (-2, 0, 1, 3) for d in (1, 2, 5)])
     assert QQ.char == 0 and QQ.size is None
-    assert QQ.from_int(-7) == Fraction(-7)
+    assert QQ.from_int(-7) == _pair(Fraction(-7))
 
 
 def test_rational_functions():
@@ -234,7 +245,7 @@ class ReferenceFunctionField:
 # slots of several bytes
 PRIMES = (2, 3, 5, 7, 32003, 2 ** 61 - 1)
 MAX_DEGREE = 64
-FPT_SUITE = settings(max_examples=200, deadline=None, derandomize=True,
+SUITE = settings(max_examples=200, deadline=None, derandomize=True,
                      suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -280,7 +291,7 @@ def _fields_and_elements(draw, count):
     return p, RationalFunctionField(p), ref, elements
 
 
-@FPT_SUITE
+@SUITE
 @given(_fields_and_elements(2))
 def test_fpt_arithmetic_matches_reference(case):
     p, F, ref, (a, b) = case
@@ -297,7 +308,7 @@ def test_fpt_arithmetic_matches_reference(case):
                 fails()
 
 
-@FPT_SUITE
+@SUITE
 @given(_fields_and_elements(3))
 def test_fpt_values_built_differently_are_equal(case):
     p, F, ref, (a, b, c) = case
@@ -315,7 +326,7 @@ def test_fpt_values_built_differently_are_equal(case):
     assert F.mul(F.div(x, y), y) == x
 
 
-@FPT_SUITE
+@SUITE
 @given(_fields_and_elements(1))
 def test_fpt_format_matches_reference(case):
     p, F, ref, (a,) = case
@@ -325,7 +336,7 @@ def test_fpt_format_matches_reference(case):
         assert F.format_factor(x) == ref.format_factor(e)
 
 
-@FPT_SUITE
+@SUITE
 @given(st.sampled_from(PRIMES), st.integers(0, 2 ** 32))
 def test_fpt_gcd_matches_sympy(p, seed):
     rnd = random.Random(seed)
@@ -337,3 +348,85 @@ def test_fpt_gcd_matches_sympy(p, seed):
     want = as_sympy(a).gcd(as_sympy(b))
     assert got == tuple(int(c) % p for c in reversed(want.all_coeffs()))
     assert got == _ugcd(a, b, p)
+
+
+# ---------------------------------------------------------------------------
+# Q against fractions.Fraction
+
+
+BIG = 10 ** 30
+
+
+def _rational(rnd, shared) -> Fraction:
+    """A third are 0, +-1 or integers; the rest have a denominator that is
+    1, shared by the whole case, or random, and numerators up to BIG."""
+    if rnd.random() < 1 / 3:
+        return Fraction(rnd.choice((0, 1, -1, rnd.randint(-BIG, BIG))))
+    den = rnd.choice((1, shared, shared, rnd.randint(1, BIG)))
+    num = rnd.randint(-BIG, BIG)
+    while gcd(num, den) != 1:  # keep the shared denominator as it is
+        num += 1
+    return Fraction(num, den)
+
+
+@st.composite
+def _rationals(draw, count):
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    # small factors make gcd(ad, bd) and the second gcd of a sum nontrivial
+    shared = rnd.randint(1, BIG) * rnd.choice((2, 6, 30, 210))
+    values = [_rational(rnd, shared) for _ in range(count)]
+    if rnd.random() < 1 / 4:
+        values[-1] = -values[0]  # a sum that cancels to 0
+    return values
+
+
+def _is_canonical(c) -> bool:
+    return (type(c) is tuple and len(c) == 2 and type(c[0]) is int
+            and type(c[1]) is int and c[1] > 0 and gcd(*c) == 1)
+
+
+@SUITE
+@given(_rationals(2))
+def test_q_arithmetic_matches_fraction(case):
+    a, b = case
+    x, y = _pair(a), _pair(b)
+    results = [(QQ.add(x, y), a + b), (QQ.sub(x, y), a - b),
+               (QQ.mul(x, y), a * b), (QQ.neg(x), -a)]
+    if b:
+        results += [(QQ.div(x, y), a / b), (QQ.inv(y), 1 / b)]
+    else:
+        for fails in (lambda: QQ.div(x, y), lambda: QQ.inv(y)):
+            with pytest.raises(ZeroDivisionError):
+                fails()
+    for got, want in results:
+        assert _is_canonical(got) and got == _pair(want)
+    assert (QQ.add(x, y) == QQ.zero) == (a + b == 0)
+
+
+@SUITE
+@given(_rationals(3))
+def test_q_values_built_differently_are_equal(case):
+    a, b, c = case
+    assume(b and c)
+    x, y, z = _pair(a), _pair(b), _pair(c)
+    # (x*z) / (y*z) and x / y: the same value through different gcds
+    left = QQ.div(QQ.mul(x, z), QQ.mul(y, z))
+    right = QQ.div(x, y)
+    assert left == right and hash(left) == hash(right)
+    # a fraction rebuilt from its integer numerator and denominator
+    assert QQ.div(QQ.from_int(a.numerator), QQ.from_int(a.denominator)) == x
+    assert QQ.sub(QQ.add(x, y), y) == x
+    assert QQ.sub(x, x) == QQ.add(x, QQ.neg(x)) == QQ.zero == (0, 1)
+    assert QQ.mul(QQ.div(x, y), y) == x
+    if a:
+        assert QQ.mul(x, QQ.inv(x)) == QQ.one == (1, 1)
+
+
+@SUITE
+@given(_rationals(1))
+def test_q_format_matches_fraction(case):
+    a, = case
+    x = _pair(a)
+    assert QQ.format(x) == QQ.format_factor(x) == str(a)
+    assert QQ.is_negative(x) == (a < 0)
+    assert _fraction(x) == a

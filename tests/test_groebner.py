@@ -5,6 +5,7 @@ ideals."""
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -40,10 +41,20 @@ def random_poly(rng, ring, max_deg=3, max_terms=4):
 # sympy cross-check
 
 
+def _fraction(c) -> Fraction:
+    """A Q coefficient, a canonical (num, den) pair -> Fraction."""
+    return Fraction(*c)
+
+
+def _pair(x: Fraction) -> tuple:
+    """Fraction -> a Q coefficient."""
+    return (x.numerator, x.denominator)
+
+
 def _to_sympy(f, syms):
     expr = sympy.Integer(0)
     for m, c in f.terms.items():
-        term = sympy.Rational(c)
+        term = sympy.Rational(_fraction(c))
         for s, e in zip(syms, m):
             term *= s ** e
         expr += term
@@ -58,7 +69,7 @@ def _canonical_from_sympy(gb, syms, order):
         terms = [(tuple(int(e) for e in m), Fraction(str(c)))
                  for m, c in poly.terms()]
         lead = max(terms, key=lambda t: order.key(t[0]))[1]
-        out.add(frozenset((m, c / lead) for m, c in terms))
+        out.add(frozenset((m, _pair(c / lead)) for m, c in terms))
     return out
 
 
@@ -95,6 +106,29 @@ def test_groebner_matches_sympy_lex_three_vars():
         theirs = sympy.groebner([_to_sympy(g, syms) for g in gens], *syms,
                                 order="lex")
         assert _canonical_from_ours(ours) == _canonical_from_sympy(theirs, syms, lex)
+
+
+_CYCLIC4 = ("abcd", "a+b+c+d; a*b+b*c+c*d+d*a; a*b*c+b*c*d+c*d*a+d*a*b; a*b*c*d-1")
+_KATSURA4 = (["u0", "u1", "u2", "u3", "u4"],
+             "u0^2+2*u1^2+2*u2^2+2*u3^2+2*u4^2-u0; 2*u0*u1+2*u1*u2+2*u2*u3+2*u3*u4-u1;"
+             "u1^2+2*u0*u2+2*u1*u3+2*u2*u4-u2; 2*u1*u2+2*u0*u3+2*u1*u4-u3;"
+             "u0+2*u1+2*u2+2*u3+2*u4-1")
+
+
+@pytest.mark.parametrize("system", [_CYCLIC4, _KATSURA4], ids=["cyclic4", "katsura4"])
+def test_reduced_bases_over_q_have_canonical_pair_coefficients(system):
+    names, text = system
+    basis = buchberger(dsl.parse_polys(qring(names), text), grevlex)
+    coeffs = [c for g in basis for c in g.terms.values()]
+    for c in coeffs:
+        assert type(c) is tuple and len(c) == 2
+        num, den = c
+        assert type(num) is int and type(den) is int
+        assert den > 0 and gcd(num, den) == 1 and num != 0
+    # the basis is monic: every leading coefficient is the pair (1, 1)
+    assert all(g.leading(grevlex)[1] == (1, 1) for g in basis)
+    if system is _KATSURA4:
+        assert any(den != 1 for _num, den in coeffs)
 
 
 # ---------------------------------------------------------------------------
