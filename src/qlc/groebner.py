@@ -4,16 +4,24 @@ IdealHandle is the one ideal object: its generators, plus the reduced
 Groebner basis per order (canonical per ideal and order, so IdealHandle.key
 is a hashable ideal identity) cached next to that basis's prepared reducers.
 IdealHandle.plus grows an ideal one generator at a time, seeding Buchberger
-with the cached basis.  Pair selection is by sugar degree; both classic pair
-criteria (coprime leading terms, chain) are applied at pop time, which is
-safe because a pair can only be chain-skipped after both partner pairs were
-popped earlier.
+with the cached basis.
+
+Pair selection is by sugar degree, following Gebauer and Moeller, "On an
+installation of Buchberger's algorithm" (J. Symbolic Comput. 6, 1988).  A
+pair with coprime leading terms is marked treated when it is pushed and
+never enters the heap: its S-polynomial reduces to zero by the pair itself,
+so it counts as treated exactly as a popped pair does.  The chain criterion
+is applied at pop time and skips a pair (i, j) only when some k with
+lt_k | lcm(lt_i, lt_j) has both (i, k) and (j, k) treated already.  Every
+skip thus rests on pairs treated before it, never on a later one, so the
+skipped syzygies are combinations of treated ones and the result stays a
+Groebner basis.
 """
 
 from __future__ import annotations
 
 import heapq
-from operator import add, ge, sub
+from operator import add, ge, le, sub
 
 from . import config
 from .poly import (
@@ -93,20 +101,43 @@ def _reduce_terms(terms: dict, prepped, order, field) -> dict:
     return out
 
 
+def _reduce(f: Polynomial, prepped, order) -> Polynomial:
+    """Normal form of f against prepared reducers.
+
+    Zero comes back as it is.  A one-term f is settled by one scan over the
+    reducers: kept when none divides it, zero when the first that does has
+    no tail.  Everything else goes through the heap in _reduce_terms.
+    """
+    terms = f.terms
+    if len(terms) == 1:
+        (m,) = terms
+        for lt, _lc, tail in prepped:
+            if all(map(ge, m, lt)):
+                if not tail:
+                    return Polynomial(f.ring, {})
+                break
+        else:
+            return f
+    elif not terms:
+        return f
+    return Polynomial(f.ring, _reduce_terms(terms, prepped, order, f.ring.field))
+
+
 def normal_form(f: Polynomial, basis, order=grevlex) -> Polynomial:
     """Reduce f against a polynomial list (unique NF when basis is a GB), or
     against an IdealHandle's reduced basis and its cached reducers.
 
     Each term is reduced by the first element of the list, in list order,
-    whose leading term divides it.
+    whose leading term divides it.  A one-term f that no element divides
+    comes back as f itself.
     """
     if isinstance(basis, IdealHandle):
         prepped = basis._cached(order)[1]
     else:
         prepped = [g.prepared(order) for g in basis if g.terms]
-    if not prepped or not f.terms:
+    if not prepped:
         return f
-    return Polynomial(f.ring, _reduce_terms(f.terms, prepped, order, f.ring.field))
+    return _reduce(f, prepped, order)
 
 
 def poly_divide_exact(f: Polynomial, g: Polynomial, order=grevlex) -> Polynomial:
@@ -136,109 +167,120 @@ def poly_divide_exact(f: Polynomial, g: Polynomial, order=grevlex) -> Polynomial
 # Buchberger
 
 
-def _pair_entry(i, j, lts, sugars, order):
-    L = mono_lcm(lts[i], lts[j])
-    sugar = max(
-        sugars[i] - mono_deg(lts[i]),
-        sugars[j] - mono_deg(lts[j]),
-    ) + mono_deg(L)
-    return (sugar, mono_deg(L), order.key(L), i, j)
-
-
 def buchberger(gens, order=grevlex, seed=()) -> list[Polynomial]:
     """Reduced Groebner basis of (gens) + (seed).
 
-    seed, when given, must already be a Groebner basis for its own ideal
-    under the same order (its internal S-pairs are skipped).  The result is
-    the canonical reduced basis either way.
+    seed, when given, must already be the *reduced* Groebner basis of its
+    own ideal under the same order: its internal S-pairs are skipped, and a
+    seed element is reduced again only where a new leading term divides one
+    of its terms.  The result is the canonical reduced basis either way.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens and not seed:
         return []
     ring = (gens[0] if gens else seed[0]).ring
-    field = ring.field
 
-    basis: list[Polynomial] = []
-    sugars: list[int] = []
-    lts: list = []
+    basis = [g.monic(order) for g in seed]
+    prepped = [g.prepared(order) for g in basis]   # (lt, lc, tail), kept with basis
+    lts = [p[0] for p in prepped]
+    sugars = [g.total_degree() for g in basis]
+    n0 = len(basis)
+    # pairs (i, j), i < j, treated already: popped, coprime or chain-skipped;
+    # pairs inside the seed (j < n0) are implied and never stored
     done: set = set()
-    heap: list = []
+    heap: list = []   # (sugar, deg L, order.key(L), i, j, L), L = lcm of the two lts
 
-    def push_pairs(k: int):
-        for i in range(k):
-            heapq.heappush(heap, _pair_entry(i, k, lts, sugars, order))
+    def treated(a: int, b: int) -> bool:
+        if a > b:
+            a, b = b, a
+        return b < n0 or (a, b) in done
 
     def append(g: Polynomial, sugar: int):
         g = g.monic(order)
+        prep = g.prepared(order)
+        lt = prep[0]
+        k = len(basis)
+        shift = sugar - mono_deg(lt)
+        for i, lti in enumerate(lts):
+            if mono_gcd_is_one(lti, lt):
+                done.add((i, k))
+                continue
+            L = mono_lcm(lti, lt)
+            dL = mono_deg(L)
+            heapq.heappush(heap, (max(sugars[i] - mono_deg(lti), shift) + dL,
+                                  dL, order.key(L), i, k, L))
         basis.append(g)
+        prepped.append(prep)
+        lts.append(lt)
         sugars.append(sugar)
-        lts.append(g.leading(order)[0])
-        push_pairs(len(basis) - 1)
-
-    for g in seed:
-        g = g.monic(order)
-        basis.append(g)
-        sugars.append(g.total_degree())
-        lts.append(g.leading(order)[0])
-    n0 = len(basis)
-    for i in range(n0):
-        for j in range(i + 1, n0):
-            done.add((i, j))
 
     for g in gens:
-        r = normal_form(g, basis, order)
-        if not r.is_zero():
+        r = _reduce(g, prepped, order) if prepped else g
+        if r.terms:
             append(r, g.total_degree())
 
     while heap:
         config.check_budget()
-        _, _, _, i, j = heapq.heappop(heap)
-        if (i, j) in done:
-            continue
+        sugar, _, _, i, j, L = heapq.heappop(heap)
         done.add((i, j))
-        L = mono_lcm(lts[i], lts[j])
-        if mono_gcd_is_one(lts[i], lts[j]):
+        if any(k != i and k != j and all(map(le, ltk, L)) and treated(i, k) and treated(j, k)
+               for k, ltk in enumerate(lts)):
             continue
-        skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if not mono_divides(lts[k], L):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in done and b in done:
-                skip = True
-                break
-        if skip:
-            continue
-        fi, fj = basis[i], basis[j]
-        s = fi.mul_monomial(mono_div(L, lts[i])) - fj.mul_monomial(mono_div(L, lts[j]))
-        r = normal_form(s, basis, order)
-        if not r.is_zero():
-            sugar = max(_pair_entry(i, j, lts, sugars, order)[0], r.total_degree())
-            append(r, sugar)
+        r = _reduce(_s_polynomial(prepped[i], prepped[j], L, ring), prepped, order)
+        if r.terms:
+            append(r, max(sugar, r.total_degree()))
 
-    return _reduce_basis(basis, order)
+    return _reduce_basis(basis, prepped, n0, order)
 
 
-def _reduce_basis(basis, order) -> list[Polynomial]:
-    """Minimalize then inter-reduce; output sorted by leading term, monic."""
-    items = sorted(
-        ((g.leading(order)[0], g) for g in basis if not g.is_zero()),
-        key=lambda p: order.key(p[0]),
-    )
-    minimal: list[Polynomial] = []
-    kept_lts: list = []
-    for lt, g in items:
-        if any(mono_divides(h, lt) for h in kept_lts):
-            continue
-        kept_lts.append(lt)
-        minimal.append(g)
-    for i in range(len(minimal)):
-        others = minimal[:i] + minimal[i + 1 :]
-        minimal[i] = normal_form(minimal[i], others, order).monic(order)
-    return minimal
+def _s_polynomial(pi, pj, L, ring) -> Polynomial:
+    """S-polynomial of two monic elements given prepared, with L the lcm of
+    their leading terms: x^(L-lt_i) tail_i - x^(L-lt_j) tail_j."""
+    qi = tuple(map(sub, L, pi[0]))
+    qj = tuple(map(sub, L, pj[0]))
+    field = ring.field
+    work = {tuple(map(add, m, qi)): c for m, c in pi[2]}
+    fsub, zero = field.sub, field.zero
+    for m, c in pj[2]:
+        nm = tuple(map(add, m, qj))
+        old = work.get(nm)
+        if old is None:
+            work[nm] = field.neg(c)
+        else:
+            s = fsub(old, c)
+            if s == zero:
+                del work[nm]
+            else:
+                work[nm] = s
+    return Polynomial(ring, work)
+
+
+def _reduce_basis(basis, prepped, n0, order) -> list[Polynomial]:
+    """Minimalize then inter-reduce; output sorted by leading term, monic.
+
+    basis[:n0] is a reduced basis (the seed), and each later element was
+    appended in normal form against every element before it.  So an element
+    can only be hit by a leading term appended after both it and the seed:
+    when such a term divides its leading term it is dropped, and when it
+    divides one of its other terms it is reduced again against the kept
+    elements.  Every other element is already reduced and is kept as it is.
+    """
+    lts = [p[0] for p in prepped]
+    n = len(basis)
+    kept = [i for i in range(n)
+            if not any(mono_divides(lts[k], lts[i]) for k in range(max(i + 1, n0), n))]
+    for i in kept:
+        later = [lts[k] for k in kept if k > i and k >= n0]
+        # element 0 of a run without a seed, or a one-element seed, may still
+        # hold its terms in input order; a full reduction sorts them
+        if later and (i == 0 and n0 <= 1
+                      or any(mono_divides(lt, m) for m in basis[i].terms for lt in later)):
+            others = [prepped[k] for k in kept if k != i]
+            g = _reduce(basis[i], others, order).monic(order)
+            basis[i] = g
+            prepped[i] = g.prepared(order)
+    kept.sort(key=lambda i: order.key(lts[i]))
+    return [basis[i] for i in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +336,12 @@ class IdealHandle:
 
         The new handle's basis under order grows from this one's, which
         seeds Buchberger, so a chain of plus calls costs about one Buchberger
-        run on the union.
+        run on the union.  Only the new pairs are reduced, and the
+        interreduction at the end is incremental: a seed element whose
+        leading term a new leading term divides is dropped, one with another
+        term that a new leading term divides is reduced again, and every
+        other seed element is carried over unchanged, prepared reducer
+        included.
         """
         r = self.normal_form(f, order)
         if r.is_zero():

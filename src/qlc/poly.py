@@ -33,7 +33,7 @@ def mono_div(a, b):
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_gcd_is_one(a, b) -> bool:

@@ -256,6 +256,19 @@ def test_one_long_gcd_respects_the_budget(monkeypatch):
     assert time.monotonic() - start < budget + 1
 
 
+def test_fermat_t3_search_respects_the_budget(monkeypatch):
+    # the short-filtration search at t=3 runs far past the budget; most of
+    # its normal forms are one-term lookups that take no budget check, so
+    # the check per search node and per reduced term must still be enough
+    budget = 1
+    monkeypatch.setenv("QLC_BUDGET_SECS", str(budget))
+    start = time.monotonic()
+    code = run(["force", "qseq", "--ring", "F2[x,y,z]/(x^3+y^3+z^3)",
+                "--params", "x;y", "--element", "z^2", "--t", "3"])
+    assert code == EXIT_BUDGET
+    assert time.monotonic() - start < budget + 1
+
+
 def test_field_size_beyond_the_primality_bound_is_a_usage_error(capsys):
     code = run(["gb", "--ring", f"F{PRIME_BOUND}[x]", "--ideal", "x"])
     assert code == EXIT_USAGE

@@ -13,8 +13,10 @@ from qlc.closure import (generic_forcing_algebra, lc_class_vanishing,
                          qseq_verdict_charp, short_filtration_search,
                          tight_membership_table)
 from qlc.closure import test_element_search as element_search
-from qlc.config import budget
+from qlc.config import JobConfig, budget
+from qlc.groebner import IdealHandle
 from qlc.quasilength import validate_filtration
+from qlc.poly import grevlex
 from qlc.quotient import QuotientPresentation
 
 FERMAT = "F7[x,y,z]/(x^3 + y^3 + z^3)"
@@ -201,6 +203,29 @@ def test_short_search_exhausts_on_forced_fermat_cubic():
     res = short_filtration_search(S, (S.ambient.var("x"), S.ambient.var("y")), 2)
     assert res.certificate is None and res.complete
     assert res.nodes == 180
+
+
+def test_plus_matches_a_fresh_basis_along_the_t3_walk(monkeypatch):
+    # every stage the capped t=3 search grows with plus has the reduced
+    # basis a fresh Buchberger run on its generators gives
+    base = QuotientPresentation.parse("F2[x,y,z]/(x^3 + y^3 + z^3)")
+    x, y, z = (base.ambient.var(n) for n in "xyz")
+    S = generic_forcing_algebra(base, (x ** 3, y ** 3), z ** 2).presentation
+    plus = IdealHandle.plus
+    stages = []
+
+    def checked(self, f, order=grevlex):
+        stage = plus(self, f, order)
+        assert stage.key(order) == IdealHandle(stage.ring, stage.generators).key(order)
+        stages.append(stage)
+        return stage
+
+    monkeypatch.setattr(IdealHandle, "plus", checked)
+    res = short_filtration_search(S, (S.ambient.var("x"), S.ambient.var("y")), 3,
+                                  config=JobConfig(disproof_node_budget=300))
+    assert res.nodes == 301 and res.complete is False
+    assert res.certificate is None
+    assert len(stages) == 295   # one per node but the six deepening roots
 
 
 def test_qseq_refuted_on_square_product():

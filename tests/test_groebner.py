@@ -437,3 +437,93 @@ def test_plus_folds_to_buchberger(field, order, data):
     # grown under one order, queried under the other
     other = lex if order is grevlex else grevlex
     assert list(stage.groebner_basis(other)) == buchberger(gens, other)
+
+
+# ---------------------------------------------------------------------------
+# incremental interreduction and the one-term fast path
+
+F2_XYZ = PolyRing(GF2, ["x", "y", "z"])
+ORDERS = [grevlex, lex, Block(1, lex, grevlex)]
+ORDER_IDS = ["grevlex", "lex", "block"]
+FIELDS = [GF2, F5, QQ]
+FIELD_IDS = ["F2", "F5", "Q"]
+exps3 = st.tuples(*[st.integers(0, 3)] * 3)
+
+
+def coefficient(field):
+    return st.sampled_from([c for c in map(field.from_int, (1, 2, 3, 4)) if c != field.zero])
+
+
+def below(m):
+    """A divisor of the monomial m."""
+    return st.tuples(*[st.integers(0, e) for e in m])
+
+
+@st.composite
+def plus_chain(draw, field):
+    """Up to six monomials and binomials.  A step may take a divisor of a
+    term of an earlier generator, so that its leading term drops a seed
+    element or hits a seed element's tail."""
+    ring = PolyRing(field, ["x", "y", "z"])
+    gens = []
+    for _ in range(draw(st.integers(1, 6))):
+        earlier = [m for g in gens for m in g.terms]
+        if earlier and draw(st.booleans()):
+            lead = draw(below(draw(st.sampled_from(earlier))))
+        else:
+            lead = draw(exps3)
+        terms = {lead: draw(coefficient(field))}
+        if draw(st.booleans()):
+            terms[draw(exps3)] = draw(coefficient(field))
+        gens.append(ring.from_terms(terms))
+    return gens
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_plus_chain_interreduces_like_a_fresh_run(field, order, data):
+    gens = data.draw(plus_chain(field))
+    stage = ideal(gens[0].ring, [])
+    for k, g in enumerate(gens, 1):
+        stage = stage.plus(g, order)
+        assert list(stage.groebner_basis(order)) == buchberger(gens[:k], order)
+
+
+def test_plus_drops_and_re_reduces_seed_elements():
+    seed = ideal(F2_XYZ, dsl.parse_polys(F2_XYZ, "x^2+y*z; y^3+z"))
+    assert [dsl.format_poly(g) for g in seed.groebner_basis()] == ["x^2+y*z", "y^3+z"]
+    # y divides the leading term y^3 (that element is dropped) and the tail
+    # term y*z of x^2+y*z (that element is reduced again, to x^2)
+    grown = seed.plus(F2_XYZ.var("y"))
+    assert [dsl.format_poly(g) for g in grown.groebner_basis()] == ["z", "y", "x^2"]
+    assert list(grown.groebner_basis()) == buchberger(grown.generators)
+
+
+def one_term(field):
+    return st.tuples(exps3, coefficient(field)).map(
+        lambda mc: PolyRing(field, ["x", "y", "z"]).monomial(*mc))
+
+
+def reducer(field):
+    """A monomial with any coefficient, or a binomial with a non-monic
+    leading coefficient where the field has one."""
+    ring = PolyRing(field, ["x", "y", "z"])
+    monomial = st.tuples(exps3, coefficient(field)).map(lambda mc: ring.monomial(*mc))
+    binomial = st.tuples(exps3, coefficient(field), exps3, coefficient(field)).map(
+        lambda t: ring.from_terms({t[0]: t[1], t[2]: t[3]}))
+    return st.one_of(monomial, binomial)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+@PROPERTY
+@given(data=st.data())
+def test_one_term_normal_form_matches_reference_division(field, order, data):
+    f = data.draw(one_term(field))
+    basis = data.draw(st.lists(reducer(field), max_size=4))
+    assert_matches_reference(f, basis, order)
+    (m,) = f.terms
+    if not any(all(a >= b for a, b in zip(m, g.leading(order)[0])) for g in basis):
+        assert normal_form(f, basis, order) is f
