@@ -15,8 +15,8 @@ from qlc.closure import (generic_forcing_algebra, lc_class_vanishing,
 from qlc.closure import test_element_search as element_search
 from qlc.config import JobConfig, budget
 from qlc.groebner import IdealHandle
-from qlc.quasilength import validate_filtration
 from qlc.poly import grevlex
+from qlc.quasilength import validate_filtration
 from qlc.quotient import QuotientPresentation
 
 FERMAT = "F7[x,y,z]/(x^3 + y^3 + z^3)"

@@ -442,7 +442,6 @@ def test_plus_folds_to_buchberger(field, order, data):
 # ---------------------------------------------------------------------------
 # incremental interreduction and the one-term fast path
 
-F2_XYZ = PolyRing(GF2, ["x", "y", "z"])
 ORDERS = [grevlex, lex, Block(1, lex, grevlex)]
 ORDER_IDS = ["grevlex", "lex", "block"]
 FIELDS = [GF2, F5, QQ]
@@ -492,11 +491,12 @@ def test_plus_chain_interreduces_like_a_fresh_run(field, order, data):
 
 
 def test_plus_drops_and_re_reduces_seed_elements():
-    seed = ideal(F2_XYZ, dsl.parse_polys(F2_XYZ, "x^2+y*z; y^3+z"))
+    ring = PolyRing(GF2, ["x", "y", "z"])
+    seed = ideal(ring, dsl.parse_polys(ring, "x^2+y*z; y^3+z"))
     assert [dsl.format_poly(g) for g in seed.groebner_basis()] == ["x^2+y*z", "y^3+z"]
     # y divides the leading term y^3 (that element is dropped) and the tail
     # term y*z of x^2+y*z (that element is reduced again, to x^2)
-    grown = seed.plus(F2_XYZ.var("y"))
+    grown = seed.plus(ring.var("y"))
     assert [dsl.format_poly(g) for g in grown.groebner_basis()] == ["z", "y", "x^2"]
     assert list(grown.groebner_basis()) == buchberger(grown.generators)
 
@@ -507,8 +507,8 @@ def one_term(field):
 
 
 def reducer(field):
-    """A monomial with any coefficient, or a binomial with a non-monic
-    leading coefficient where the field has one."""
+    """A monomial or a binomial; over F5 and Q its leading coefficient is
+    often not 1."""
     ring = PolyRing(field, ["x", "y", "z"])
     monomial = st.tuples(exps3, coefficient(field)).map(lambda mc: ring.monomial(*mc))
     binomial = st.tuples(exps3, coefficient(field), exps3, coefficient(field)).map(
