@@ -229,29 +229,26 @@ class ShortSearchResult:
 
 
 def short_filtration_search(pres: QuotientPresentation, xs, t: int,
-                            max_steps: int | None = None,
-                            degree_cap: int | None = None,
                             config: JobConfig = DEFAULT) -> ShortSearchResult:
     """Depth-limited search for a filtration of R/(relations + (x^t)) with
     fewer than t^d one-generator steps.
 
-    Candidates for the next generator are monomials up to degree_cap (default
-    2*t*d) whose products with every parameter already reduce to zero; the
-    chain always closes with 1.  Iterative deepening tries 1, 2, ... up to
-    max_steps (default t^d - 1), so a found certificate is shortest within
-    the candidate pool.  Nodes are capped by config.disproof_node_budget;
-    running out returns complete=False and no certificate.
+    Candidates for the next generator are monomials of degree at most 2*t*d
+    whose products with every parameter already reduce to zero; the chain
+    always closes with 1.  Iterative deepening tries 1, 2, ... up to t^d - 1
+    steps, so a found certificate is shortest within the candidate pool.
+    Nodes are capped by config.disproof_node_budget; running out returns
+    complete=False and no certificate.
     """
     xs = tuple(xs)
     d = len(xs)
     if t < 1 or d < 1:
         raise ValueError("need t >= 1 and at least one parameter")
     full = t ** d
-    max_steps = full - 1 if max_steps is None else max_steps
-    degree_cap = 2 * t * d if degree_cap is None else degree_cap
+    max_steps = full - 1
     ambient = pres.ambient
     target = tuple(x ** t for x in xs)
-    pool = [m for m in _monomials_by_degree(ambient, degree_cap) if not m.is_constant()]
+    pool = [m for m in _monomials_by_degree(ambient, 2 * t * d) if not m.is_constant()]
     param_ideal = ideal(ambient, list(xs))
     # I^r must fit inside a stage that can still finish within r steps
     power_gens = {r: ideal_power(param_ideal, r).generators for r in range(max_steps + 1)}

@@ -176,11 +176,11 @@ class RowSpace:
 
 
 # ---------------------------------------------------------------------------
-# dense helpers (coordinate vectors as lists, matrices as list-of-rows)
-
-
-def identity(field, n):
-    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+# dense helpers (coordinate vectors as lists, matrices as list-of-rows).
+# mat_mul checks that module actions commute.  No engine code calls
+# nullspace or mat_vec: the benchmark tracer (bench/tracer.py, TARGETS)
+# wraps both by name, and the tests use nullspace as the dense reference
+# for the RowSpace colon of the quasilength search.
 
 
 def mat_vec(field, A, v):

@@ -18,7 +18,11 @@ The search works on coordinate vectors in the row kind the field picks
 (RowSpace.coordinates): ints read as bit vectors over F_2, dicts of nonzero
 coordinates otherwise.  One helper per search holds every action and
 killing matrix as its columns, so applying a matrix visits only the nonzero
-entries.  Both kinds walk the same spans in the same order.  Module
+entries; a killing matrix is built from the action columns, term by term.
+The colon (span : I) is one RowSpace elimination on the search's own rows,
+so RowSpace is the only elimination the search uses and dense lists appear
+only at the boundary (the module's action matrices in, certificate
+generators out).  Both kinds walk the same spans in the same order.  Module
 certificates are checked on dict rows whatever the field, so a fault in the
 packed path cannot certify its own answer.
 """
@@ -33,8 +37,8 @@ from dataclasses import dataclass, field as dc_field
 from . import dsl
 from .config import check_budget
 from .groebner import IdealHandle, InternalError
-from .linalg import RowSpace, identity, mat_mul, nullspace
-from .poly import Polynomial, frobenius_power, grevlex
+from .linalg import RowSpace
+from .poly import Polynomial, frobenius_power
 from .quotient import (NotZeroDimensional, QuotientPresentation, VectorModule,
                        length, min_generators)
 
@@ -84,7 +88,7 @@ class FiltrationCertificate:
 # validation
 
 
-def validate_filtration(cert: FiltrationCertificate, order=grevlex) -> Verdict:
+def validate_filtration(cert: FiltrationCertificate) -> Verdict:
     """Check every step of a certificate; records and returns the verdict.
 
     Invalid verdicts carry the 1-based step and a witness description.  A
@@ -92,7 +96,7 @@ def validate_filtration(cert: FiltrationCertificate, order=grevlex) -> Verdict:
     reported as invalid at step h+1 with no witness.
     """
     if isinstance(cert.context, RingContext):
-        verdict = _validate_ring(cert, order)
+        verdict = _validate_ring(cert)
     elif isinstance(cert.context, ModuleContext):
         verdict = _validate_module(cert)
     else:
@@ -101,17 +105,17 @@ def validate_filtration(cert: FiltrationCertificate, order=grevlex) -> Verdict:
     return verdict
 
 
-def _validate_ring(cert: FiltrationCertificate, order) -> Verdict:
+def _validate_ring(cert: FiltrationCertificate) -> Verdict:
     pres = cert.context.presentation
     stage = pres.ideal(cert.context.target)
     for j, g in enumerate(cert.generators, 1):
         for f in cert.killing:
             check_budget()
-            if not stage.contains_poly(f * g, order):
+            if not stage.contains_poly(f * g):
                 witness = f"({dsl.format_poly(f)})*({dsl.format_poly(g)}) not in stage {j - 1}"
                 return Verdict("invalid", j, witness)
-        stage = stage.plus(g, order)
-    if not stage.is_unit_ideal(order):
+        stage = stage.plus(g)
+    if not stage.is_unit_ideal():
         return Verdict("invalid", len(cert.generators) + 1, None)
     return Verdict("valid")
 
@@ -137,49 +141,7 @@ def _validate_module(cert: FiltrationCertificate) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# matrix plumbing
-
-
-def poly_action(M: VectorModule, f: Polynomial):
-    """Row-major matrix of multiplication by f on M's basis."""
-    if f.ring != M.ring:
-        raise ValueError("polynomial lives in a different ring than the module")
-    F = M.field
-    n = M.dim
-    cache: dict = {}
-
-    def var_power(vi: int, e: int):
-        if e == 0:
-            return identity(F, n)
-        got = cache.get((vi, e))
-        if got is None:
-            if e == 1:
-                got = M.actions[M.ring.variables[vi]]
-            else:
-                half = var_power(vi, e // 2)
-                got = mat_mul(F, half, half)
-                if e % 2:
-                    got = mat_mul(F, got, var_power(vi, 1))
-            cache[(vi, e)] = got
-        return got
-
-    out = [[F.zero] * n for _ in range(n)]
-    for mono, c in f.terms.items():
-        mat = None
-        for vi, e in enumerate(mono):
-            if e == 0:
-                continue
-            p = var_power(vi, e)
-            mat = p if mat is None else mat_mul(F, mat, p)
-        if mat is None:
-            mat = identity(F, n)
-        for i in range(n):
-            row = mat[i]
-            orow = out[i]
-            for j in range(n):
-                if row[j] != F.zero:
-                    orow[j] = F.add(orow[j], F.mul(c, row[j]))
-    return out
+# coordinate rows
 
 
 class _Coords:
@@ -191,12 +153,31 @@ class _Coords:
     def __init__(self, M: VectorModule, killing):
         self.field = M.field
         self.dim = M.dim
+        self.ring = M.ring
         self.actions = [self._columns(M.actions[var]) for var in M.ring.variables]
-        self.killing = [self._columns(poly_action(M, f)) for f in killing]
+        self.killing = [self._times(f) for f in killing]
 
     def _columns(self, A) -> dict:
         rows = range(self.dim)
         return {self._unit_key(j): self.pack([A[i][j] for i in rows]) for j in rows}
+
+    def _times(self, f: Polynomial) -> dict:
+        """Columns of multiplication by f: f*e_j is the sum of c*x^m*e_j over
+        the terms of f, x^m applied one variable at a time."""
+        if f.ring != self.ring:
+            raise ValueError("polynomial lives in a different ring than the module")
+        cols = {}
+        for j in range(self.dim):
+            unit = self._unit(j)
+            images = []
+            for mono in f.terms:
+                vec = unit
+                for acts, e in zip(self.actions, mono):
+                    for _ in range(e):
+                        vec = self.apply(acts, vec)
+                images.append(vec)
+            cols[self._unit_key(j)] = self.combine(f.terms.values(), images)
+        return cols
 
     def images(self, row) -> list:
         """A row's images under every variable, for RowSpace.close."""
@@ -215,6 +196,9 @@ class _DictCoords(_Coords):
     def _unit_key(j: int) -> int:
         return j
 
+    def _unit(self, j: int) -> dict:
+        return {j: self.field.one}
+
     def space(self) -> RowSpace:
         return RowSpace(self.field)
 
@@ -226,10 +210,10 @@ class _DictCoords(_Coords):
         zero = self.field.zero
         return tuple(vec.get(i, zero) for i in range(self.dim))
 
-    @staticmethod
-    def support(vecs) -> list:
-        """Coordinates nonzero in some vec, ascending."""
-        return sorted({i for vec in vecs for i in vec})
+    def shift(self, vec: dict, k: int) -> dict:
+        """vec moved to the k-th block of dim columns."""
+        offset = k * self.dim
+        return {i + offset: c for i, c in vec.items()}
 
     def apply(self, cols: dict, vec: dict) -> dict:
         F = self.field
@@ -270,6 +254,8 @@ class _BitCoords(_Coords):
     def _unit_key(j: int) -> int:
         return 1 << j
 
+    _unit = _unit_key  # a unit bit is its own vector
+
     def space(self) -> RowSpace:
         return RowSpace.coordinates(self.field)
 
@@ -283,12 +269,9 @@ class _BitCoords(_Coords):
     def unpack(self, vec: int) -> tuple:
         return tuple((vec >> i) & 1 for i in range(self.dim))
 
-    def support(self, vecs) -> list:
-        """Coordinates nonzero in some vec, ascending."""
-        union = 0
-        for vec in vecs:
-            union |= vec
-        return [i for i in range(self.dim) if (union >> i) & 1]
+    def shift(self, vec: int, k: int) -> int:
+        """vec moved to the k-th block of dim columns."""
+        return vec << (k * self.dim)
 
     @staticmethod
     def apply(cols: dict, vec: int) -> int:
@@ -309,29 +292,34 @@ class _BitCoords(_Coords):
         return vec
 
 
-def _coordinates(M: VectorModule, I: IdealHandle):
+def _coordinates(M: VectorModule, killing=()):
     """The coordinate helper of one search, in the row kind that
     RowSpace.coordinates picks for the field."""
     packed = RowSpace.coordinates(M.field).packed
-    return (_BitCoords if packed else _DictCoords)(M, I.generators)
-
-
-def _colon_basis(coords, space: RowSpace) -> list:
-    """Dense basis of {v in M : A*v in space for every killing matrix A}."""
-    constraints = []
-    for cols in coords.killing:
-        residues = [space.reduce(col) for col in cols.values()]
-        dense = [coords.unpack(r) for r in residues]
-        for i in coords.support(residues):
-            constraints.append([d[i] for d in dense])
-    return nullspace(coords.field, constraints, coords.dim)
+    return (_BitCoords if packed else _DictCoords)(M, killing)
 
 
 def _candidate_rows(coords, space: RowSpace) -> list:
-    """Canonical residue basis of (space : I) / space, in the row kind."""
+    """Canonical residue basis of (space : I) / space, in the row kind.
+
+    One elimination: row j holds e_j in columns [0, dim) and, for the k-th
+    killing matrix A_k, the residue of A_k*e_j modulo space in columns
+    [k*dim, (k+1)*dim).  Pivots fall on the largest column, so the reduced
+    rows whose pivot lies below dim have zero residues: they span the colon
+    {v : A_k*v in space for every k}.
+    """
+    elim = coords.space()
+    for j in range(coords.dim):
+        key = coords._unit_key(j)
+        row = coords._unit(j)
+        for k, cols in enumerate(coords.killing, 1):
+            row |= coords.shift(space.reduce(cols[key]), k)
+        elim.insert(row)
+    residues_start = coords._unit_key(coords.dim)
     res = coords.space()
-    for b in _colon_basis(coords, space):
-        res.insert(space.reduce(coords.pack(b)))
+    for pivot, row in elim.rows.items():
+        if pivot < residues_start:
+            res.insert(space.reduce(row))
     return res.basis()
 
 
@@ -384,17 +372,16 @@ def lower_length_ratio(M: VectorModule, I: IdealHandle) -> int:
 
 
 def _all_nilpotent(M: VectorModule) -> bool:
-    # commuting nilpotents: Nakayama applies, min_generators is a true bound
-    F = M.field
-    for var in M.ring.variables:
-        A = M.actions[var]
-        power = A
-        k = 1
-        while k < M.dim:
-            power = mat_mul(F, power, power)
-            k *= 2
-        if any(c != F.zero for row in power for c in row):
-            return False
+    # commuting nilpotents: Nakayama applies, min_generators is a true bound.
+    # A is nilpotent iff A^dim * e_j = 0 for every j.
+    coords = _coordinates(M)
+    for cols in coords.actions:
+        for j in range(M.dim):
+            vec = coords._unit(j)
+            for _ in range(M.dim):
+                vec = coords.apply(cols, vec)
+            if vec:
+                return False
     return True
 
 
@@ -416,7 +403,7 @@ def _lower_bound(M: VectorModule, I: IdealHandle) -> tuple:
 def _search(M: VectorModule, I: IdealHandle, coeff_pool):
     """Breadth-first search over action-closed subspaces; returns the first
     chain reaching the full module (shortest within the candidate pool)."""
-    coords = _coordinates(M, I)
+    coords = _coordinates(M, I.generators)
     images = coords.images
     start = coords.space()
     start_key = start.key()
@@ -451,7 +438,7 @@ def _search(M: VectorModule, I: IdealHandle, coeff_pool):
 
 def _greedy_chain(M: VectorModule, I: IdealHandle) -> list:
     """Sweep upper bound: absorb a whole colon layer per round."""
-    coords = _coordinates(M, I)
+    coords = _coordinates(M, I.generators)
     images = coords.images
     space = coords.space()
     chain = []

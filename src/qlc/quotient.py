@@ -112,10 +112,10 @@ class VectorModule:
     k_gb is the reduced GB of the ideal the module is taken modulo, or None.
     space, when given, is the RowSpace of normal forms modulo k_gb whose
     pivot rows are the basis: the polynomial model behind element_from_poly.
+    Modules are built under grevlex.
     """
 
-    def __init__(self, ring, actions: dict, labels=None, k_gb=None, order=grevlex,
-                 space=None):
+    def __init__(self, ring, actions: dict, labels=None, k_gb=None, space=None):
         dims = {len(m) for m in actions.values()}
         if set(actions) != set(ring.variables):
             raise ValueError("need exactly one action matrix per ring variable")
@@ -126,7 +126,6 @@ class VectorModule:
             if any(len(row) != n for row in m):
                 raise ValueError("action matrices must be square")
         self.ring = ring
-        self.order = order
         self.field = ring.field
         self.k_gb = k_gb
         self.space = space
@@ -148,7 +147,7 @@ class VectorModule:
         the module has no polynomial model (from_actions, direct_sum)."""
         if self.space is None:
             raise ValueError("the module has no polynomial model")
-        vec = normal_form(f, self.k_gb, self.order).terms
+        vec = normal_form(f, self.k_gb).terms
         if self.space.reduce(vec):
             raise ValueError(f"{f!r} does not lie in the module")
         return [vec.get(p, self.field.zero) for p in self.space.pivots()]
@@ -174,25 +173,24 @@ class VectorModule:
         return cls(ring, actions, labels, k_gb)
 
 
-def _times_var(ring, var_index: int, row: dict, k_gb, order) -> dict:
+def _times_var(ring, var_index: int, row: dict, k_gb) -> dict:
     """Terms of x_i * row reduced modulo k_gb."""
     shifted = {}
     for m, c in row.items():
         e = list(m)
         e[var_index] += 1
         shifted[tuple(e)] = c
-    return normal_form(Polynomial(ring, shifted), k_gb, order).terms
+    return normal_form(Polynomial(ring, shifted), k_gb).terms
 
 
-def vector_module(J: IdealHandle, K: IdealHandle, degree_bound: int = 64,
-                  order=grevlex) -> VectorModule:
+def vector_module(J: IdealHandle, K: IdealHandle, degree_bound: int = 64) -> VectorModule:
     """The subquotient J/K as a VectorModule.  K must sit inside J; the spin
     aborts past degree_bound (the module is then infinite length, or the
     bound is too tight)."""
     ring = J.ring
     if K.ring != ring:
         raise ValueError("J and K live in different rings")
-    k_gb = list(K.groebner_basis(order))
+    k_gb = list(K.groebner_basis())
     for g in K.generators:
         if not J.contains_poly(g):
             raise ValueError("K is not contained in J")
@@ -200,10 +198,10 @@ def vector_module(J: IdealHandle, K: IdealHandle, degree_bound: int = 64,
     def images(row):
         if any(sum(m) > degree_bound for m in row):
             raise ValueError(f"module spin exceeded degree bound {degree_bound}")
-        return (_times_var(ring, vi, row, k_gb, order) for vi in range(ring.nvars))
+        return (_times_var(ring, vi, row, k_gb) for vi in range(ring.nvars))
 
-    space = RowSpace(ring.field, colkey=order.key)
-    space.close((normal_form(g, k_gb, order).terms for g in J.generators), images)
+    space = RowSpace(ring.field, colkey=grevlex.key)
+    space.close((normal_form(g, k_gb).terms for g in J.generators), images)
     pivots = space.pivots()
     dim = len(pivots)
     zero = ring.field.zero
@@ -211,19 +209,19 @@ def vector_module(J: IdealHandle, K: IdealHandle, degree_bound: int = 64,
     for vi, var in enumerate(ring.variables):
         cols = []
         for p in pivots:
-            image = _times_var(ring, vi, space.rows[p], k_gb, order)
+            image = _times_var(ring, vi, space.rows[p], k_gb)
             if space.reduce(image):
                 raise InternalError("module spin was not action-closed")
             cols.append([image.get(q, zero) for q in pivots])
         actions[var] = [[cols[j][i] for j in range(dim)] for i in range(dim)]
     labels = [dsl._format_mono(ring, p) or "1" for p in pivots]
-    return VectorModule(ring, actions, labels, k_gb, order, space)
+    return VectorModule(ring, actions, labels, k_gb, space)
 
 
-def quotient_module(Q: IdealHandle, degree_bound: int = 64, order=grevlex) -> VectorModule:
+def quotient_module(Q: IdealHandle, degree_bound: int = 64) -> VectorModule:
     """R/Q as a VectorModule (J = (1))."""
     one = IdealHandle(Q.ring, [Q.ring.one()])
-    return vector_module(one, Q, degree_bound, order)
+    return vector_module(one, Q, degree_bound)
 
 
 def min_generators(M: VectorModule) -> int:
@@ -249,4 +247,4 @@ def direct_sum(M: VectorModule, N: VectorModule) -> VectorModule:
         bottom = [[F.zero] * M.dim + list(row) for row in N.actions[var]]
         actions[var] = top + bottom
     labels = [f"({l},0)" for l in M.labels] + [f"(0,{l})" for l in N.labels]
-    return VectorModule(M.ring, actions, labels, order=M.order)
+    return VectorModule(M.ring, actions, labels)

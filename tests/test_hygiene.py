@@ -6,6 +6,11 @@ string annotations count as used.
 
 Every private function (module level) and private method is referenced
 somewhere in the package besides its own definition.
+
+Every public module-level function is exported by the package's __init__.py
+or referenced somewhere in the package, its tests or the benchmark; a name
+inside a string counts, because bench/tracer.py names the functions it wraps
+as strings.
 """
 
 import ast
@@ -13,7 +18,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qlc"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qlc"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -103,3 +109,47 @@ def test_orphan_scan_sees_functions_and_methods():
     assert _private_defs(tree) == [("_used", 1), ("_dead", 2), ("_gone", 4)]
     assert {name for name, _l in _private_defs(tree)} - _references(tree) \
         == {"_dead", "_gone"}
+
+
+def _public_defs(tree) -> list:
+    """(name, line) of each public module-level function."""
+    return [(d.name, d.lineno) for d in tree.body
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not d.name.startswith("_")]
+
+
+def _string_names(tree) -> set:
+    """Dotted parts of every string constant: "Poly.mul" names Poly and mul."""
+    return {part for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for part in node.value.split(".")}
+
+
+def _unreferenced_public(defining: dict, referrers, exported: set) -> list:
+    """Public functions of the defining trees that no referrer names and
+    the package does not export."""
+    refs = set().union(*(_references(t) | _string_names(t) for t in referrers))
+    return sorted(f"{name}.{fn} (line {line})" for name, tree in defining.items()
+                  for fn, line in _public_defs(tree)
+                  if fn not in refs and fn not in exported)
+
+
+def test_no_unreferenced_public_functions():
+    defining = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").rglob("*.py")) \
+        + sorted((ROOT / "bench").rglob("*.py"))
+    referrers = [ast.parse(p.read_text(), filename=str(p)) for p in paths]
+    exported = set(_imported(ast.parse((SRC / "__init__.py").read_text())))
+    dead = _unreferenced_public(defining, referrers, exported)
+    assert not dead, f"public functions nothing references or exports: {dead}"
+
+
+def test_public_scan_sees_calls_strings_and_exports():
+    defining = {"m.py": ast.parse("def called(): pass\ndef wrapped(): pass\n"
+                                  "def exported(): pass\ndef dead(): pass\n"
+                                  "def _private(): pass\nclass C:\n"
+                                  "    def method(self): pass\n")}
+    assert _public_defs(defining["m.py"]) == [("called", 1), ("wrapped", 2),
+                                              ("exported", 3), ("dead", 4)]
+    referrers = [ast.parse("called()\nTARGETS = [('qlc.m', 'wrapped', 'g')]\n")]
+    assert _unreferenced_public(defining, referrers, {"exported"}) == ["m.py.dead (line 4)"]

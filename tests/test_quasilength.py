@@ -13,19 +13,62 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qlc import dsl
-from qlc.fields import GF2, GF3
+from qlc.fields import GF2, GF3, QQ
 from qlc.groebner import InternalError, ideal
-from qlc.linalg import RowSpace, nullspace
+from qlc.linalg import RowSpace, mat_mul, nullspace
 from qlc.poly import PolyRing
 from qlc.quasilength import (FiltrationCertificate, NoFiltration, RingContext,
-                             SearchLimit, _BitCoords, _search,
+                             SearchLimit, _all_nilpotent, _BitCoords,
+                             _candidate_rows, _coordinates, _search,
                              certificate_from_json, certificate_to_json,
                              exact_search_cap, frobenius_transport,
-                             lower_length_ratio, poly_action, quasilength,
+                             lower_length_ratio, quasilength,
                              quasilength_exact, staircase_filtration,
                              validate_filtration)
 from qlc.quotient import (QuotientPresentation, direct_sum, quotient_module,
                           vector_module)
+
+
+# ---------------------------------------------------------------------------
+# dense reference for the killing matrices
+
+
+def poly_action(M, f):
+    """Row-major matrix of multiplication by f on M's basis, by dense
+    powers of the action matrices."""
+    if f.ring != M.ring:
+        raise ValueError("polynomial lives in a different ring than the module")
+    F = M.field
+    n = M.dim
+    eye = [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
+    cache: dict = {}
+
+    def var_power(vi: int, e: int):
+        if e == 0:
+            return eye
+        got = cache.get((vi, e))
+        if got is None:
+            if e == 1:
+                got = M.actions[M.ring.variables[vi]]
+            else:
+                half = var_power(vi, e // 2)
+                got = mat_mul(F, half, half)
+                if e % 2:
+                    got = mat_mul(F, got, var_power(vi, 1))
+            cache[(vi, e)] = got
+        return got
+
+    out = [[F.zero] * n for _ in range(n)]
+    for mono, c in f.terms.items():
+        mat = eye
+        for vi, e in enumerate(mono):
+            if e:
+                mat = mat_mul(F, mat, var_power(vi, e))
+        for i in range(n):
+            for j in range(n):
+                if mat[i][j] != F.zero:
+                    out[i][j] = F.add(out[i][j], F.mul(c, mat[i][j]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +218,13 @@ def test_no_filtration_when_killing_ideal_is_unit():
     M = vector_module(ideal(ring, [x]), ideal(ring, [x ** 2]))
     with pytest.raises(NoFiltration):
         quasilength_exact(M, ideal(ring, [ring.one()]))
+
+
+def test_killing_polynomial_from_another_ring_is_refused():
+    ring = PolyRing(GF2, ["x"])
+    M = quotient_module(ideal(ring, [ring.var("x") ** 2]))
+    with pytest.raises(ValueError, match="different ring"):
+        quasilength_exact(M, ideal(R2, [R2.var("x")]))
 
 
 def test_search_limit_and_greedy_fallback():
@@ -457,31 +507,114 @@ def test_packed_search_walks_like_the_dict_reference(case):
     assert len(got) == len(want)            # candidate closures
 
 
+def _quo(ring, text):
+    return quotient_module(ideal(ring, dsl.parse_polys(ring, text)))
+
+
 def _pinned_modules():
     R3 = PolyRing(GF3, ["x", "y"])
-
-    def quo(ring, text):
-        return quotient_module(ideal(ring, dsl.parse_polys(ring, text)))
-
-    f2 = direct_sum(quo(R2, "x^2;y^3"), quo(R2, "x^3;y^2"))
-    f3 = direct_sum(quo(R3, "x^2;x*y;y^3"), quo(R3, "x^2;y^2"))
+    RQ = PolyRing(QQ, ["x", "y"])
+    f2 = direct_sum(_quo(R2, "x^2;y^3"), _quo(R2, "x^3;y^2"))
+    f3 = direct_sum(_quo(R3, "x^2;x*y;y^3"), _quo(R3, "x^2;y^2"))
+    q = direct_sum(_quo(RQ, "x^2;y^2"), _quo(RQ, "x^2;y^2"))
     return ((f2, ideal(R2, dsl.parse_polys(R2, "x^2;y^2"))),
-            (f3, ideal(R3, dsl.parse_polys(R3, "x;y^2"))))
+            (f3, ideal(R3, dsl.parse_polys(R3, "x;y^2"))),
+            (q, ideal(RQ, dsl.parse_polys(RQ, "x;y"))))
 
 
 @pytest.mark.parametrize("which, spans, candidates, chain", [
     (0, 830, 22374, ["(0,x)", "(0,1)", "(y,0)", "(1,0)"]),
     (1, 621, 6416, ["(x,0) + (0,x)", "(x,0) + (y,0) + (0,y)", "(1,0) + (0,1)",
                     "(1,0)"]),
+    # over Q: the {0,1,-1}-coordinate pool search, which meets the lower bound
+    (2, 776, 2525, ["(0,x*y)", "(0,y)", "(0,x)", "(0,1)", "(x*y,0)", "(y,0)",
+                    "(x,0)", "(1,0)"]),
 ])
 def test_exact_search_walks_are_pinned(which, spans, candidates, chain):
     M, I = _pinned_modules()[which]
     with _key_log() as keys:
-        value, cert = quasilength_exact(M, I)
-    assert value == 4
+        bounds = quasilength(M, I)
+    assert bounds.exact == len(chain) and bounds.certificate.validated.ok
     assert len(set(keys)) == spans           # the zero span included
     assert len(keys) == 1 + candidates       # the start span, then each closure
-    assert [M.format_vector(g) for g in cert.generators] == chain
+    assert [M.format_vector(g) for g in bounds.certificate.generators] == chain
+
+
+def test_lower_bound_uses_min_generators_on_nilpotent_actions():
+    R1 = PolyRing(QQ, ["x"])
+    M = direct_sum(_quo(R1, "x^2"), _quo(R1, "x^2"))
+    assert _all_nilpotent(M) is True
+    bounds = quasilength(M, ideal(R1, dsl.parse_polys(R1, "x^2")))
+    assert (bounds.lower, bounds.exact) == (2, 2)
+    assert bounds.lower_method == "min-generators"
+
+
+def test_lower_bound_skips_min_generators_on_an_idempotent_action():
+    R1 = PolyRing(QQ, ["x"])
+    M = direct_sum(_quo(R1, "x^2-x"), _quo(R1, "x^2-x"))
+    assert _all_nilpotent(M) is False  # x acts as a nonzero idempotent
+    bounds = quasilength(M, ideal(R1, dsl.parse_polys(R1, "x^2-x")))
+    assert (bounds.lower, bounds.exact) == (2, 2)
+    assert bounds.lower_method == "length-ratio"
+
+
+# ---------------------------------------------------------------------------
+# the colon: one RowSpace elimination on the search's own rows, against the
+# dense nullspace of the stacked residue constraints
+
+
+RING_KINDS = [R2, PolyRing(GF3, ["x", "y"]), PolyRing(QQ, ["x", "y"])]
+COLON = settings(max_examples=60, deadline=None, derandomize=True,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def _colon_cases(draw):
+    """A quotient of K[x,y] (K = F2, F3 or Q) or a sum of two, a killing
+    ideal whose generators may have several terms and a constant term, and
+    vectors whose action-closed span is the colon's input."""
+    ring = draw(st.sampled_from(RING_KINDS))
+
+    def summand():
+        if draw(st.booleans()):  # not local: x has eigenvalues 0 and 1, or +-1
+            return _quo(ring, draw(st.sampled_from(["x^2-x;y^2", "x^2-1;x*y;y^2",
+                                                    "x^3-x;y^2-y"])))
+        extra = draw(st.sampled_from(["", ";x*y", ";x^2-y", ";x*y-y^2"]))
+        return _quo(ring, f"x^{draw(st.integers(1, 3))};y^{draw(st.integers(1, 3))}"
+                    + extra)
+
+    M = summand()
+    if draw(st.booleans()):
+        M = direct_sum(M, summand())
+    killing = draw(st.lists(st.sampled_from(["x", "y^2", "x^2-y", "1+x*y", "x*y+y",
+                                             "x+1", "x-1+y"]),
+                            min_size=1, max_size=3, unique=True))
+    coeffs = st.lists(st.integers(-2, 2), min_size=M.dim, max_size=M.dim)
+    gens = [[ring.field.from_int(c) for c in g]
+            for g in draw(st.lists(coeffs, max_size=3))]
+    return M, ideal(ring, [dsl.parse_poly(ring, f) for f in killing]), gens
+
+
+@COLON
+@given(_colon_cases())
+@example((_quo(R2, "x^3;y^2"), ideal(R2, dsl.parse_polys(R2, "1+x*y;x^2-y")),
+          [[0, 1, 0, 0, 0, 0]]))
+def test_colon_rows_match_the_dense_reference(case):
+    M, I, gens = case
+    F = M.field
+    coords = _coordinates(M, I.generators)
+    assert isinstance(coords, _BitCoords) == (F.size == 2)
+    space = coords.space()
+    space.close([coords.pack(g) for g in gens], coords.images)
+    actions = [M.actions[var] for var in M.ring.variables]
+    ref = RowSpace(F)
+    ref.close([{i: c for i, c in enumerate(g) if c != F.zero} for g in gens],
+              lambda row: [_ref_apply(F, A, row) for A in actions])
+    assert space.dim == ref.dim
+    mats = [poly_action(M, f) for f in I.generators]
+    want = [tuple(r.get(i, F.zero) for i in range(M.dim))
+            for r in _ref_candidate_rows(M, ref, mats)]
+    assert [coords.unpack(r) for r in _candidate_rows(coords, space)] == want
 
 
 def test_certificate_check_catches_a_corrupted_packed_step():
