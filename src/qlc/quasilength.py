@@ -18,7 +18,8 @@ The search works on coordinate vectors in the row kind the field picks
 (RowSpace.coordinates): ints read as bit vectors over F_2, dicts of nonzero
 coordinates otherwise.  One helper per search holds every action and
 killing matrix as its columns, so applying a matrix visits only the nonzero
-entries; a killing matrix is built from the action columns, term by term.
+entries; a killing matrix is built from the action columns, term by term,
+each power of a variable by repeated squaring.
 The colon (span : I) is one RowSpace elimination on the search's own rows,
 so RowSpace is the only elimination the search uses and dense lists appear
 only at the boundary (the module's action matrices in, certificate
@@ -163,21 +164,42 @@ class _Coords:
 
     def _times(self, f: Polynomial) -> dict:
         """Columns of multiplication by f: f*e_j is the sum of c*x^m*e_j over
-        the terms of f, x^m applied one variable at a time."""
+        the terms of f, x^m the product of one power per variable."""
         if f.ring != self.ring:
             raise ValueError("polynomial lives in a different ring than the module")
-        cols = {}
-        for j in range(self.dim):
-            unit = self._unit(j)
-            images = []
-            for mono in f.terms:
-                vec = unit
-                for acts, e in zip(self.actions, mono):
-                    for _ in range(e):
-                        vec = self.apply(acts, vec)
-                images.append(vec)
-            cols[self._unit_key(j)] = self.combine(f.terms.values(), images)
-        return cols
+        identity = {self._unit_key(j): self._unit(j) for j in range(self.dim)}
+        cache: dict = {}
+        terms = []
+        for mono in f.terms:
+            cols = identity
+            for i, e in enumerate(mono):
+                if e:
+                    cols = self._compose(cols, self.power(i, e, cache))
+            terms.append(cols)
+        coeffs = f.terms.values()
+        return {key: self.combine(coeffs, [cols[key] for cols in terms]) for key in identity}
+
+    def power(self, i: int, e: int, cache: dict) -> dict:
+        """Columns of x_i^e (e >= 1) by square-and-multiply, the squares
+        x_i^(2^k) kept in cache under (i, k): the cost grows with log e."""
+        out, square, k = None, self.actions[i], 0
+        while True:
+            if e & 1:
+                out = square if out is None else self._compose(out, square)
+            e, k = e >> 1, k + 1
+            if not e:
+                return out
+            if (i, k) not in cache:
+                cache[(i, k)] = self._compose(square, square)
+            square = cache[(i, k)]
+
+    def _compose(self, A: dict, B: dict) -> dict:
+        """Columns of the product A*B."""
+        out = {}
+        for key, col in B.items():
+            check_budget()
+            out[key] = self.apply(A, col)
+        return out
 
     def images(self, row) -> list:
         """A row's images under every variable, for RowSpace.close."""
@@ -373,16 +395,10 @@ def lower_length_ratio(M: VectorModule, I: IdealHandle) -> int:
 
 def _all_nilpotent(M: VectorModule) -> bool:
     # commuting nilpotents: Nakayama applies, min_generators is a true bound.
-    # A is nilpotent iff A^dim * e_j = 0 for every j.
+    # A is nilpotent iff A^dim is zero.
     coords = _coordinates(M)
-    for cols in coords.actions:
-        for j in range(M.dim):
-            vec = coords._unit(j)
-            for _ in range(M.dim):
-                vec = coords.apply(cols, vec)
-            if vec:
-                return False
-    return True
+    return not any(any(coords.power(i, M.dim or 1, {}).values())
+                   for i in range(len(coords.actions)))
 
 
 def _lower_bound(M: VectorModule, I: IdealHandle) -> tuple:

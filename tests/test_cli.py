@@ -269,6 +269,18 @@ def test_fermat_t3_search_respects_the_budget(monkeypatch):
     assert time.monotonic() - start < budget + 1
 
 
+def test_huge_killing_exponent_answers_within_the_budget(monkeypatch, capsys):
+    # the killing matrix of x^e is built by repeated squaring, not e products
+    budget = 1
+    monkeypatch.setenv("QLC_BUDGET_SECS", str(budget))
+    start = time.monotonic()
+    code = run(["ql", "exact", "--ring", "F2[x]", "--top", "1", "--bottom",
+                "x^2", "--killing", "x^1000000000", "--json"])
+    assert time.monotonic() - start < budget + 1
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["result"]["exact"] == 1
+
+
 def test_field_size_beyond_the_primality_bound_is_a_usage_error(capsys):
     code = run(["gb", "--ring", f"F{PRIME_BOUND}[x]", "--ideal", "x"])
     assert code == EXIT_USAGE

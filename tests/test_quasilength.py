@@ -71,6 +71,21 @@ def poly_action(M, f):
     return out
 
 
+@pytest.mark.parametrize("ring_text, relations, f_text", [
+    ("F2[x,y]", "x^3+x+1;y^2", "x^1000000000*y+x^6+1"),       # packed rows
+    ("F3[x,y]", "x^2+1;y^2-y", "x^1000000001*y^7-x^5+1"),     # dict rows
+    ("Q[x,y]", "x^2+1;y^2", "x^1000000000-x*y^1000000000+3"),
+])
+def test_killing_columns_match_the_dense_reference(ring_text, relations, f_text):
+    # x acts invertibly, so x^e never becomes zero: the columns must come
+    # from repeated squaring, not e one-step products
+    ring = QuotientPresentation.parse(ring_text).ambient
+    M = quotient_module(ideal(ring, dsl.parse_polys(ring, relations)))
+    f = dsl.parse_poly(ring, f_text)
+    coords = _coordinates(M, [f])
+    assert coords.killing == [coords._columns(poly_action(M, f))]
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracle over F2: states are literal vector sets
 
