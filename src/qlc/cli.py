@@ -27,7 +27,7 @@ from .closure import (generic_forcing_algebra, lc_class_vanishing,
                       tight_membership_table)
 from .config import BudgetExhausted, budget, default_budget_seconds
 from .content import content_scan, limit_closure
-from .groebner import colon, ideal, ideal_compare, intersect
+from .groebner import buchberger, colon, ideal, ideal_compare, intersect
 from .poly import grevlex, lex
 from .quasilength import (NoFiltration, SearchLimit, certificate_from_json,
                           certificate_to_json, quasilength, quasilength_exact,
@@ -73,8 +73,8 @@ def _fmt(polys) -> list:
 
 def _cmd_gb(args):
     pres = _presentation(args)
-    order = _ORDERS[args.order]
-    basis = pres.ideal(_polys(pres, args.ideal)).groebner_basis(order)
+    gens = pres.ideal(_polys(pres, args.ideal)).generators
+    basis = buchberger(gens, _ORDERS[args.order])
     out = _fmt(basis)
     return {"basis": out}, out, EXIT_OK
 

@@ -6,7 +6,7 @@
               "/" only by nonzero constants, "^" by non-negative integers.
 
 Over F_p(t) the symbol t (unless shadowed by a ring variable) is the field
-generator.  format_poly writes terms in descending monomial order and its
+generator.  format_poly writes terms in descending grevlex order and its
 output reparses to the same polynomial.
 """
 
@@ -230,14 +230,14 @@ def _format_mono(ring: PolyRing, exps) -> str:
     return "*".join(parts)
 
 
-def format_poly(f: Polynomial, order=grevlex) -> str:
-    """Canonical text: terms in descending order, reparses to f."""
+def format_poly(f: Polynomial) -> str:
+    """Canonical text: terms in descending grevlex order, reparses to f."""
     if f.is_zero():
         return "0"
     ring = f.ring
     field = ring.field
     out = []
-    for m in sorted(f.terms, key=order.key, reverse=True):
+    for m in sorted(f.terms, key=grevlex.key, reverse=True):
         c = f.terms[m]
         sign = "-" if field.is_negative(c) else "+"
         if field.is_negative(c):

@@ -1,10 +1,13 @@
 """Buchberger engine and ideal operations.
 
-IdealHandle is the one ideal object: its generators, plus the reduced
-Groebner basis per order (canonical per ideal and order, so IdealHandle.key
-is a hashable ideal identity) cached next to that basis's prepared reducers.
-IdealHandle.plus grows an ideal one generator at a time, seeding Buchberger
-with the cached basis.
+The kernel (buchberger, normal_form on a polynomial list, the private
+reducers) runs under any monomial order; the layers above work in grevlex,
+since nothing the engine reports but a printed basis depends on the order,
+and reach another order only by calling buchberger directly.
+IdealHandle is the one ideal object: its generators and its reduced grevlex
+Groebner basis (canonical, so IdealHandle.key is a hashable ideal identity),
+kept next to that basis's prepared reducers.  IdealHandle.plus grows an
+ideal one generator at a time, seeding Buchberger with the kept basis.
 
 Pair selection is by sugar degree, following Gebauer and Moeller, "On an
 installation of Buchberger's algorithm" (J. Symbolic Comput. 6, 1988).  A
@@ -125,14 +128,17 @@ def _reduce(f: Polynomial, prepped, order) -> Polynomial:
 
 def normal_form(f: Polynomial, basis, order=grevlex) -> Polynomial:
     """Reduce f against a polynomial list (unique NF when basis is a GB), or
-    against an IdealHandle's reduced basis and its cached reducers.
+    against an IdealHandle's reduced grevlex basis and its kept reducers.
 
     Each term is reduced by the first element of the list, in list order,
     whose leading term divides it.  A one-term f that no element divides
-    comes back as f itself.
+    comes back as f itself.  A handle holds no basis under another order,
+    so a handle with any order but grevlex raises ValueError.
     """
     if isinstance(basis, IdealHandle):
-        prepped = basis._cached(order)[1]
+        if order is not grevlex and order != grevlex:
+            raise ValueError(f"an ideal handle reduces under grevlex only, not {order!r}")
+        prepped = basis._prepared()
     else:
         prepped = [g.prepared(order) for g in basis if g.terms]
     if not prepped:
@@ -140,14 +146,14 @@ def normal_form(f: Polynomial, basis, order=grevlex) -> Polynomial:
     return _reduce(f, prepped, order)
 
 
-def poly_divide_exact(f: Polynomial, g: Polynomial, order=grevlex) -> Polynomial:
+def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     """Quotient f/g for f in (g); raises InternalError on nonzero remainder."""
     if g.is_zero():
         raise InternalError("division by the zero polynomial")
     field = f.ring.field
-    ltg, lcg, tail = g.prepared(order)
+    ltg, lcg, tail = g.prepared()
     work = dict(f.terms)
-    heap = _heap_of(work, order)
+    heap = _heap_of(work, grevlex)
     quot: dict = {}
     while heap:
         m = heapq.heappop(heap)[1]
@@ -159,7 +165,7 @@ def poly_divide_exact(f: Polynomial, g: Polynomial, order=grevlex) -> Polynomial
         if d is None:
             raise InternalError(f"exact division failed: remainder has term {m}")
         quot[d] = coef = field.div(c, lcg)
-        _add_multiple(work, heap, order.heap_key, field.neg(coef), d, tail, field)
+        _add_multiple(work, heap, grevlex.heap_key, field.neg(coef), d, tail, field)
     return f.ring.from_terms(quot)
 
 
@@ -288,8 +294,10 @@ def _reduce_basis(basis, prepped, n0, order) -> list[Polynomial]:
 
 
 class IdealHandle:
-    """An ideal given by generators, with the reduced GB per order cached
-    next to its prepared reducers (lt, lc, tail)."""
+    """An ideal given by generators, with its reduced grevlex GB kept next to
+    that basis's prepared reducers (lt, lc, tail), both computed on first use."""
+
+    __slots__ = ("ring", "generators", "_basis", "_reducers")
 
     def __init__(self, ring: PolyRing, gens):
         gens = tuple(gens)
@@ -298,56 +306,56 @@ class IdealHandle:
                 raise RingMismatch(f"generator ring {g.ring!r} differs from {ring!r}")
         self.ring = ring
         self.generators = gens
-        self._cache: dict = {}  # order.tag -> (reduced GB, its prepared reducers)
+        self._basis = self._reducers = None
 
-    def _store(self, basis, order) -> tuple:
-        got = self._cache[order.tag] = (tuple(basis), [g.prepared(order) for g in basis])
-        return got
+    def _keep(self, basis) -> None:
+        self._basis = tuple(basis)
+        self._reducers = [g.prepared() for g in basis]
 
-    def _cached(self, order) -> tuple:
-        got = self._cache.get(order.tag)
-        if got is None:
-            got = self._store(buchberger(self.generators, order), order)
-        return got
+    def _prepared(self) -> list:
+        if self._reducers is None:
+            self._keep(buchberger(self.generators))
+        return self._reducers
 
-    def groebner_basis(self, order=grevlex) -> tuple[Polynomial, ...]:
-        return self._cached(order)[0]
+    def groebner_basis(self) -> tuple[Polynomial, ...]:
+        self._prepared()
+        return self._basis
 
-    def normal_form(self, f: Polynomial, order=grevlex) -> Polynomial:
-        return normal_form(f, self, order)
+    def normal_form(self, f: Polynomial) -> Polynomial:
+        return normal_form(f, self)
 
-    def contains_poly(self, f: Polynomial, order=grevlex) -> bool:
-        return normal_form(f, self, order).is_zero()
+    def contains_poly(self, f: Polynomial) -> bool:
+        return normal_form(f, self).is_zero()
 
-    def contains_ideal(self, other: "IdealHandle", order=grevlex) -> bool:
-        return all(self.contains_poly(g, order) for g in other.generators)
+    def contains_ideal(self, other: "IdealHandle") -> bool:
+        return all(self.contains_poly(g) for g in other.generators)
 
-    def is_unit_ideal(self, order=grevlex) -> bool:
-        gb = self.groebner_basis(order)
+    def is_unit_ideal(self) -> bool:
+        gb = self.groebner_basis()
         return len(gb) == 1 and gb[0].is_constant() and not gb[0].is_zero()
 
-    def key(self, order=grevlex) -> tuple:
+    def key(self) -> tuple:
         """Hashable canonical identity of the ideal (reduced GB snapshot):
         equal keys, equal ideals."""
-        return tuple(tuple(sorted(g.terms.items())) for g in self.groebner_basis(order))
+        return tuple(tuple(sorted(g.terms.items())) for g in self.groebner_basis())
 
-    def plus(self, f: Polynomial, order=grevlex) -> "IdealHandle":
+    def plus(self, f: Polynomial) -> "IdealHandle":
         """The ideal (self, f); self when f already lies in it.
 
-        The new handle's basis under order grows from this one's, which
-        seeds Buchberger, so a chain of plus calls costs about one Buchberger
-        run on the union.  Only the new pairs are reduced, and the
+        The new handle's basis grows from this one's, which seeds
+        Buchberger, so a chain of plus calls costs about one Buchberger run
+        on the union.  Only the new pairs are reduced, and the
         interreduction at the end is incremental: a seed element whose
         leading term a new leading term divides is dropped, one with another
         term that a new leading term divides is reduced again, and every
         other seed element is carried over unchanged, prepared reducer
         included.
         """
-        r = self.normal_form(f, order)
+        r = self.normal_form(f)
         if r.is_zero():
             return self
         grown = IdealHandle(self.ring, self.generators + (f,))
-        grown._store(buchberger([r], order, seed=self.groebner_basis(order)), order)
+        grown._keep(buchberger([r], seed=self.groebner_basis()))
         return grown
 
     def __repr__(self):
@@ -396,10 +404,10 @@ def bracket_power(I: IdealHandle, q: int) -> IdealHandle:
     return IdealHandle(I.ring, [frobenius_power(g, q) for g in I.generators])
 
 
-def ideal_compare(I: IdealHandle, J: IdealHandle, order=grevlex) -> str:
+def ideal_compare(I: IdealHandle, J: IdealHandle) -> str:
     """'equal' | 'left-in-right' | 'right-in-left' | 'incomparable' (strict containments)."""
-    ij = J.contains_ideal(I, order)
-    ji = I.contains_ideal(J, order)
+    ij = J.contains_ideal(I)
+    ji = I.contains_ideal(J)
     if ij and ji:
         return "equal"
     if ij:
@@ -423,7 +431,6 @@ def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
         raise RingMismatch("intersection across different rings")
     tag = _fresh_name(ring, "w")
     ext = ring.extend([tag], prepend=True)
-    order = Block(1, lex, grevlex)
 
     def lift(f):
         return Polynomial(ext, {(0,) + m: c for m, c in f.terms.items()})
@@ -432,7 +439,7 @@ def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     one = ext.one()
     gens = [w * lift(f) for f in I.generators if not f.is_zero()]
     gens += [(one - w) * lift(g) for g in J.generators if not g.is_zero()]
-    gb = IdealHandle(ext, gens).groebner_basis(order)
+    gb = buchberger(gens, Block(1, lex, grevlex))
     kept = []
     for g in gb:
         if all(m[0] == 0 for m in g.terms):
@@ -440,7 +447,7 @@ def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     return IdealHandle(ring, kept)
 
 
-def colon(I: IdealHandle, J: IdealHandle, order=grevlex) -> IdealHandle:
+def colon(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     """(I : J).  J = (0) gives the unit ideal (callers flag that case)."""
     ring = I.ring
     if J.ring != ring:
@@ -451,8 +458,6 @@ def colon(I: IdealHandle, J: IdealHandle, order=grevlex) -> IdealHandle:
     result: IdealHandle | None = None
     for f in gens_j:
         K = intersect(I, IdealHandle(ring, [f]))
-        part = IdealHandle(
-            ring, [poly_divide_exact(h, f, order) for h in K.groebner_basis(order)]
-        )
+        part = IdealHandle(ring, [poly_divide_exact(h, f) for h in K.groebner_basis()])
         result = part if result is None else intersect(result, part)
     return result

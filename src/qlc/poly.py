@@ -2,7 +2,8 @@
 
 Monomials are exponent tuples; a polynomial is an immutable
 {exponents: coefficient} map tied to a PolyRing.  Monomial orders are small
-key objects so Groebner bases can be cached per (ideal, order).
+key objects; a polynomial caches its prepared form (leading term, leading
+coefficient, tail) per order for the Groebner kernel.
 """
 
 from __future__ import annotations

@@ -382,7 +382,8 @@ def lower_length_ratio(M: VectorModule, I: IdealHandle) -> int:
     Every filtration factor is cyclic and killed by both I and K, so its
     length is at most length(R/(I + K)); dividing bounds the number of
     factors from below.  Raises NotZeroDimensional when that quotient has
-    infinite length (the bound then says nothing).
+    infinite length (the bound then says nothing), and NoFiltration when it
+    is zero: no nonzero factor exists then.
     """
     if M.dim == 0:
         return 0
@@ -390,6 +391,8 @@ def lower_length_ratio(M: VectorModule, I: IdealHandle) -> int:
     if M.k_gb:
         gens.extend(M.k_gb)
     denom = length(IdealHandle(M.ring, gens))
+    if denom == 0:
+        raise NoFiltration("I + K is the unit ideal, so every factor is zero")
     return -(-M.dim // denom)
 
 

@@ -25,8 +25,8 @@ class QuotientPresentation:
     """A ring ambient/(relations); the zero ring is rejected at construction.
 
     relations is a sequence of polynomials or an IdealHandle.  A handle over
-    ambient with no zero generator is kept as it is, with the bases it has
-    cached; anything else is rebuilt from its nonzero generators.
+    ambient with no zero generator is kept as it is, with the basis it has
+    computed; anything else is rebuilt from its nonzero generators.
     """
 
     def __init__(self, ambient: PolyRing, relations=()):
@@ -55,8 +55,8 @@ class QuotientPresentation:
             gens = gens.generators
         return IdealHandle(self.ambient, tuple(gens) + self.relations.generators)
 
-    def nf(self, f: Polynomial, order=grevlex) -> Polynomial:
-        return self.relations.normal_form(f, order)
+    def nf(self, f: Polynomial) -> Polynomial:
+        return self.relations.normal_form(f)
 
     def is_zero_element(self, f: Polynomial) -> bool:
         return self.relations.contains_poly(f)
@@ -65,12 +65,12 @@ class QuotientPresentation:
         return self.describe()
 
 
-def is_zero_dimensional(I: IdealHandle, order=grevlex) -> bool:
+def is_zero_dimensional(I: IdealHandle) -> bool:
     """True when R/I has finite length (a pure power of every variable leads)."""
-    gb = I.groebner_basis(order)
+    gb = I.groebner_basis()
     if any(g.is_constant() and not g.is_zero() for g in gb):
         return True  # unit ideal, the zero module
-    lts = [g.leading(order)[0] for g in gb]
+    lts = [g.leading()[0] for g in gb]
     n = I.ring.nvars
     for i in range(n):
         if not any(lt[i] > 0 and sum(lt) == lt[i] for lt in lts):
@@ -78,12 +78,13 @@ def is_zero_dimensional(I: IdealHandle, order=grevlex) -> bool:
     return True
 
 
-def standard_monomials(I: IdealHandle, order=grevlex) -> list[tuple]:
-    """Monomials outside LT(I), sorted ascending; error if infinitely many."""
-    gb = I.groebner_basis(order)
+def standard_monomials(I: IdealHandle) -> list[tuple]:
+    """Monomials outside LT(I) under grevlex, sorted ascending; error if
+    infinitely many."""
+    gb = I.groebner_basis()
     if any(g.is_constant() and not g.is_zero() for g in gb):
         return []
-    lts = [g.leading(order)[0] for g in gb]
+    lts = [g.leading()[0] for g in gb]
     n = I.ring.nvars
     bounds = []
     for i in range(n):
@@ -95,13 +96,13 @@ def standard_monomials(I: IdealHandle, order=grevlex) -> list[tuple]:
     for exps in itertools.product(*[range(b) for b in bounds]):
         if not any(mono_divides(lt, exps) for lt in lts):
             out.append(exps)
-    out.sort(key=order.key)
+    out.sort(key=grevlex.key)
     return out
 
 
-def length(I: IdealHandle, order=grevlex) -> int:
+def length(I: IdealHandle) -> int:
     """Vector space dimension of R/I (0 for the unit ideal)."""
-    return len(standard_monomials(I, order))
+    return len(standard_monomials(I))
 
 
 class VectorModule:
@@ -110,12 +111,10 @@ class VectorModule:
     of basis vector i in x * basis vector j).
 
     k_gb is the reduced GB of the ideal the module is taken modulo, or None.
-    space, when given, is the RowSpace of normal forms modulo k_gb whose
-    pivot rows are the basis: the polynomial model behind element_from_poly.
     Modules are built under grevlex.
     """
 
-    def __init__(self, ring, actions: dict, labels=None, k_gb=None, space=None):
+    def __init__(self, ring, actions: dict, labels=None, k_gb=None):
         dims = {len(m) for m in actions.values()}
         if set(actions) != set(ring.variables):
             raise ValueError("need exactly one action matrix per ring variable")
@@ -128,7 +127,6 @@ class VectorModule:
         self.ring = ring
         self.field = ring.field
         self.k_gb = k_gb
-        self.space = space
         self.dim = n
         self.labels = list(labels) if labels is not None else [f"e{i}" for i in range(n)]
         self.actions = {v: [list(row) for row in actions[v]] for v in ring.variables}
@@ -141,16 +139,6 @@ class VectorModule:
                 a, b = self.actions[names[i]], self.actions[names[j]]
                 if mat_mul(self.field, a, b) != mat_mul(self.field, b, a):
                     raise InternalError(f"actions of {names[i]} and {names[j]} do not commute")
-
-    def element_from_poly(self, f: Polynomial) -> list:
-        """Coordinates of f's class; ValueError if f is not in the module or
-        the module has no polynomial model (from_actions, direct_sum)."""
-        if self.space is None:
-            raise ValueError("the module has no polynomial model")
-        vec = normal_form(f, self.k_gb).terms
-        if self.space.reduce(vec):
-            raise ValueError(f"{f!r} does not lie in the module")
-        return [vec.get(p, self.field.zero) for p in self.space.pivots()]
 
     def format_vector(self, v) -> str:
         parts = []
@@ -165,8 +153,7 @@ class VectorModule:
     def from_actions(cls, ring, actions: dict, labels=None, k_gb=None) -> "VectorModule":
         """Module given directly by its action matrices (one per ring variable).
 
-        Matrices are row-major over ring.field and must commute pairwise.  No
-        polynomial model is attached, so element_from_poly raises ValueError;
+        Matrices are row-major over ring.field and must commute pairwise.
         k_gb, when given, names the ideal the module is taken modulo and only
         feeds lower_length_ratio.
         """
@@ -215,7 +202,7 @@ def vector_module(J: IdealHandle, K: IdealHandle, degree_bound: int = 64) -> Vec
             cols.append([image.get(q, zero) for q in pivots])
         actions[var] = [[cols[j][i] for j in range(dim)] for i in range(dim)]
     labels = [dsl._format_mono(ring, p) or "1" for p in pivots]
-    return VectorModule(ring, actions, labels, k_gb, space)
+    return VectorModule(ring, actions, labels, k_gb)
 
 
 def quotient_module(Q: IdealHandle, degree_bound: int = 64) -> VectorModule:

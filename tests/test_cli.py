@@ -1,6 +1,8 @@
 """End-to-end command tests: rendering, exit codes, determinism."""
 
 import json
+import pathlib
+import shlex
 import time
 
 import pytest
@@ -108,6 +110,22 @@ def test_ql_exact_no_filtration(capsys):
     assert code == EXIT_OK
     result = json.loads(capsys.readouterr().out)["result"]
     assert result == {"exact": None, "filtration_exists": False}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ring", "F3[x]", "--top", "1", "--bottom", "x^2", "--killing", "x+1"],
+    ["--ring", "Q[x,y]", "--bottom", "x^2-y;y^3", "--killing", "1"],
+], ids=["F3-unit-sum", "Q-unit-killing"])
+def test_ql_bounds_unit_sum_has_no_filtration(argv, capsys):
+    # I + K is the unit ideal, so the length ratio would divide by zero
+    assert run(["ql", "bounds"] + argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == "no finite filtration\n"
+    assert "Traceback" not in captured.err
+    assert run(["ql", "bounds"] + argv + ["--json"]) == EXIT_OK
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result == {"lower": None, "upper": None, "exact": None,
+                      "filtration_exists": False}
 
 
 def test_ql_exact_search_limit_suggests_bounds(capsys):
@@ -376,3 +394,30 @@ def test_json_input_echo(argv, expected, tmp_path, capsys):
     env = json.loads(capsys.readouterr().out)
     assert env["input"] == expected
     assert env["command"] == _command_of(argv)
+
+
+def _readme_transcript() -> list:
+    """[argv, expected stdout lines, elided] per `$ qlc` line of README's
+    "Command line" block; a `...` line elides the rest of that output."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```\n", 2)[1]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("$ qlc "):
+            commands.append([shlex.split(line[len("$ qlc "):]), [], False])
+        elif line == "...":
+            commands[-1][2] = True
+        elif not commands[-1][2]:
+            commands[-1][1].append(line)
+    return commands
+
+
+def test_readme_transcript_replays(capsys):
+    commands = _readme_transcript()
+    assert len(commands) == 5
+    for argv, expected, elided in commands:
+        assert run(argv) == EXIT_OK, argv
+        out = capsys.readouterr().out.splitlines()
+        got = out[:len(expected)] if elided else out
+        assert got == expected, argv

@@ -11,6 +11,11 @@ Every public module-level function is exported by the package's __init__.py
 or referenced somewhere in the package, its tests or the benchmark; a name
 inside a string counts, because bench/tracer.py names the functions it wraps
 as strings.
+
+Only the Groebner kernel takes a monomial order: every function or method
+with a parameter named order is one of KERNEL_ORDER_TAKERS, so the option
+cannot creep back into the ideal, quotient or DSL layers, which work in
+grevlex.
 """
 
 import ast
@@ -153,3 +158,41 @@ def test_public_scan_sees_calls_strings_and_exports():
                                               ("exported", 3), ("dead", 4)]
     referrers = [ast.parse("called()\nTARGETS = [('qlc.m', 'wrapped', 'g')]\n")]
     assert _unreferenced_public(defining, referrers, {"exported"}) == ["m.py.dead (line 4)"]
+
+
+KERNEL_ORDER_TAKERS = {
+    "groebner.py:_heap_of", "groebner.py:_reduce_terms", "groebner.py:_reduce",
+    "groebner.py:normal_form", "groebner.py:buchberger", "groebner.py:_reduce_basis",
+    "poly.py:Polynomial.prepared", "poly.py:Polynomial.leading",
+    "poly.py:Polynomial.monic",
+}
+
+
+def _order_takers(node, prefix="") -> set:
+    """Qualified names (Class.method, outer.inner) of the functions and
+    methods under node, at any depth, with a parameter named order."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        inner = prefix
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{prefix}{child.name}."
+            if not isinstance(child, ast.ClassDef):
+                args = child.args
+                if "order" in {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
+                    found.add(inner[:-1])
+        found |= _order_takers(child, inner)
+    return found
+
+
+def test_only_the_groebner_kernel_takes_a_monomial_order():
+    takers = {f"{p.name}:{name}" for p in sorted(SRC.glob("*.py"))
+              for name in _order_takers(ast.parse(p.read_text(), filename=str(p)))}
+    assert takers == KERNEL_ORDER_TAKERS
+
+
+def test_order_scan_sees_functions_methods_and_nested_defs():
+    tree = ast.parse("def f(x, order=None): pass\ndef g(x): pass\n"
+                     "class C:\n    def m(self, *, order): pass\n"
+                     "    def n(self):\n        if True:\n"
+                     "            def inner(order): pass\n")
+    assert _order_takers(tree) == {"f", "C.m", "C.n.inner"}

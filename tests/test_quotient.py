@@ -145,19 +145,15 @@ def test_infinite_length_spin_aborts():
                       degree_bound=8)
 
 
-def test_element_from_poly_and_format():
+def test_format_vector():
     ring = PolyRing(GF2, ["x"])
     x = ring.var("x")
     M = vector_module(ideal(ring, [x]), ideal(ring, [x ** 3]))
-    v = M.element_from_poly(x + x ** 2)
-    assert M.format_vector(v) in ("x + x^2", "x^2 + x")
-    with pytest.raises(ValueError):
-        M.element_from_poly(ring.one())  # 1 is not in (x)/(x^3)
-    # modules without a polynomial model refuse with the documented error
-    bare = VectorModule.from_actions(ring, M.actions, k_gb=M.k_gb)
-    for N in (bare, direct_sum(M, M)):
-        with pytest.raises(ValueError, match="no polynomial model"):
-            N.element_from_poly(x)
+    one, zero = M.field.one, M.field.zero
+    assert sorted(M.labels) == ["x", "x^2"]
+    assert M.format_vector([one, one]) == " + ".join(M.labels)
+    assert M.format_vector([zero, one]) == M.labels[1]
+    assert M.format_vector([zero, zero]) == "0"
 
 
 def test_fpt_coefficients_round_trip():
