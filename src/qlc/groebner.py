@@ -5,8 +5,11 @@ reducers) runs under any monomial order; the layers above work in grevlex,
 since nothing the engine reports but a printed basis depends on the order,
 and reach another order only by calling buchberger directly.
 IdealHandle is the one ideal object: its generators and its reduced grevlex
-Groebner basis (canonical, so IdealHandle.key is a hashable ideal identity),
-kept next to that basis's prepared reducers.  IdealHandle.plus grows an
+Groebner basis, kept next to that basis's prepared reducers.  The reduced
+basis is canonical, so IdealHandle.key is that basis itself.  The order of
+the terms inside a polynomial is not canonical (a basis element may keep its
+terms in input order); Polynomial equality and hashing ignore it, and
+format_poly sorts the terms before printing.  IdealHandle.plus grows an
 ideal one generator at a time, seeding Buchberger with the kept basis.
 
 Pair selection is by sugar degree, following Gebauer and Moeller, "On an
@@ -277,10 +280,7 @@ def _reduce_basis(basis, prepped, n0, order) -> list[Polynomial]:
             if not any(mono_divides(lts[k], lts[i]) for k in range(max(i + 1, n0), n))]
     for i in kept:
         later = [lts[k] for k in kept if k > i and k >= n0]
-        # element 0 of a run without a seed, or a one-element seed, may still
-        # hold its terms in input order; a full reduction sorts them
-        if later and (i == 0 and n0 <= 1
-                      or any(mono_divides(lt, m) for m in basis[i].terms for lt in later)):
+        if later and any(mono_divides(lt, m) for m in basis[i].terms for lt in later):
             others = [prepped[k] for k in kept if k != i]
             g = _reduce(basis[i], others, order).monic(order)
             basis[i] = g
@@ -335,9 +335,9 @@ class IdealHandle:
         return len(gb) == 1 and gb[0].is_constant() and not gb[0].is_zero()
 
     def key(self) -> tuple:
-        """Hashable canonical identity of the ideal (reduced GB snapshot):
-        equal keys, equal ideals."""
-        return tuple(tuple(sorted(g.terms.items())) for g in self.groebner_basis())
+        """Hashable canonical identity of the ideal, its reduced grevlex
+        basis: equal keys, equal ideals (in equal rings)."""
+        return self.groebner_basis()
 
     def plus(self, f: Polynomial) -> "IdealHandle":
         """The ideal (self, f); self when f already lies in it.

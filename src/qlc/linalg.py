@@ -11,13 +11,15 @@ states.  A span holds one of two row kinds:
   the largest column.
 - packed rows over F_2, from RowSpace.coordinates(field): a vector is an int
   read as a bit vector, bit i being coordinate i.  The pivot is the highest
-  set bit, reduction XORs in the rows whose pivot bits are set, and the key
-  is the frozenset of the rows (Albrecht, Bard and Hart, "Algorithm 898",
-  ACM TOMS 37, 2010, on GF(2) linear algebra in machine words).
+  set bit, and reduction XORs in the rows whose pivot bits are set
+  (Albrecht, Bard and Hart, "Algorithm 898", ACM TOMS 37, 2010, on GF(2)
+  linear algebra in machine words).
 
 RowSpace.coordinates picks the kind from the field: packed over F_2, dict
 rows with integer columns over any other field.  Both kinds give the same
-span, the same pivots and the same rows, read through the vector map.
+span, the same pivots and the same rows, read through the vector map.  Both
+kinds key a span as the set of its reduced rows (RowSpace.key), so the key
+needs no sort.
 """
 
 from __future__ import annotations
@@ -161,18 +163,11 @@ class RowSpace:
         return [self.rows[p] for p in self.pivots()]
 
     def key(self):
-        """Canonical hashable snapshot of the span."""
+        """Canonical hashable snapshot of the span: the set of its reduced
+        rows, which the span determines whatever the insertion order."""
         if self.packed:
             return frozenset(self.rows.values())
-        colkey = self.colkey
-        items = []
-        for p in self.pivots():
-            row = self.rows[p]
-            if colkey is None:  # distinct columns: the sort never reads a coeff
-                items.append(tuple(sorted(row.items())))
-            else:
-                items.append(tuple(sorted(row.items(), key=lambda kv: colkey(kv[0]))))
-        return tuple(items)
+        return frozenset(frozenset(row.items()) for row in self.rows.values())
 
 
 # ---------------------------------------------------------------------------

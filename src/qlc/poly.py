@@ -167,11 +167,8 @@ class PolyRing:
     def gens(self):
         return tuple(self.var(v) for v in self.variables)
 
-    def monomial(self, exps, coeff=None) -> "Polynomial":
-        coeff = self.field.one if coeff is None else coeff
-        if coeff == self.field.zero:
-            return self.zero()
-        return Polynomial(self, {tuple(exps): coeff})
+    def monomial(self, exps) -> "Polynomial":
+        return Polynomial(self, {tuple(exps): self.field.one})
 
     def from_terms(self, terms: dict) -> "Polynomial":
         zero = self.field.zero
@@ -206,7 +203,8 @@ class Polynomial:
     The terms dict is owned by the polynomial and must not be mutated once the
     polynomial is built: the hash and the prepared form per monomial order
     (leading term, its coefficient and the remaining terms, see prepared) are
-    computed from it once and cached.
+    computed from it once and cached.  Equality and the hash read the terms
+    and the ring, never the order the terms are stored in.
     """
 
     __slots__ = ("ring", "terms", "_hash", "_prep")
@@ -315,14 +313,8 @@ class Polynomial:
             return self.ring.zero()
         return Polynomial(self.ring, {m: F.mul(c, v) for m, v in self.terms.items()})
 
-    def mul_monomial(self, exps, coeff=None) -> "Polynomial":
-        F = self.ring.field
-        coeff = F.one if coeff is None else coeff
-        if coeff == F.zero:
-            return self.ring.zero()
-        return Polynomial(
-            self.ring, {mono_mul(m, exps): F.mul(c, coeff) for m, c in self.terms.items()}
-        )
+    def mul_monomial(self, exps) -> "Polynomial":
+        return Polynomial(self.ring, {mono_mul(m, exps): c for m, c in self.terms.items()})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

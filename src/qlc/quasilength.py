@@ -106,6 +106,15 @@ def validate_filtration(cert: FiltrationCertificate) -> Verdict:
     return verdict
 
 
+def require_valid(cert: FiltrationCertificate, source: str) -> FiltrationCertificate:
+    """cert, validated; an invalid certificate built by the engine (source
+    names the construction) is a bug, raised as InternalError."""
+    verdict = validate_filtration(cert)
+    if not verdict.ok:
+        raise InternalError(f"{source} produced an invalid certificate: {verdict}")
+    return cert
+
+
 def _validate_ring(cert: FiltrationCertificate) -> Verdict:
     pres = cert.context.presentation
     stage = pres.ideal(cert.context.target)
@@ -475,11 +484,8 @@ def _greedy_chain(M: VectorModule, I: IdealHandle) -> list:
 
 
 def _module_cert(M: VectorModule, I: IdealHandle, chain) -> FiltrationCertificate:
-    cert = FiltrationCertificate(ModuleContext(M), tuple(I.generators), tuple(chain))
-    verdict = validate_filtration(cert)
-    if not verdict.ok:
-        raise InternalError(f"search produced an invalid certificate: {verdict}")
-    return cert
+    return require_valid(FiltrationCertificate(ModuleContext(M), tuple(I.generators),
+                                               tuple(chain)), "search")
 
 
 def exact_search_cap(field_size: int | None) -> int:
@@ -571,11 +577,8 @@ def staircase_filtration(pres: QuotientPresentation, xs, t: int) -> FiltrationCe
             if k:
                 g = g * x ** k
         gens.append(g)
-    cert = FiltrationCertificate(RingContext(pres, target), xs, tuple(gens))
-    verdict = validate_filtration(cert)
-    if not verdict.ok:
-        raise InternalError(f"staircase certificate failed validation: {verdict}")
-    return cert
+    return require_valid(FiltrationCertificate(RingContext(pres, target), xs, tuple(gens)),
+                         "staircase")
 
 
 def frobenius_transport(cert: FiltrationCertificate, e: int) -> FiltrationCertificate:
@@ -599,10 +602,7 @@ def frobenius_transport(cert: FiltrationCertificate, e: int) -> FiltrationCertif
         tuple(frobenius_power(f, q) for f in cert.killing),
         tuple(frobenius_power(g, q) for g in cert.generators),
     )
-    verdict = validate_filtration(moved)
-    if not verdict.ok:
-        raise InternalError(f"transported certificate failed validation: {verdict}")
-    return moved
+    return require_valid(moved, "Frobenius transport")
 
 
 # ---------------------------------------------------------------------------

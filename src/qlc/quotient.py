@@ -9,9 +9,8 @@ the generators and closing under the variable actions.
 
 from __future__ import annotations
 
-import itertools
-
 from . import dsl
+from .config import check_budget
 from .groebner import IdealHandle, InternalError, normal_form
 from .linalg import RowSpace, mat_mul
 from .poly import Polynomial, PolyRing, grevlex, mono_divides
@@ -67,42 +66,49 @@ class QuotientPresentation:
 
 def is_zero_dimensional(I: IdealHandle) -> bool:
     """True when R/I has finite length (a pure power of every variable leads)."""
-    gb = I.groebner_basis()
-    if any(g.is_constant() and not g.is_zero() for g in gb):
-        return True  # unit ideal, the zero module
-    lts = [g.leading()[0] for g in gb]
-    n = I.ring.nvars
-    for i in range(n):
-        if not any(lt[i] > 0 and sum(lt) == lt[i] for lt in lts):
-            return False
+    try:
+        next(_standard(I), None)  # the walk checks the box before it starts
+    except NotZeroDimensional:
+        return False
     return True
 
 
-def standard_monomials(I: IdealHandle) -> list[tuple]:
-    """Monomials outside LT(I) under grevlex, sorted ascending; error if
-    infinitely many."""
+def _standard(I: IdealHandle):
+    """The monomials outside LT(I), lazily and in lex order: each exponent
+    run inside the box below the leading pure powers stops at its first
+    monomial in LT(I).  Raises NotZeroDimensional when some variable has no
+    leading pure power (infinitely many monomials lie outside)."""
     gb = I.groebner_basis()
     if any(g.is_constant() and not g.is_zero() for g in gb):
-        return []
+        return
     lts = [g.leading()[0] for g in gb]
-    n = I.ring.nvars
     bounds = []
-    for i in range(n):
+    for i, name in enumerate(I.ring.variables):
         pure = [lt[i] for lt in lts if lt[i] > 0 and sum(lt) == lt[i]]
         if not pure:
-            raise NotZeroDimensional(f"no pure power of {I.ring.variables[i]} leads {I!r}")
+            raise NotZeroDimensional(f"no pure power of {name} leads {I!r}")
         bounds.append(min(pure))
-    out = []
-    for exps in itertools.product(*[range(b) for b in bounds]):
-        if not any(mono_divides(lt, exps) for lt in lts):
-            out.append(exps)
-    out.sort(key=grevlex.key)
-    return out
+
+    def walk(head):
+        pad = (0,) * (len(bounds) - len(head) - 1)
+        for e in range(bounds[len(head)]):
+            check_budget()
+            m = head + (e,) + pad
+            if any(mono_divides(lt, m) for lt in lts):
+                return  # so is every monomial that starts with head + (e',), e' >= e
+            yield from walk(head + (e,)) if pad else (m,)
+
+    yield from walk(())
+
+
+def standard_monomials(I: IdealHandle) -> list[tuple]:
+    """Monomials outside LT(I), sorted ascending under grevlex."""
+    return sorted(_standard(I), key=grevlex.key)
 
 
 def length(I: IdealHandle) -> int:
     """Vector space dimension of R/I (0 for the unit ideal)."""
-    return len(standard_monomials(I))
+    return sum(1 for _ in _standard(I))
 
 
 class VectorModule:
@@ -160,14 +166,14 @@ class VectorModule:
         return cls(ring, actions, labels, k_gb)
 
 
-def _times_var(ring, var_index: int, row: dict, k_gb) -> dict:
-    """Terms of x_i * row reduced modulo k_gb."""
+def _times_var(ring, var_index: int, row: dict, K: IdealHandle) -> dict:
+    """Terms of x_i * row reduced modulo K."""
     shifted = {}
     for m, c in row.items():
         e = list(m)
         e[var_index] += 1
         shifted[tuple(e)] = c
-    return normal_form(Polynomial(ring, shifted), k_gb).terms
+    return normal_form(Polynomial(ring, shifted), K).terms
 
 
 def vector_module(J: IdealHandle, K: IdealHandle, degree_bound: int = 64) -> VectorModule:
@@ -177,7 +183,6 @@ def vector_module(J: IdealHandle, K: IdealHandle, degree_bound: int = 64) -> Vec
     ring = J.ring
     if K.ring != ring:
         raise ValueError("J and K live in different rings")
-    k_gb = list(K.groebner_basis())
     for g in K.generators:
         if not J.contains_poly(g):
             raise ValueError("K is not contained in J")
@@ -185,10 +190,10 @@ def vector_module(J: IdealHandle, K: IdealHandle, degree_bound: int = 64) -> Vec
     def images(row):
         if any(sum(m) > degree_bound for m in row):
             raise ValueError(f"module spin exceeded degree bound {degree_bound}")
-        return (_times_var(ring, vi, row, k_gb) for vi in range(ring.nvars))
+        return (_times_var(ring, vi, row, K) for vi in range(ring.nvars))
 
     space = RowSpace(ring.field, colkey=grevlex.key)
-    space.close((normal_form(g, k_gb).terms for g in J.generators), images)
+    space.close((normal_form(g, K).terms for g in J.generators), images)
     pivots = space.pivots()
     dim = len(pivots)
     zero = ring.field.zero
@@ -196,19 +201,18 @@ def vector_module(J: IdealHandle, K: IdealHandle, degree_bound: int = 64) -> Vec
     for vi, var in enumerate(ring.variables):
         cols = []
         for p in pivots:
-            image = _times_var(ring, vi, space.rows[p], k_gb)
+            image = _times_var(ring, vi, space.rows[p], K)
             if space.reduce(image):
                 raise InternalError("module spin was not action-closed")
             cols.append([image.get(q, zero) for q in pivots])
         actions[var] = [[cols[j][i] for j in range(dim)] for i in range(dim)]
     labels = [dsl._format_mono(ring, p) or "1" for p in pivots]
-    return VectorModule(ring, actions, labels, k_gb)
+    return VectorModule(ring, actions, labels, list(K.groebner_basis()))
 
 
-def quotient_module(Q: IdealHandle, degree_bound: int = 64) -> VectorModule:
+def quotient_module(Q: IdealHandle) -> VectorModule:
     """R/Q as a VectorModule (J = (1))."""
-    one = IdealHandle(Q.ring, [Q.ring.one()])
-    return vector_module(one, Q, degree_bound)
+    return vector_module(IdealHandle(Q.ring, [Q.ring.one()]), Q)
 
 
 def min_generators(M: VectorModule) -> int:

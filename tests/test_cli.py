@@ -287,6 +287,21 @@ def test_fermat_t3_search_respects_the_budget(monkeypatch):
     assert time.monotonic() - start < budget + 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["length", "--ring", "F2[x]", "--ideal", "x^100000000"],
+    ["content", "scan", "--ring", "F2[x,y]", "--params", "x^100000000;y",
+     "--t", "1"],
+])
+def test_huge_length_respects_the_budget(argv, monkeypatch, capsys):
+    # the standard monomials of (x^e) are counted one at a time
+    budget = 1
+    monkeypatch.setenv("QLC_BUDGET_SECS", str(budget))
+    start = time.monotonic()
+    assert run(argv) == EXIT_BUDGET
+    assert time.monotonic() - start < budget + 1
+    assert json.loads(capsys.readouterr().out)["incomplete"] is True
+
+
 def test_huge_killing_exponent_answers_within_the_budget(monkeypatch, capsys):
     # the killing matrix of x^e is built by repeated squaring, not e products
     budget = 1

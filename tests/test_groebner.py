@@ -284,6 +284,19 @@ def test_ideal_compare_cases():
     assert ideal_compare(I, ideal(ring, [y])) == "incomparable"
 
 
+def test_ideal_key_is_the_reduced_basis_in_its_ring():
+    F3x, F5x = PolyRing(PrimeField(3), ["x"]), PolyRing(PrimeField(5), ["x"])
+    assert ideal(F3x, [F3x.var("x")]).key() != ideal(F5x, [F5x.var("x")]).key()
+    ring = qring("xy")
+    x, y = ring.gens()
+    # the key ignores the generators and the order of the terms inside them
+    I = ideal(ring, [y + x ** 2, x * y - 1])
+    J = ideal(ring, [x * y - 1, x ** 2 + y + x * (x * y - 1)])
+    assert hash(I.key()) == hash(J.key()) and I.key() == J.key()
+    assert I.key() == I.groebner_basis()
+    assert ideal(ring, [x]).key() != ideal(ring, [y]).key()
+
+
 def test_ideal_power_true_power():
     ring = qring("xy")
     x, y = ring.gens()
@@ -533,14 +546,14 @@ def test_plus_drops_and_re_reduces_seed_elements():
 
 def one_term(field):
     return st.tuples(exps3, coefficient(field)).map(
-        lambda mc: PolyRing(field, ["x", "y", "z"]).monomial(*mc))
+        lambda mc: PolyRing(field, ["x", "y", "z"]).from_terms({mc[0]: mc[1]}))
 
 
 def reducer(field):
     """A monomial or a binomial; over F5 and Q its leading coefficient is
     often not 1."""
     ring = PolyRing(field, ["x", "y", "z"])
-    monomial = st.tuples(exps3, coefficient(field)).map(lambda mc: ring.monomial(*mc))
+    monomial = st.tuples(exps3, coefficient(field)).map(lambda mc: ring.from_terms({mc[0]: mc[1]}))
     binomial = st.tuples(exps3, coefficient(field), exps3, coefficient(field)).map(
         lambda t: ring.from_terms({t[0]: t[1], t[2]: t[3]}))
     return st.one_of(monomial, binomial)
