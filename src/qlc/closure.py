@@ -255,7 +255,11 @@ def short_filtration_search(pres: QuotientPresentation, xs, t: int,
     max_steps = full - 1
     ambient = pres.ambient
     target = tuple(x ** t for x in xs)
-    pool = [m for m in _monomials_by_degree(ambient, 2 * t * d) if not m.is_constant()]
+    pool = []
+    for m in _monomials_by_degree(ambient, 2 * t * d):
+        check_budget()
+        if not m.is_constant():
+            pool.append(m)
     param_ideal = ideal(ambient, list(xs))
     # I^r must fit inside a stage that can still finish within r steps
     power_gens = {r: ideal_power(param_ideal, r).generators for r in range(max_steps + 1)}

@@ -20,9 +20,8 @@ from fractions import Fraction
 
 from .config import check_budget
 from .groebner import IdealHandle, InternalError, colon, ideal
-from .quasilength import (FiltrationCertificate, RingContext, exact_search_cap,
-                          quasilength_exact, staircase_filtration,
-                          validate_filtration)
+from .quasilength import (FiltrationCertificate, RingContext, quasilength_exact,
+                          search_pool, staircase_filtration, validate_filtration)
 from .quotient import (QuotientPresentation, is_zero_dimensional, length,
                        quotient_module)
 
@@ -167,7 +166,7 @@ def content_scan(pres: QuotientPresentation, xs, ts, mode: str = "plain",
         lam = None
         if is_zero_dimensional(K):
             lam = length(K)
-            if ambient.field.size is not None and lam <= exact_search_cap(ambient.field.size):
+            if search_pool(ambient.field, lam)[1] is None:
                 M = quotient_module(K)
                 exact, _cert = quasilength_exact(M, ideal(ambient, list(xs)))
                 if exact < upper:

@@ -62,7 +62,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class RationalField:
+class Field:
+    """What the three fields share: division as the product with the
+    inverse, no sign to print, and identity by tag."""
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+    def is_negative(self, a) -> bool:
+        return False
+
+    def __eq__(self, other):
+        return isinstance(other, Field) and other.tag == self.tag
+
+    def __hash__(self):
+        return hash(self.tag)
+
+
+class RationalField(Field):
     """Q.  An element is a canonical pair (num, den) of ints: den > 0,
     gcd(num, den) = 1, 0 as (0, 1).  Equal values are equal pairs, so they
     hash equal.  Sums and products split their gcds as F_p(t) does (see the
@@ -127,9 +144,6 @@ class RationalField:
         # a canonical pair is already coprime: only the sign moves
         return (d, n) if n > 0 else (-d, -n)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_negative(self, a) -> bool:
         return a[0] < 0
 
@@ -140,17 +154,11 @@ class RationalField:
 
     format_factor = format
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash(self.tag)
-
     def __repr__(self):
         return "Q"
 
 
-class PrimeField:
+class PrimeField(Field):
     """F_p with int elements in [0, p)."""
 
     def __init__(self, p: int):
@@ -183,22 +191,10 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def is_negative(self, a) -> bool:
-        return False
-
     def format(self, a) -> str:
         return str(a)
 
     format_factor = format
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(self.tag)
 
     def __repr__(self):
         return f"F{self.p}"
@@ -399,7 +395,7 @@ def _uformat(a: tuple[int, ...]) -> str:
     return "+".join(parts)
 
 
-class RationalFunctionField:
+class RationalFunctionField(Field):
     """F_p(t).  An element is a canonical pair (num, den) of F_p[t]
     polynomials, den monic and gcd(num, den) = 1, num zero for 0: ints read
     as bit vectors for p = 2, coefficient tuples for odd p (see the module
@@ -488,9 +484,6 @@ class RationalFunctionField:
         bn, bd = self._polys.monic(b[1], b[0])
         return self._product(a[0], a[1], bn, bd)
 
-    def is_negative(self, a) -> bool:
-        return False
-
     def format(self, a) -> str:
         """Text that parses back to a: t^2+1, t/(t+1), (t^2+1)/(t)."""
         if a[1] == self._polys.one:
@@ -505,12 +498,6 @@ class RationalFunctionField:
         if sum(1 for c in num if c) > 1:
             ns = f"({ns})"
         return ns if den == (1,) else f"{ns}/({_uformat(den)})"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalFunctionField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(self.tag)
 
     def __repr__(self):
         return f"F{self.p}(t)"

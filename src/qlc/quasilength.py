@@ -49,7 +49,7 @@ class NoFiltration(Exception):
 
 
 class SearchLimit(Exception):
-    """Exact search declined (infinite field, or dimension above the cap)."""
+    """Exact search declined where search_pool gives a limit."""
 
 
 @dataclass(frozen=True)
@@ -323,7 +323,7 @@ class _BitCoords(_Coords):
         return vec
 
 
-def _coordinates(M: VectorModule, killing=()):
+def _coordinates(M: VectorModule, killing):
     """The coordinate helper of one search, in the row kind that
     RowSpace.coordinates picks for the field."""
     packed = RowSpace.coordinates(M.field).packed
@@ -405,17 +405,16 @@ def lower_length_ratio(M: VectorModule, I: IdealHandle) -> int:
     return -(-M.dim // denom)
 
 
-def _all_nilpotent(M: VectorModule) -> bool:
+def _all_nilpotent(coords) -> bool:
     # commuting nilpotents: Nakayama applies, min_generators is a true bound.
     # A is nilpotent iff A^dim is zero.
-    coords = _coordinates(M)
-    return not any(any(coords.power(i, M.dim or 1, {}).values())
+    return not any(any(coords.power(i, coords.dim or 1, {}).values())
                    for i in range(len(coords.actions)))
 
 
-def _lower_bound(M: VectorModule, I: IdealHandle) -> tuple:
+def _lower_bound(M: VectorModule, I: IdealHandle, coords) -> tuple:
     best, method = 1, "trivial"
-    if _all_nilpotent(M):
+    if _all_nilpotent(coords):
         mg = min_generators(M)
         if mg > best:
             best, method = mg, "min-generators"
@@ -428,14 +427,13 @@ def _lower_bound(M: VectorModule, I: IdealHandle) -> tuple:
     return best, method
 
 
-def _search(M: VectorModule, I: IdealHandle, coeff_pool):
+def _search(coords, coeff_pool):
     """Breadth-first search over action-closed subspaces; returns the first
     chain reaching the full module (shortest within the candidate pool)."""
-    coords = _coordinates(M, I.generators)
     images = coords.images
     start = coords.space()
     start_key = start.key()
-    if M.dim == 0:
+    if coords.dim == 0:
         return []
     parents: dict = {start_key: None}
     queue = deque([(start_key, start)])
@@ -452,7 +450,7 @@ def _search(M: VectorModule, I: IdealHandle, coeff_pool):
             if nkey in parents:
                 continue
             parents[nkey] = (key, vec)
-            if nxt.dim == M.dim:
+            if nxt.dim == coords.dim:
                 chain = []
                 cur = nkey
                 while parents[cur] is not None:
@@ -464,13 +462,12 @@ def _search(M: VectorModule, I: IdealHandle, coeff_pool):
     raise NoFiltration("search exhausted every reachable stage short of the module")
 
 
-def _greedy_chain(M: VectorModule, I: IdealHandle) -> list:
+def _greedy_chain(coords) -> list:
     """Sweep upper bound: absorb a whole colon layer per round."""
-    coords = _coordinates(M, I.generators)
     images = coords.images
     space = coords.space()
     chain = []
-    while space.dim < M.dim:
+    while space.dim < coords.dim:
         check_budget()
         rows = _candidate_rows(coords, space)
         if not rows:
@@ -488,27 +485,32 @@ def _module_cert(M: VectorModule, I: IdealHandle, chain) -> FiltrationCertificat
                                                tuple(chain)), "search")
 
 
-def exact_search_cap(field_size: int | None) -> int:
-    """Largest dimension the exhaustive search takes on: 12 over F_2, else 8."""
-    return 12 if field_size == 2 else 8
+def search_pool(field, dim: int) -> tuple:
+    """(pool, limit) for a search on a module of dimension dim.  pool holds
+    the coordinates the breadth-first search combines: every element of a
+    finite field, the distinct elements of {0, 1, -1} over an infinite one,
+    or None above the cap (12 over F_2, 8 otherwise), where the greedy sweep
+    runs.  limit says why the answer is not exact, None when it is."""
+    cap = 12 if field.size == 2 else 8
+    limit = None if field.size else "exact search requires a finite coefficient field"
+    if dim > cap:
+        return None, limit or f"dim {dim} exceeds the exact-search cap {cap}"
+    if field.size:
+        return tuple(field.from_int(i) for i in range(field.size)), None
+    return tuple(dict.fromkeys((field.zero, field.one, field.neg(field.one)))), limit
 
 
 def quasilength_exact(M: VectorModule, I: IdealHandle) -> tuple:
     """Exact minimum filtration length with an optimal certificate.
 
-    Only runs when the coefficient field is finite and dim M is at or below
-    exact_search_cap (the candidate enumeration is exhaustive there);
-    otherwise raises SearchLimit.  Raises NoFiltration when no finite chain
-    exists, e.g. for a unit killing ideal on a nonzero module.
+    Raises SearchLimit where search_pool gives a limit (infinite field, or
+    dim M above the cap).  Raises NoFiltration when no finite chain exists,
+    e.g. for a unit killing ideal on a nonzero module.
     """
-    F = M.field
-    if F.size is None:
-        raise SearchLimit("exact search requires a finite coefficient field")
-    cap = exact_search_cap(F.size)
-    if M.dim > cap:
-        raise SearchLimit(f"dim {M.dim} exceeds the exact-search cap {cap}")
-    pool = tuple(F.from_int(i) for i in range(F.size))
-    chain = _search(M, I, pool)
+    pool, limit = search_pool(M.field, M.dim)
+    if limit:
+        raise SearchLimit(limit)
+    chain = _search(_coordinates(M, I.generators), pool)
     return len(chain), _module_cert(M, I, chain)
 
 
@@ -523,34 +525,40 @@ def quasilength(M: VectorModule, I: IdealHandle) -> QuasilengthBounds:
     variable acts nilpotently) the minimal generator count.
     """
     if M.dim == 0:
-        cert = _module_cert(M, I, [])
-        return QuasilengthBounds(0, 0, 0, cert, "exact")
-    lower, method = _lower_bound(M, I)
-    flags: tuple = ()
-    try:
-        exact, cert = quasilength_exact(M, I)
-        if not (lower <= exact):
-            raise InternalError("lower bound exceeds exact search result")
-        return QuasilengthBounds(exact, exact, exact, cert, "exact")
-    except SearchLimit as limit:
-        flags += (str(limit),)
-    if M.field.size is None and M.dim <= exact_search_cap(M.field.size):
-        pool = (M.field.zero, M.field.one, M.field.neg(M.field.one))
-        chain = _search(M, I, pool)
-        flags += ("upper bound from the {0,1,-1}-coordinate pool",)
-    else:
-        chain = _greedy_chain(M, I)
-        flags += ("upper bound from the greedy sweep",)
+        return QuasilengthBounds(0, 0, 0, _module_cert(M, I, []), "exact")
+    coords = _coordinates(M, I.generators)
+    lower, method = _lower_bound(M, I, coords)
+    pool, limit = search_pool(M.field, M.dim)
+    chain = _greedy_chain(coords) if pool is None else _search(coords, pool)
     cert = _module_cert(M, I, chain)
     upper = len(chain)
     if upper < lower:
         raise InternalError("certified upper bound undercuts the lower bound")
-    exact = upper if upper == lower else None
-    return QuasilengthBounds(lower, upper, exact, cert, method, flags)
+    if limit is None:
+        return QuasilengthBounds(upper, upper, upper, cert, "exact")
+    source = "greedy sweep" if pool is None else "{0,1,-1}-coordinate pool"
+    return QuasilengthBounds(lower, upper, upper if upper == lower else None, cert, method,
+                             (limit, f"upper bound from the {source}"))
 
 
 # ---------------------------------------------------------------------------
 # certificate constructions
+
+
+def _staircase_exponents(t: int, d: int):
+    """The exponent vectors in [0, t)^d, lazily, by descending total and,
+    within a total, descending.  No branch of the walk is empty, so each
+    vector costs O(d) steps."""
+    def vectors(total: int, n: int):  # n entries below t summing to total
+        if n == 1:
+            yield (total,)
+            return
+        for first in range(min(total, t - 1), max(0, total - (n - 1) * (t - 1)) - 1, -1):
+            for rest in vectors(total - first, n - 1):
+                yield (first,) + rest
+
+    for total in range(d * (t - 1), -1, -1):
+        yield from vectors(total, d)
 
 
 def staircase_filtration(pres: QuotientPresentation, xs, t: int) -> FiltrationCertificate:
@@ -568,10 +576,9 @@ def staircase_filtration(pres: QuotientPresentation, xs, t: int) -> FiltrationCe
     if not xs:
         raise ValueError("need at least one parameter")
     target = tuple(x ** t for x in xs)
-    exps = sorted(itertools.product(range(t), repeat=len(xs)),
-                  key=lambda e: (-sum(e), tuple(-c for c in e)))
     gens = []
-    for e in exps:
+    for e in _staircase_exponents(t, len(xs)):
+        check_budget()
         g = pres.ambient.one()
         for x, k in zip(xs, e):
             if k:

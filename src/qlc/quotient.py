@@ -136,15 +136,15 @@ class VectorModule:
         self.dim = n
         self.labels = list(labels) if labels is not None else [f"e{i}" for i in range(n)]
         self.actions = {v: [list(row) for row in actions[v]] for v in ring.variables}
-        self._assert_commuting()
+        self._check_commuting()
 
-    def _assert_commuting(self):
+    def _check_commuting(self):
         names = self.ring.variables
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
                 a, b = self.actions[names[i]], self.actions[names[j]]
                 if mat_mul(self.field, a, b) != mat_mul(self.field, b, a):
-                    raise InternalError(f"actions of {names[i]} and {names[j]} do not commute")
+                    raise ValueError(f"actions of {names[i]} and {names[j]} do not commute")
 
     def format_vector(self, v) -> str:
         parts = []
@@ -159,9 +159,9 @@ class VectorModule:
     def from_actions(cls, ring, actions: dict, labels=None, k_gb=None) -> "VectorModule":
         """Module given directly by its action matrices (one per ring variable).
 
-        Matrices are row-major over ring.field and must commute pairwise.
-        k_gb, when given, names the ideal the module is taken modulo and only
-        feeds lower_length_ratio.
+        Matrices are row-major over ring.field and must commute pairwise
+        (ValueError otherwise).  k_gb, when given, names the ideal the module
+        is taken modulo and only feeds lower_length_ratio.
         """
         return cls(ring, actions, labels, k_gb)
 

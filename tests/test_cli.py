@@ -1,8 +1,12 @@
 """End-to-end command tests: rendering, exit codes, determinism."""
 
 import json
+import os
 import pathlib
+import resource
 import shlex
+import subprocess
+import sys
 import time
 
 import pytest
@@ -23,6 +27,13 @@ def test_member_text_output(capsys):
     code = run(["member", "--ring", "Q[x]", "--ideal", "x", "--poly", "1"])
     assert code == EXIT_OK
     assert capsys.readouterr().out == "false\n"
+
+
+def test_a_leading_minus_needs_the_equals_form(capsys):
+    # argparse reads "-x^2" after --poly as an option, so the value is glued on
+    assert run(["member", "--ring", "Q[x]", "--ideal", "x", "--poly=-x^2"]) == EXIT_OK
+    assert capsys.readouterr().out == "true\n"
+    assert run(["member", "--ring", "Q[x]", "--ideal", "x", "--poly", "-x^2"]) == EXIT_USAGE
 
 
 def test_json_envelope_shape(capsys):
@@ -300,6 +311,42 @@ def test_huge_length_respects_the_budget(argv, monkeypatch, capsys):
     assert run(argv) == EXIT_BUDGET
     assert time.monotonic() - start < budget + 1
     assert json.loads(capsys.readouterr().out)["incomplete"] is True
+
+
+_TIMED_RUN = """
+import sys, time
+from qlc.cli import run
+start = time.monotonic()
+code = run(sys.argv[1:])
+sys.stderr.write(f"elapsed {time.monotonic() - start}\\n")
+sys.exit(code)
+"""
+
+
+def _capped_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["force", "qseq", "--ring", "F2[x,y]", "--params", "x;y", "--element", "x*y",
+     "--t", "100000"],
+    ["content", "scan", "--ring", "F2[x,y]", "--params", "x;y", "--t", "100000000"],
+], ids=["qseq-candidate-pool", "content-staircase"])
+def test_huge_t_respects_the_budget_in_bounded_memory(argv):
+    # the disproof search's candidate pool and the staircase's exponent
+    # vectors are built one at a time under the budget.  A child process
+    # with a 2 GiB address space and a hard timeout runs the argv, so that a
+    # build that ignores the budget fails here rather than eating the machine.
+    budget = 1
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, QLC_BUDGET_SECS=str(budget),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _TIMED_RUN, *argv], env=env,
+                          preexec_fn=_capped_address_space, capture_output=True,
+                          text=True, timeout=budget + 10)
+    assert proc.returncode == EXIT_BUDGET, proc.stderr[-500:]
+    assert json.loads(proc.stdout)["incomplete"] is True
+    assert float(proc.stderr.split()[-1]) < budget + 1
 
 
 def test_huge_killing_exponent_answers_within_the_budget(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 and by a dict-row reference search, plus certificate validation, transport,
 and serialization behavior."""
 
+import importlib
 import itertools
 import json
 import random
@@ -13,18 +14,18 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qlc import dsl
-from qlc.fields import GF2, GF3, QQ
+from qlc.fields import GF2, GF3, QQ, Field, PrimeField, RationalFunctionField
 from qlc.groebner import InternalError, ideal
 from qlc.linalg import RowSpace, mat_mul, nullspace
 from qlc.poly import PolyRing
 from qlc.quasilength import (FiltrationCertificate, NoFiltration, RingContext,
                              SearchLimit, _all_nilpotent, _BitCoords,
                              _candidate_rows, _coordinates, _search,
-                             certificate_from_json, certificate_to_json,
-                             exact_search_cap, frobenius_transport,
+                             _staircase_exponents, certificate_from_json,
+                             certificate_to_json, frobenius_transport,
                              lower_length_ratio, quasilength,
-                             quasilength_exact, staircase_filtration,
-                             validate_filtration)
+                             quasilength_exact, search_pool,
+                             staircase_filtration, validate_filtration)
 from qlc.quotient import (QuotientPresentation, direct_sum, quotient_module,
                           vector_module)
 
@@ -255,6 +256,95 @@ def test_search_limit_and_greedy_fallback():
     assert b.exact == 3  # greedy happens to be optimal here: 9/3
 
 
+F5 = PrimeField(5)
+F2T = RationalFunctionField(2)
+F3T = RationalFunctionField(3)
+_FINITE = "exact search requires a finite coefficient field"
+_POOL = "upper bound from the {0,1,-1}-coordinate pool"
+_GREEDY = "upper bound from the greedy sweep"
+
+
+def _field_id(value):
+    return repr(value) if isinstance(value, Field) else None
+
+
+@pytest.mark.parametrize("field, relations, killing, dim, want", [
+    (GF2, "x^3;y^4", "x;y^2", 12, (6, 6, 6, "exact", ())),
+    (GF2, "x^5;y^3;x^3*y^2", "x;y^2", 13,
+     (7, 8, None, "length-ratio", ("dim 13 exceeds the exact-search cap 12", _GREEDY))),
+    (GF3, "x^2;y^4", "x;y^2", 8, (4, 4, 4, "exact", ())),
+    (GF3, "x^3;y^3", "x;y^2", 9,
+     (5, 6, None, "length-ratio", ("dim 9 exceeds the exact-search cap 8", _GREEDY))),
+    (F5, "x^2;y^4", "x;y^2", 8, (4, 4, 4, "exact", ())),
+    (F5, "x^3;y^3", "x;y^2", 9,
+     (5, 6, None, "length-ratio", ("dim 9 exceeds the exact-search cap 8", _GREEDY))),
+    (QQ, "x^2;y^4", "x;y^2", 8, (4, 4, 4, "length-ratio", (_FINITE, _POOL))),
+    (QQ, "x^2;y^3", "x;y^2", 6, (3, 4, None, "length-ratio", (_FINITE, _POOL))),
+    (QQ, "x^3;y^3", "x;y^2", 9, (5, 6, None, "length-ratio", (_FINITE, _GREEDY))),
+    (F2T, "x^2;y^4", "x;y^2", 8, (4, 4, 4, "length-ratio", (_FINITE, _POOL))),
+    (F2T, "x^2-y;y^4", "x^2;y", 8, (4, 4, 4, "length-ratio", (_FINITE, _POOL))),
+    (F2T, "x^3;y^3", "x;y^2", 9, (5, 6, None, "length-ratio", (_FINITE, _GREEDY))),
+    (F3T, "x^2;y^4", "x;y^2", 8, (4, 4, 4, "length-ratio", (_FINITE, _POOL))),
+    (F3T, "x^3;y^3", "x;y^2", 9, (5, 6, None, "length-ratio", (_FINITE, _GREEDY))),
+], ids=_field_id)
+def test_bounds_on_both_sides_of_each_cap(field, relations, killing, dim, want):
+    ring = PolyRing(field, ["x", "y"])
+    M = _quo(ring, relations)
+    assert M.dim == dim
+    b = quasilength(M, ideal(ring, dsl.parse_polys(ring, killing)))
+    assert (b.lower, b.upper, b.exact, b.lower_method, b.flags) == want
+    assert b.certificate.validated.ok
+
+
+@pytest.mark.parametrize("field, pools", [
+    (GF2, {12: (0, 1), 13: None}),
+    (GF3, {8: (0, 1, 2), 9: None}),
+    (QQ, {8: ((0, 1), (1, 1), (-1, 1)), 9: None}),
+    (F2T, {8: (F2T.zero, F2T.one), 9: None}),  # -1 = 1 over F2(t)
+    (F3T, {8: (F3T.zero, F3T.one, F3T.from_int(2)), 9: None}),
+], ids=_field_id)
+def test_search_pool_is_the_one_plan(field, pools):
+    for dim, pool in pools.items():
+        got, limit = search_pool(field, dim)
+        assert got == pool
+        if field.size is None:
+            assert limit == _FINITE
+        elif pool is None:
+            assert limit == f"dim {dim} exceeds the exact-search cap {dim - 1}"
+        else:
+            assert limit is None
+
+
+def test_pool_search_over_f2t_walks_each_class_once():
+    # -1 = 1 over F2(t): a pool of {0, 1, 1} would close 3 281 candidates
+    R = PolyRing(F2T, ["x", "y"])
+    M = direct_sum(_quo(R, "x^2;y^2"), _quo(R, "x^2;y^2"))
+    with _key_log() as keys:
+        b = quasilength(M, ideal(R, dsl.parse_polys(R, "x^2;y^2")))
+    assert (b.lower, b.upper, b.exact, b.lower_method) == (2, 2, 2, "min-generators")
+    assert len(keys) == 1 + 256  # the start span, then each closure
+
+
+def test_quasilength_builds_one_coordinate_helper(monkeypatch):
+    ql_module = importlib.import_module("qlc.quasilength")
+    calls = []
+    original = ql_module._coordinates
+
+    def counted(M, killing):
+        calls.append(M)
+        return original(M, killing)
+
+    monkeypatch.setattr(ql_module, "_coordinates", counted)
+    for M, I in _pinned_modules():
+        calls.clear()
+        quasilength(M, I)
+        assert calls == [M]
+    calls.clear()
+    M, I = _above_cap_module(lambda x, y: [x ** 2, y ** 2])  # the greedy sweep
+    quasilength(M, I)
+    assert calls == [M]
+
+
 def test_lower_length_ratio():
     ring = PolyRing(GF2, ["x", "y"])
     x, y = ring.gens()
@@ -274,6 +364,14 @@ def test_staircase_order_and_validity():
     # works for non-monomial parameters too
     cert2 = staircase_filtration(pres, (x + y, x * y + 1), 2)
     assert cert2.validated.ok and len(cert2) == 4
+
+
+def test_staircase_exponents_are_the_sorted_order():
+    for t in range(1, 6):
+        for d in range(1, 5):
+            want = sorted(itertools.product(range(t), repeat=d),
+                          key=lambda e: (-sum(e), tuple(-c for c in e)))
+            assert list(_staircase_exponents(t, d)) == want
 
 
 def test_staircase_counts():
@@ -511,12 +609,12 @@ def test_packed_search_walks_like_the_dict_reference(case):
             expected = None
     assume(expected is not None)
     with _key_log() as got:
-        if M.dim <= exact_search_cap(2):
+        if search_pool(GF2, M.dim)[1] is None:
             value, cert = quasilength_exact(M, I)
             chain = list(cert.generators)
             assert value == len(chain) and cert.validated.ok
-        else:
-            chain = _search(M, I, F2_POOL)  # above the cap: the search itself
+        else:  # above the cap: the search itself
+            chain = _search(_coordinates(M, I.generators), F2_POOL)
     assert chain == expected
     assert len(set(got)) == len(set(want))  # distinct spans
     assert len(got) == len(want)            # candidate closures
@@ -558,7 +656,7 @@ def test_exact_search_walks_are_pinned(which, spans, candidates, chain):
 def test_lower_bound_uses_min_generators_on_nilpotent_actions():
     R1 = PolyRing(QQ, ["x"])
     M = direct_sum(_quo(R1, "x^2"), _quo(R1, "x^2"))
-    assert _all_nilpotent(M) is True
+    assert _all_nilpotent(_coordinates(M, ())) is True
     bounds = quasilength(M, ideal(R1, dsl.parse_polys(R1, "x^2")))
     assert (bounds.lower, bounds.exact) == (2, 2)
     assert bounds.lower_method == "min-generators"
@@ -567,7 +665,7 @@ def test_lower_bound_uses_min_generators_on_nilpotent_actions():
 def test_lower_bound_skips_min_generators_on_an_idempotent_action():
     R1 = PolyRing(QQ, ["x"])
     M = direct_sum(_quo(R1, "x^2-x"), _quo(R1, "x^2-x"))
-    assert _all_nilpotent(M) is False  # x acts as a nonzero idempotent
+    assert _all_nilpotent(_coordinates(M, ())) is False  # x acts as a nonzero idempotent
     bounds = quasilength(M, ideal(R1, dsl.parse_polys(R1, "x^2-x")))
     assert (bounds.lower, bounds.exact) == (2, 2)
     assert bounds.lower_method == "length-ratio"
