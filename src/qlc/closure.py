@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 from .config import DEFAULT, JobConfig, check_budget
-from .groebner import InternalError, ideal, ideal_power, normal_form
+from .groebner import InternalError, ideal, ideal_powers, normal_form
 from .poly import Polynomial
 from .quasilength import FiltrationCertificate, RingContext, require_valid
 from .quotient import QuotientPresentation
@@ -260,9 +260,10 @@ def short_filtration_search(pres: QuotientPresentation, xs, t: int,
         check_budget()
         if not m.is_constant():
             pool.append(m)
-    param_ideal = ideal(ambient, list(xs))
-    # I^r must fit inside a stage that can still finish within r steps
-    power_gens = {r: ideal_power(param_ideal, r).generators for r in range(max_steps + 1)}
+    # I^r must fit inside a stage that can still finish within r steps;
+    # the table grows by one product per deepening step
+    powers = ideal_powers(ideal(ambient, list(xs)))
+    power_gens = [next(powers).generators]
 
     budget = config.disproof_node_budget
     state = {"nodes": 0, "out_of_budget": False}
@@ -305,6 +306,7 @@ def short_filtration_search(pres: QuotientPresentation, xs, t: int,
 
     base = pres.ideal(target)
     for limit in range(1, max_steps + 1):
+        power_gens.append(next(powers).generators)
         dead.clear()
         chain = dive(base, limit, [])
         if chain is not None:

@@ -12,15 +12,19 @@ terms in input order); Polynomial equality and hashing ignore it, and
 format_poly sorts the terms before printing.  IdealHandle.plus grows an
 ideal one generator at a time, seeding Buchberger with the kept basis.
 
-Pair selection is by sugar degree, following Gebauer and Moeller, "On an
-installation of Buchberger's algorithm" (J. Symbolic Comput. 6, 1988).  A
-pair with coprime leading terms is marked treated when it is pushed and
-never enters the heap: its S-polynomial reduces to zero by the pair itself,
-so it counts as treated exactly as a popped pair does.  The chain criterion
-is applied at pop time and skips a pair (i, j) only when some k with
-lt_k | lcm(lt_i, lt_j) has both (i, k) and (j, k) treated already.  Every
-skip thus rests on pairs treated before it, never on a later one, so the
-skipped syzygies are combinations of treated ones and the result stays a
+Pair selection is by sugar degree, and the pair criteria are Gebauer and
+Moeller's update, "On an installation of Buchberger's algorithm" (J.
+Symbolic Comput. 6, 1988; Becker and Weispfenning, Groebner Bases, 1993,
+section 5.5), applied once per new element h and never at pop time.  Pairs
+(i, h) are formed only with the active elements, those whose leading term
+no later leading term divides.  Among them criterion M keeps one pair per
+minimal lcm, and criterion F drops every pair whose lcm a coprime pair's
+lcm divides; a coprime pair never enters the heap, since its S-polynomial
+reduces to zero by the pair itself.  Criterion B_h drops a queued pair
+(i, j) whose lcm L the leading term of h divides, unless lcm(lt_i, lt_h) or
+lcm(lt_j, lt_h) equals L; it leaves the heap lazily, through the map of
+live pairs that the pop loop checks.  Every dropped pair's S-polynomial is
+a combination of kept ones with smaller lcms, so the result stays a
 Groebner basis.
 """
 
@@ -194,30 +198,39 @@ def buchberger(gens, order=grevlex, seed=()) -> list[Polynomial]:
     lts = [p[0] for p in prepped]
     sugars = [g.total_degree() for g in basis]
     n0 = len(basis)
-    # pairs (i, j), i < j, treated already: popped, coprime or chain-skipped;
-    # pairs inside the seed (j < n0) are implied and never stored
-    done: set = set()
-    heap: list = []   # (sugar, deg L, order.key(L), i, j, L), L = lcm of the two lts
-
-    def treated(a: int, b: int) -> bool:
-        if a > b:
-            a, b = b, a
-        return b < n0 or (a, b) in done
+    active = list(range(n0))   # elements whose leading term no later one divides
+    live: dict = {}   # queued pair (i, j), i < j -> lcm of lt_i and lt_j
+    heap: list = []   # (sugar, deg L, order.key(L), i, j, L); stale unless in live
 
     def append(g: Polynomial, sugar: int):
         g = g.monic(order)
         prep = g.prepared(order)
         lt = prep[0]
         k = len(basis)
+        # criterion B_k on the queued pairs
+        dropped = [p for p, L in live.items()
+                   if all(map(le, lt, L)) and mono_lcm(lts[p[0]], lt) != L
+                   and mono_lcm(lts[p[1]], lt) != L]
+        for p in dropped:
+            del live[p]
+        # criteria M and F on the new pairs
+        new = []
+        for i in active:
+            L = mono_lcm(lts[i], lt)
+            new.append((mono_deg(L), L, not mono_gcd_is_one(lts[i], lt), i))
+        new.sort()   # by lcm degree, so a divisor comes first; coprime first per lcm
         shift = sugar - mono_deg(lt)
-        for i, lti in enumerate(lts):
-            if mono_gcd_is_one(lti, lt):
-                done.add((i, k))
+        minimal: list = []
+        for dL, L, plain, i in new:
+            if any(all(map(le, m, L)) for m in minimal):
                 continue
-            L = mono_lcm(lti, lt)
-            dL = mono_deg(L)
-            heapq.heappush(heap, (max(sugars[i] - mono_deg(lti), shift) + dL,
-                                  dL, order.key(L), i, k, L))
+            minimal.append(L)
+            if plain:
+                live[i, k] = L
+                heapq.heappush(heap, (max(sugars[i] - mono_deg(lts[i]), shift) + dL,
+                                      dL, order.key(L), i, k, L))
+        active[:] = [i for i in active if not all(map(le, lt, lts[i]))]
+        active.append(k)
         basis.append(g)
         prepped.append(prep)
         lts.append(lt)
@@ -231,15 +244,13 @@ def buchberger(gens, order=grevlex, seed=()) -> list[Polynomial]:
     while heap:
         config.check_budget()
         sugar, _, _, i, j, L = heapq.heappop(heap)
-        done.add((i, j))
-        if any(k != i and k != j and all(map(le, ltk, L)) and treated(i, k) and treated(j, k)
-               for k, ltk in enumerate(lts)):
+        if live.pop((i, j), None) is None:
             continue
         r = _reduce(_s_polynomial(prepped[i], prepped[j], L, ring), prepped, order)
         if r.terms:
             append(r, max(sugar, r.total_degree()))
 
-    return _reduce_basis(basis, prepped, n0, order)
+    return _reduce_basis(basis, prepped, active, n0, order)
 
 
 def _s_polynomial(pi, pj, L, ring) -> Polynomial:
@@ -264,20 +275,18 @@ def _s_polynomial(pi, pj, L, ring) -> Polynomial:
     return Polynomial(ring, work)
 
 
-def _reduce_basis(basis, prepped, n0, order) -> list[Polynomial]:
-    """Minimalize then inter-reduce; output sorted by leading term, monic.
+def _reduce_basis(basis, prepped, kept, n0, order) -> list[Polynomial]:
+    """Inter-reduce the minimal basis kept; output sorted by leading term, monic.
 
-    basis[:n0] is a reduced basis (the seed), and each later element was
-    appended in normal form against every element before it.  So an element
-    can only be hit by a leading term appended after both it and the seed:
-    when such a term divides its leading term it is dropped, and when it
-    divides one of its other terms it is reduced again against the kept
-    elements.  Every other element is already reduced and is kept as it is.
+    kept lists, in index order, the elements whose leading term no later
+    leading term divides.  basis[:n0] is a reduced basis (the seed), and
+    each later element was appended in normal form against every element
+    before it.  So a kept element can only be hit by a leading term
+    appended after both it and the seed: when such a term divides one of
+    its other terms it is reduced again against the kept elements.  Every
+    other element is already reduced and is kept as it is.
     """
     lts = [p[0] for p in prepped]
-    n = len(basis)
-    kept = [i for i in range(n)
-            if not any(mono_divides(lts[k], lts[i]) for k in range(max(i + 1, n0), n))]
     for i in kept:
         later = [lts[k] for k in kept if k > i and k >= n0]
         if later and any(mono_divides(lt, m) for m in basis[i].terms for lt in later):
@@ -386,6 +395,14 @@ def ideal_product(I: IdealHandle, J: IdealHandle) -> IdealHandle:
             seen.add(h)
             gens.append(h)
     return IdealHandle(I.ring, gens)
+
+
+def ideal_powers(I: IdealHandle):
+    """I^0, I^1, I^2, ... without end, each the product of the one before and I."""
+    power = IdealHandle(I.ring, [I.ring.one()])
+    while True:
+        yield power
+        power = ideal_product(power, I)
 
 
 def ideal_power(I: IdealHandle, n: int) -> IdealHandle:

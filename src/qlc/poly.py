@@ -38,7 +38,7 @@ def mono_lcm(a, b):
 
 
 def mono_gcd_is_one(a, b) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    return not any(map(min, a, b))
 
 
 def mono_deg(a) -> int:

@@ -330,11 +330,14 @@ def _capped_address_space():
 @pytest.mark.parametrize("argv", [
     ["force", "qseq", "--ring", "F2[x,y]", "--params", "x;y", "--element", "x*y",
      "--t", "100000"],
+    ["force", "qseq", "--ring", "F2[x,y]", "--params", "x;y", "--element", "x*y",
+     "--t", "10"],
     ["content", "scan", "--ring", "F2[x,y]", "--params", "x;y", "--t", "100000000"],
-], ids=["qseq-candidate-pool", "content-staircase"])
+], ids=["qseq-candidate-pool", "qseq-power-table", "content-staircase"])
 def test_huge_t_respects_the_budget_in_bounded_memory(argv):
-    # the disproof search's candidate pool and the staircase's exponent
-    # vectors are built one at a time under the budget.  A child process
+    # the disproof search's candidate pool, its table of the powers I^r (up
+    # to r = t^d - 1) and the staircase's exponent vectors are built one at
+    # a time under the budget.  A child process
     # with a 2 GiB address space and a hard timeout runs the argv, so that a
     # build that ignores the budget fails here rather than eating the machine.
     budget = 1

@@ -1,7 +1,8 @@
 """Ideal arithmetic against independent oracles: sympy Groebner bases over Q,
-the lcm rule for monomial-ideal intersections, and membership scans for colon
-ideals."""
+a Buchberger that reduces every S-pair, the lcm rule for monomial-ideal
+intersections, and membership scans for colon ideals."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -13,11 +14,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qlc import dsl
-from qlc.fields import GF2, QQ, PrimeField
+from qlc.fields import GF2, GF3, QQ, PrimeField, RationalFunctionField
 from qlc.groebner import (InternalError, bracket_power,
                           buchberger, colon, ideal, ideal_compare,
-                          ideal_power, ideal_product, ideal_sum, intersect,
-                          normal_form, poly_divide_exact)
+                          ideal_power, ideal_powers, ideal_product, ideal_sum,
+                          intersect, normal_form, poly_divide_exact)
 from qlc.poly import Block, GrevLex, PolyRing, grevlex, lex
 
 
@@ -307,6 +308,21 @@ def test_ideal_power_true_power():
     assert ideal_power(I, 0).is_unit_ideal()
 
 
+@pytest.mark.parametrize("ring_text, params, t", [
+    (ring_text, params, t)
+    for ring_text, params, ts in [("F2[x,y]", "x;y", (1, 2, 3, 4)),
+                                  ("F3[x,y]", "x+y;x*y^2", (2, 3, 4)),
+                                  ("Q[x,y,z]", "x;y;z", (2,))]
+    for t in ts])
+def test_power_table_matches_ideal_power(ring_text, params, t):
+    # the disproof search's table of I^r for r < t^d, one product per step
+    ring, _ = dsl.parse_ring(ring_text)
+    I = ideal(ring, dsl.parse_polys(ring, params))
+    table = list(itertools.islice(ideal_powers(I), t ** len(I.generators)))
+    assert [P.generators for P in table] == [ideal_power(I, r).generators
+                                             for r in range(len(table))]
+
+
 def test_bracket_power_vs_power_gap():
     ring = PolyRing(GF2, ["x", "y"])
     x, y = ring.gens()
@@ -570,3 +586,143 @@ def test_one_term_normal_form_matches_reference_division(field, order, data):
     (m,) = f.terms
     if not any(all(a >= b for a, b in zip(m, g.leading(order)[0])) for g in basis):
         assert normal_form(f, basis, order) is f
+
+
+# ---------------------------------------------------------------------------
+# the pair criteria against a Buchberger that reduces every S-pair
+
+F3T = RationalFunctionField(3)
+CRITERIA_FIELDS = [GF2, GF3, QQ, F3T]
+CRITERIA_FIELD_IDS = ["F2", "F3", "Q", "F3(t)"]
+
+
+def _lead(g, order):
+    lt = max(g.terms, key=order.key)
+    return lt, g.terms[lt]
+
+
+def _monic(g, order):
+    F = g.ring.field
+    return g.scale(F.div(F.one, _lead(g, order)[1]))
+
+
+def reference_buchberger(gens, order):
+    """Reduced basis, sorted by leading term: every S-pair is reduced by
+    textbook division, smallest lcm first, then the basis is minimalized
+    and inter-reduced."""
+    basis = [_monic(g, order) for g in gens if g.terms]
+    lts = [_lead(g, order)[0] for g in basis]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+
+    def lcm(pair):
+        return tuple(map(max, *(lts[k] for k in pair)))
+
+    while pairs:
+        pair = min(pairs, key=lambda p: (sum(lcm(p)), order.key(lcm(p))))
+        pairs.remove(pair)
+        i, j = pair
+        L = lcm(pair)
+        ring = basis[i].ring
+        s = (ring.monomial(tuple(a - b for a, b in zip(L, lts[i]))) * basis[i]
+             - ring.monomial(tuple(a - b for a, b in zip(L, lts[j]))) * basis[j])
+        r = ring.from_terms(reference_normal_form(s, basis, order))
+        if r.terms:
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(_monic(r, order))
+            lts.append(_lead(r, order)[0])
+    minimal = [g for k, g in enumerate(basis)
+               if not any(all(a >= b for a, b in zip(lts[k], lt)) and (lt != lts[k] or h < k)
+                          for h, lt in enumerate(lts) if h != k)]
+    reduced = [_monic(g.ring.from_terms(reference_normal_form(
+        g, [h for h in minimal if h is not g], order)), order) for g in minimal]
+    return sorted(reduced, key=lambda g: order.key(_lead(g, order)[0]))
+
+
+def criteria_coefficient(field):
+    values = [field.one, field.from_int(2)]
+    if field is F3T:
+        t = field.t
+        values += [t, field.add(t, field.one)]
+    return st.sampled_from([c for c in values if c != field.zero])
+
+
+# Leading terms from this pool meet coprime ones (x^2 and y*z) and equal
+# lcms (x*y, x*z and y*z pairwise share the lcm x*y*z), where criteria F and
+# M fire.  A tail term is a proper divisor of the leading term, which keeps
+# that term leading under every monomial order.
+LEADS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2),
+         (1, 1, 0), (1, 0, 1), (0, 1, 1), (2, 1, 0), (0, 1, 2), (1, 1, 1)]
+
+
+@st.composite
+def criteria_poly(draw, field):
+    ring = PolyRing(field, ["x", "y", "z"])
+    if draw(st.booleans()):
+        lead = draw(st.sampled_from(LEADS))
+        tails = st.lists(below(lead).filter(lambda m: m != lead), max_size=2)
+    else:
+        lead = draw(st.tuples(*[st.integers(0, 2)] * 3))
+        tails = st.lists(st.tuples(*[st.integers(0, 2)] * 3), max_size=2)
+    terms = {m: draw(criteria_coefficient(field)) for m in draw(tails)}
+    terms[lead] = draw(criteria_coefficient(field))
+    return ring.from_terms(terms)
+
+
+@pytest.mark.parametrize("field", CRITERIA_FIELDS, ids=CRITERIA_FIELD_IDS)
+@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pair_criteria_match_a_criterion_free_buchberger(field, order, data):
+    gens = data.draw(st.lists(criteria_poly(field), min_size=1, max_size=3))
+    want = reference_buchberger(gens, order)
+    assert buchberger(gens, order) == want
+    # a seeded run and a chain of seeded runs reach the same basis
+    cut = data.draw(st.integers(0, len(gens)))
+    assert buchberger(gens[cut:], order,
+                      seed=reference_buchberger(gens[:cut], order)) == want
+    assert seeded_chain(gens, order)[-1] == want
+    if order == grevlex:
+        stage = ideal(gens[0].ring, [])
+        for k, g in enumerate(gens, 1):
+            stage = stage.plus(g)
+            assert list(stage.groebner_basis()) == reference_buchberger(gens[:k], order)
+
+
+def test_criteria_f_and_m_cases_by_hand():
+    # x*y, x*z and y*z share the lcm x*y*z pairwise, and x^2 is coprime to y*z
+    ring = PolyRing(GF3, ["x", "y", "z"])
+    for text in ("x*y+x; x*z+z+1; y*z+y", "x^2+x; y*z+1; x*y+y; x*z"):
+        gens = dsl.parse_polys(ring, text)
+        for order in ORDERS:
+            assert buchberger(gens, order) == reference_buchberger(gens, order)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's Groebner probes, pinned to their reduced bases
+
+_CYCLIC5 = ("x0+x1+x2+x3+x4; x0*x1+x1*x2+x2*x3+x3*x4+x4*x0;"
+            "x0*x1*x2+x1*x2*x3+x2*x3*x4+x3*x4*x0+x4*x0*x1;"
+            "x0*x1*x2*x3+x1*x2*x3*x4+x2*x3*x4*x0+x3*x4*x0*x1+x4*x0*x1*x2;"
+            "x0*x1*x2*x3*x4-1")
+_KATSURA5 = ("u0^2+2*u1^2+2*u2^2+2*u3^2+2*u4^2+2*u5^2-u0;"
+             "2*u0*u1+2*u1*u2+2*u2*u3+2*u3*u4+2*u4*u5-u1;"
+             "u1^2+2*u0*u2+2*u1*u3+2*u2*u4+2*u3*u5-u2;"
+             "2*u0*u3+2*u1*u2+2*u1*u4+2*u2*u5-u3;"
+             "u2^2+2*u0*u4+2*u1*u3+2*u1*u5-u4;"
+             "u0+2*u1+2*u2+2*u3+2*u4+2*u5-1")
+
+
+@pytest.mark.parametrize("ring_text, gens, size, digest", [
+    ("Q[x0,x1,x2,x3,x4]", _CYCLIC5, 20,
+     "57d29d7eb38de49eb3040740284b720c5b13c5d2a8ffc401d0f27502792e3f8d"),
+    ("F32003[x0,x1,x2,x3,x4]", _CYCLIC5, 20,
+     "233f6b930a144ae379385e3e00defb2472291cfd7b89e930888cc1422b7eab82"),
+    ("Q[u0,u1,u2,u3,u4,u5]", _KATSURA5, 22,
+     "298632ae9674e04c1548054f0e1470aa5662ef9f66f945b1ffc72880a8671458"),
+], ids=["cyclic5-Q", "cyclic5-F32003", "katsura5-Q"])
+def test_probe_bases_are_pinned(ring_text, gens, size, digest):
+    ring, _ = dsl.parse_ring(ring_text)
+    basis = ideal(ring, dsl.parse_polys(ring, gens)).groebner_basis()
+    text = "\n".join(dsl.format_poly(g) for g in basis)
+    assert len(basis) == size
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
