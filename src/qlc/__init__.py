@@ -19,8 +19,8 @@ from .dsl import (DslError, format_poly, format_ring, parse_poly, parse_polys,
 from .fields import (GF2, GF3, QQ, PrimeField, RationalField,
                      RationalFunctionField)
 from .groebner import (IdealHandle, InternalError, bracket_power, colon,
-                       ideal, ideal_compare, ideal_power, ideal_powers,
-                       ideal_product, ideal_sum, intersect, normal_form)
+                       ideal, ideal_compare, ideal_power, ideal_product,
+                       ideal_sum, intersect, normal_form)
 from .poly import Polynomial, PolyRing, frobenius_power, grevlex, lex
 from .quasilength import (FiltrationCertificate, ModuleContext, NoFiltration,
                           QuasilengthBounds, RingContext, SearchLimit,

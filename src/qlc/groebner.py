@@ -23,14 +23,18 @@ lcm divides; a coprime pair never enters the heap, since its S-polynomial
 reduces to zero by the pair itself.  Criterion B_h drops a queued pair
 (i, j) whose lcm L the leading term of h divides, unless lcm(lt_i, lt_h) or
 lcm(lt_j, lt_h) equals L; it leaves the heap lazily, through the map of
-live pairs that the pop loop checks.  Every dropped pair's S-polynomial is
-a combination of kept ones with smaller lcms, so the result stays a
-Groebner basis.
+live pairs that the pop loop checks.  A pair dropped by B_h is covered by
+(i, h) and (j, h), whose lcms both divide L properly.  A pair (i, h)
+dropped by M or F is covered by a pair (j, h) whose lcm divides L,
+properly for M and equal to it for F, together with (i, j), whose lcm
+divides L and may equal it.  Gebauer and Moeller's chain argument then
+shows that the result stays a Groebner basis.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from operator import add, ge, le, sub
 
 from . import config
@@ -408,12 +412,7 @@ def ideal_powers(I: IdealHandle):
 def ideal_power(I: IdealHandle, n: int) -> IdealHandle:
     if n < 0:
         raise ValueError("ideal power wants n >= 0")
-    if n == 0:
-        return IdealHandle(I.ring, [I.ring.one()])
-    out = I
-    for _ in range(n - 1):
-        out = ideal_product(out, I)
-    return out
+    return next(itertools.islice(ideal_powers(I), n, None))
 
 
 def bracket_power(I: IdealHandle, q: int) -> IdealHandle:
