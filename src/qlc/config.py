@@ -1,4 +1,6 @@
-"""Job-level bounds: the wall-clock budget and the disproof node budget.
+"""Job-level bounds: the wall-clock budget and the disproof node budget, and
+the two errors every layer may raise (the budget running out, a broken
+invariant).
 
 Engine code is deterministic and seed-free; the only nondeterminism a budget
 introduces is *whether* a computation finishes, never its value.
@@ -15,6 +17,10 @@ from dataclasses import dataclass
 
 class BudgetExhausted(RuntimeError):
     """Raised cooperatively when the active time budget runs out."""
+
+
+class InternalError(AssertionError):
+    """An invariant the engine relies on failed; always a bug, never user input."""
 
 
 @dataclass

@@ -7,13 +7,20 @@ the arithmetic.  Everything is exact, nothing is mutated.
   gcd(num, den) = 1.
 - F_p: int in [0, p).
 - F_p(t): a canonical pair (num, den) of F_p[t] polynomials with den monic
-  and gcd(num, den) = 1.  For p = 2 a polynomial is an int read as a bit
-  vector (bit i is the coefficient of t^i): addition is XOR, products
-  shift and XOR.  For odd p it is a tuple of coefficients in [0, p), lowest
-  degree first, with no trailing zeros; products use Kronecker substitution
-  (Harvey, "Faster polynomial multiplication via multipoint Kronecker
-  substitution", JSC 2009): pack each factor into one int, multiply once,
-  read the slots back mod p.
+  and gcd(num, den) = 1.  A polynomial is one nonnegative int that holds
+  its coefficients in w-bit slots, lowest degree first, each in [0, p): 0
+  is 0, 1 is 1 and t is 1 << w.  For p = 2, w = 1: the int is a bit
+  vector, addition is XOR and products shift and XOR.  For odd p, w is 64
+  (whole bytes of at least 2*bits(p) + 32 bits once p >= 2^16):
+  - a product is Kronecker substitution (Harvey, "Faster polynomial
+    multiplication via multipoint Kronecker substitution", JSC 2009): one
+    big-int product of the two stored ints, then every slot mod p;
+  - a sum or a negation works on all slots at once inside one int (SWAR):
+    adding 2^(w-1) - p to every slot sets the top bit of the slots that
+    are at least p, and p is taken off those;
+  - Euclid and exact division run on lazily reduced slots: a step adds
+    (p - c) * b * t^s and drops the top slot, whose value mod p gave c, and
+    the slots are reduced mod p only when the next step could carry.
 
 Q and F_p(t) sums and products split their gcds (Henrici, JACM 3, 1956;
 Knuth, TAOCP 2, 4.5.1): a product cancels gcd(an, bd) and gcd(bn, ad) rather
@@ -24,9 +31,14 @@ a shift-and-XOR product checks the time budget.
 
 from __future__ import annotations
 
+import struct
+import sys
 from math import gcd
 
 from . import config
+from .config import InternalError
+
+_BYTEORDER = sys.byteorder  # native "Q" slots of struct and memoryview
 
 
 # Miller-Rabin with the first twelve prime bases is exact for every n below
@@ -209,12 +221,7 @@ class PrimeField(Field):
 class _BinaryPolys:
     """F_2[t] on ints read as bit vectors: bit i is the coefficient of t^i."""
 
-    zero = 0
-    one = 1
     t = 2
-
-    def const(self, c: int) -> int:
-        return c
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
@@ -275,108 +282,163 @@ class _BinaryPolys:
 
 
 class _OddPolys:
-    """F_p[t] for odd p on coefficient tuples in [0, p), lowest degree first,
-    no trailing zeros."""
-
-    zero = ()
-    one = (1,)
-    t = (0, 1)
+    """F_p[t] for odd p on nonnegative ints: the coefficient of t^i is the
+    w-bit slot i, canonical in [0, p).  w is 64 when 2*bits(p) + 32 <= 64,
+    else the whole bytes that hold 2*bits(p) + 32 bits: the 32 spare bits
+    keep every slot of a product below 2^w (see mul)."""
 
     def __init__(self, p: int):
         self.p = p
-        self.square = (p - 1) ** 2
+        bits = 2 * p.bit_length() + 32
+        self.w = w = 64 if bits <= 64 else (bits + 7) & ~7
+        self.t = 1 << w
+        self._cap = self._ones = self._lift = 0  # see _spread
 
-    def const(self, c: int) -> tuple:
-        return (c,)
+    def _spread(self, n: int) -> tuple:
+        """(ones, lift) over n slots: 1 and 2^(w-1) - p in every slot."""
+        w = self.w
+        if n > self._cap:
+            self._cap = cap = max(n, 2 * self._cap, 64)
+            self._ones = ((1 << w * cap) - 1) // ((1 << w) - 1)
+            self._lift = self._ones * ((1 << w - 1) - self.p)
+        cut = w * (self._cap - n)
+        return self._ones >> cut, self._lift >> cut
 
-    def add(self, a: tuple, b: tuple) -> tuple:
+    def _fold(self, s: int) -> int:
+        """s with every slot in [0, 2p) brought into [0, p), all at once: a
+        slot plus 2^(w-1) - p sets the slot's top bit exactly when it is at
+        least p, and p is taken off the slots so marked."""
+        w = self.w
+        ones, lift = self._spread(-(-s.bit_length() // w))
+        return s - self.p * ((s + lift) >> w - 1 & ones)
+
+    def _slots(self, a: int):
+        """The w-bit slots of a, lowest first, as ints."""
+        w = self.w
+        n = -(-a.bit_length() // w)
+        if w == 64:
+            return memoryview(a.to_bytes(8 * n, _BYTEORDER)).cast("Q")
+        k = w >> 3
+        raw = a.to_bytes(k * n, "little")
+        return [int.from_bytes(raw[i:i + k], "little") for i in range(0, k * n, k)]
+
+    def _pack(self, slots: list) -> int:
+        """The int whose w-bit slots are slots, each below 2^w."""
+        if self.w == 64:
+            return int.from_bytes(struct.pack(f"{len(slots)}Q", *slots), _BYTEORDER)
+        k = self.w >> 3
+        return int.from_bytes(b"".join([c.to_bytes(k, "little") for c in slots]), "little")
+
+    def _scaled(self, a: int, c: int) -> int:
+        """c * a with every slot reduced mod p; the slots of a may hold any
+        value below 2^w."""
         p = self.p
-        if len(a) < len(b):
-            a, b = b, a
-        out = [(x + y) % p for x, y in zip(a, b)]
-        if len(a) > len(b):
-            return tuple(out) + a[len(b):]
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
+        return self._pack([x * c % p for x in self._slots(a)])
 
-    def neg(self, a: tuple) -> tuple:
-        p = self.p
-        return tuple(-c % p for c in a)
+    def add(self, a: int, b: int) -> int:
+        return self._fold(a + b)
 
-    def scale(self, a: tuple, c: int) -> tuple:
-        p = self.p
-        return tuple(x * c % p for x in a)
+    def neg(self, a: int) -> int:
+        # p - a_i lies in [1, p]; the fold takes the slots equal to p to 0
+        ones, _ = self._spread(-(-a.bit_length() // self.w))
+        return self._fold(self.p * ones - a)
 
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        """Kronecker substitution: each factor becomes one int with a slot of
-        k bytes per coefficient, wide enough for any coefficient of the
-        integer product; one big-int product, then each slot mod p."""
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            return b if a[0] == 1 else self.scale(b, a[0])
-        p = self.p
-        k = ((self.square * len(a)).bit_length() + 7) >> 3
-        x = int.from_bytes(b"".join([c.to_bytes(k, "little") for c in a]), "little")
-        y = int.from_bytes(b"".join([c.to_bytes(k, "little") for c in b]), "little")
-        n = (len(a) + len(b) - 1) * k
-        z = (x * y).to_bytes(n, "little")
-        # the leading coefficient is a[-1] * b[-1], nonzero mod p: no trimming
-        return tuple([int.from_bytes(z[i:i + k], "little") % p
-                      for i in range(0, n, k)])
+    def mul(self, a: int, b: int) -> int:
+        """Kronecker substitution: one big-int product of the two packed
+        factors, then every slot mod p.  A slot of the product sums at most
+        min(len a, len b) terms below (p-1)^2, so it stays below 2^w while
+        the shorter factor has at most 2^32 coefficients."""
+        if a == 1:
+            return b
+        if b == 1:
+            return a
+        if min(a.bit_length(), b.bit_length()) > self.w << 32:
+            raise InternalError("an F_p[t] product would carry between slots")
+        return self._scaled(a * b, 1)
 
-    def quo(self, a: tuple, b: tuple) -> tuple:
-        """a / b for b dividing a."""
-        p = self.p
+    def quo(self, a: int, b: int) -> int:
+        """a / b for b dividing a, by long division on lazily reduced slots:
+        each step drops the top slot v of a and adds (p - c) * low * t^s,
+        c = v / lead mod p, with b split as in gcd.  A slot gains less than
+        (p-1)^2 per step, so while b has at most 2^32 coefficients no slot
+        carries and none is reduced; the remainder is zero."""
+        p, w = self.p, self.w
         timed = config._deadline is not None
-        inv = pow(b[-1], -1, p)
-        a = list(a)
-        q = [0] * (len(a) - len(b) + 1)
+        dbw = (b.bit_length() - 1) // w * w
+        lead = b >> dbw
+        inv = pow(lead, -1, p)
+        low = b - (lead << dbw)
+        q = [0] * ((a.bit_length() - 1 - dbw) // w + 1)
         for s in range(len(q) - 1, -1, -1):
             if timed:
                 config.check_budget()
-            c = a.pop() * inv % p
-            if c:
-                q[s] = c
-                a[s:] = [(x - c * y) % p for x, y in zip(a[s:], b)]
-        return tuple(q)
+            sw = s * w
+            v = a >> sw + dbw
+            if v:
+                a -= v << sw + dbw
+                c = v * inv % p
+                if c:
+                    q[s] = c
+                    a += (p - c) * low << sw
+        return self._pack(q)
 
-    def gcd(self, a: tuple, b: tuple) -> tuple:
-        """Monic gcd by Euclid's algorithm; only remainders are formed."""
-        p = self.p
+    def gcd(self, a: int, b: int) -> int:
+        """Monic gcd, b nonzero, by Euclid's algorithm on lazily reduced
+        slots; only remainders are formed.  The divisor is held as its top
+        slot lead, at bit dbw, and the slots below it, low.  A remainder step
+        drops the top slot v of a and adds (p - c) * low * t^s, c = v / lead
+        mod p.  bound_a and bound_b bound the slots of a and b; both are
+        reduced mod p only when the next division could carry out of a slot.
+        The gcd is reduced and made monic once, at the end."""
+        p, w = self.p, self.w
         timed = config._deadline is not None
-        a, b = list(a), list(b)
-        while b:
-            if len(b) == 1:
-                return self.one
+        limit = 1 << w
+        bound_a = bound_b = p - 1
+        dbw = (b.bit_length() - 1) // w * w
+        lead = b >> dbw
+        low = b - (lead << dbw)
+        while dbw:
             if timed:
                 config.check_budget()
-            inv = pow(b[-1], -1, p)
-            top = len(b) - 1
-            while len(a) > top:          # a becomes a mod b, in place
-                if timed:
-                    config.check_budget()
-                c = a.pop() * inv % p
-                if c:
-                    s = len(a) - top
-                    a[s:] = [(x - c * y) % p for x, y in zip(a[s:], b)]
-            while a and a[-1] == 0:
-                a.pop()
-            a, b = b, a
-        inv = pow(a[-1], -1, p)
-        return tuple(a) if inv == 1 else self.scale(a, inv)
+            daw = (a.bit_length() - 1) // w * w
+            if daw >= dbw:                     # a becomes a mod b
+                grow = ((daw - dbw) // w + 1) * (p - 1)
+                if bound_a + grow * bound_b >= limit:
+                    a, low, lead = self._scaled(a, 1), self._scaled(low, 1), lead % p
+                    bound_a = bound_b = p - 1
+                bound_a += grow * bound_b
+                inv = pow(lead, -1, p)
+                for top in range(daw, dbw - 1, -w):
+                    if timed:
+                        config.check_budget()
+                    v = a >> top
+                    if v:
+                        a -= v << top
+                        c = v * inv % p
+                        if c:
+                            a += (p - c) * low << top - dbw
+            while a:                    # drop top slots that are 0 mod p
+                top = (a.bit_length() - 1) // w * w
+                v = a >> top
+                a -= v << top
+                if v % p:
+                    break
+            else:
+                return self._scaled(low, pow(lead, -1, p)) + (1 << dbw)
+            a, low, lead, dbw = low + (lead << dbw), a, v, top
+            bound_a, bound_b = bound_b, bound_a
+        return 1
 
-    def monic(self, num: tuple, den: tuple) -> tuple:
+    def monic(self, num: int, den: int) -> tuple:
         """(num, den) rescaled so that den is monic."""
-        lc = den[-1]
+        lc = den >> (den.bit_length() - 1) // self.w * self.w
         if lc == 1:
             return num, den
         inv = pow(lc, -1, self.p)
-        return self.scale(num, inv), self.scale(den, inv)
+        return self._scaled(num, inv), self._scaled(den, inv)
 
-    def coeffs(self, a: tuple) -> tuple:
-        return a
+    def coeffs(self, a: int) -> tuple:
+        return tuple(self._slots(a))
 
 
 def _uformat(a: tuple[int, ...]) -> str:
@@ -397,9 +459,13 @@ def _uformat(a: tuple[int, ...]) -> str:
 
 class RationalFunctionField(Field):
     """F_p(t).  An element is a canonical pair (num, den) of F_p[t]
-    polynomials, den monic and gcd(num, den) = 1, num zero for 0: ints read
-    as bit vectors for p = 2, coefficient tuples for odd p (see the module
-    docstring).  Equal elements are equal pairs, so they hash equal."""
+    polynomials, den monic and gcd(num, den) = 1, num zero for 0.  Each
+    polynomial is an int with one coefficient per w-bit slot: bit vectors
+    for p = 2, 64-bit slots for odd p below 2^16, wider byte slots above.
+    Odd-p sums are SWAR on the packed int, products one big-int product,
+    and Euclid and exact division reduce their slots mod p only when a slot
+    could overflow (see the module docstring).  Equal elements are equal
+    pairs, so they hash equal."""
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -409,13 +475,13 @@ class RationalFunctionField(Field):
         self.size = None
         self.tag = ("F(t)", p)
         self._polys = polys = _BinaryPolys() if p == 2 else _OddPolys(p)
-        self.zero = (polys.zero, polys.one)
-        self.one = (polys.one, polys.one)
-        self.t = (polys.t, polys.one)
+        self.zero = (0, 1)
+        self.one = (1, 1)
+        self.t = (polys.t, 1)
 
     def from_int(self, n: int) -> tuple:
         n %= self.p
-        return self.zero if n == 0 else (self._polys.const(n), self._polys.one)
+        return self.zero if n == 0 else (n, 1)
 
     def _sum(self, an, ad, bn, bd) -> tuple:
         """an/ad + bn/bd with g = gcd(ad, bd) and at most gcd(num, g) more."""
@@ -424,23 +490,22 @@ class RationalFunctionField(Field):
         if not bn:
             return (an, ad)
         P = self._polys
-        one = P.one
         if ad == bd:
             num = P.add(an, bn)
             if not num:
                 return self.zero
-            if ad == one:
-                return (num, one)
+            if ad == 1:
+                return (num, 1)
             g = P.gcd(num, ad)
-            return (num, ad) if g == one else (P.quo(num, g), P.quo(ad, g))
+            return (num, ad) if g == 1 else (P.quo(num, g), P.quo(ad, g))
         # from here on a != -b, so the numerator is never zero
         g = P.gcd(ad, bd)
-        if g == one:
+        if g == 1:
             return (P.add(P.mul(an, bd), P.mul(bn, ad)), P.mul(ad, bd))
         ad = P.quo(ad, g)
         num = P.add(P.mul(an, P.quo(bd, g)), P.mul(bn, ad))
         g = P.gcd(num, g)
-        if g != one:
+        if g != 1:
             num, bd = P.quo(num, g), P.quo(bd, g)
         return (num, P.mul(ad, bd))
 
@@ -449,14 +514,13 @@ class RationalFunctionField(Field):
         if not an or not bn:
             return self.zero
         P = self._polys
-        one = P.one
-        if bd != one:
+        if bd != 1:
             g = P.gcd(an, bd)
-            if g != one:
+            if g != 1:
                 an, bd = P.quo(an, g), P.quo(bd, g)
-        if ad != one:
+        if ad != 1:
             g = P.gcd(bn, ad)
-            if g != one:
+            if g != 1:
                 bn, ad = P.quo(bn, g), P.quo(ad, g)
         return (P.mul(an, bn), P.mul(ad, bd))
 
@@ -486,7 +550,7 @@ class RationalFunctionField(Field):
 
     def format(self, a) -> str:
         """Text that parses back to a: t^2+1, t/(t+1), (t^2+1)/(t)."""
-        if a[1] == self._polys.one:
+        if a[1] == 1:
             return _uformat(self._polys.coeffs(a[0]))
         return self.format_factor(a)
 

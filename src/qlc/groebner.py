@@ -38,6 +38,7 @@ import itertools
 from operator import add, ge, le, sub
 
 from . import config
+from .config import InternalError
 from .poly import (
     Block,
     Polynomial,
@@ -52,10 +53,6 @@ from .poly import (
     mono_gcd_is_one,
     mono_lcm,
 )
-
-
-class InternalError(AssertionError):
-    """An invariant the engine relies on failed; always a bug, never user input."""
 
 
 # ---------------------------------------------------------------------------

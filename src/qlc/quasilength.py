@@ -367,8 +367,21 @@ def _combos(coords, rows, coeff_pool):
     k = len(rows)
     for lead_at in range(k):
         rest = rows[lead_at:]
-        for tail in itertools.product(coeff_pool, repeat=k - lead_at - 1):
+        for tail in _tails(coeff_pool, k - lead_at - 1):
             yield combine((lead,) + tail, rest)
+
+
+def _tails(pool, n: int):
+    """Every n-tuple over pool, in itertools.product order.  product copies
+    its pool first, so a pool above 2^16 elements (range(p) for a large
+    prime p) is walked one coordinate per generator level instead, and
+    never copied."""
+    if n == 0 or len(pool) <= 1 << 16:
+        yield from itertools.product(pool, repeat=n)
+        return
+    for head in pool:
+        for rest in _tails(pool, n - 1):
+            yield (head,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -488,15 +501,16 @@ def _module_cert(M: VectorModule, I: IdealHandle, chain) -> FiltrationCertificat
 def search_pool(field, dim: int) -> tuple:
     """(pool, limit) for a search on a module of dimension dim.  pool holds
     the coordinates the breadth-first search combines: every element of a
-    finite field, the distinct elements of {0, 1, -1} over an infinite one,
-    or None above the cap (12 over F_2, 8 otherwise), where the greedy sweep
-    runs.  limit says why the answer is not exact, None when it is."""
+    finite field F_p, the ints 0..p-1 as a lazy range, the distinct elements
+    of {0, 1, -1} over an infinite one, or None above the cap (12 over F_2,
+    8 otherwise), where the greedy sweep runs.  limit says why the answer is
+    not exact, None when it is."""
     cap = 12 if field.size == 2 else 8
     limit = None if field.size else "exact search requires a finite coefficient field"
     if dim > cap:
         return None, limit or f"dim {dim} exceeds the exact-search cap {cap}"
     if field.size:
-        return tuple(field.from_int(i) for i in range(field.size)), None
+        return range(field.size), None
     return tuple(dict.fromkeys((field.zero, field.one, field.neg(field.one)))), limit
 
 

@@ -275,12 +275,12 @@ def test_powering_respects_the_budget(monkeypatch):
 
 def test_one_long_gcd_respects_the_budget(monkeypatch):
     # both denominators are quick to build over F3, but their gcd alone runs
-    # for seconds: the budget has to reach into Euclid's algorithm
+    # for several seconds: the budget has to reach into Euclid's algorithm
     budget = 1
     monkeypatch.setenv("QLC_BUDGET_SECS", str(budget))
     start = time.monotonic()
     code = run(["member", "--ring", "F3(t)[x]", "--ideal", "x^2",
-                "--poly", "x/((t+1)^12000+t)+x/((t^2+1)^5999+1)"])
+                "--poly", "x/((t+1)^30000+t)+x/((t^2+1)^14999+1)"])
     assert code == EXIT_BUDGET
     assert time.monotonic() - start < budget + 1
 
@@ -327,6 +327,18 @@ def _capped_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
+def _run_capped(argv, budget):
+    """Run argv in a child process with QLC_BUDGET_SECS=budget, a 2 GiB
+    address space and a hard timeout; the child's last word on stderr is
+    the seconds run took."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, QLC_BUDGET_SECS=str(budget),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", _TIMED_RUN, *argv], env=env,
+                          preexec_fn=_capped_address_space, capture_output=True,
+                          text=True, timeout=budget + 10)
+
+
 @pytest.mark.parametrize("argv", [
     ["force", "qseq", "--ring", "F2[x,y]", "--params", "x;y", "--element", "x*y",
      "--t", "100000"],
@@ -341,15 +353,27 @@ def test_huge_t_respects_the_budget_in_bounded_memory(argv):
     # with a 2 GiB address space and a hard timeout runs the argv, so that a
     # build that ignores the budget fails here rather than eating the machine.
     budget = 1
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, QLC_BUDGET_SECS=str(budget),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _TIMED_RUN, *argv], env=env,
-                          preexec_fn=_capped_address_space, capture_output=True,
-                          text=True, timeout=budget + 10)
+    proc = _run_capped(argv, budget)
     assert proc.returncode == EXIT_BUDGET, proc.stderr[-500:]
     assert json.loads(proc.stdout)["incomplete"] is True
     assert float(proc.stderr.split()[-1]) < budget + 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["ql", "exact", "--ring", "F1000000007[x]", "--bottom", "x^2", "--killing", "x"],
+     EXIT_OK),
+    (["ql", "exact", "--ring", "F1000000007[x,y]", "--bottom", "x^2;x*y;y^2",
+      "--killing", "x;y"], EXIT_BUDGET),
+], ids=["answers", "runs-out"])
+def test_large_prime_exact_search_respects_the_budget_in_bounded_memory(argv, code):
+    # the exhaustive pool of F_p is the lazy range 0..p-1 and its tail
+    # combinations are walked without copying it, so a search over
+    # F_1000000007 either answers from its first candidates or stops at the
+    # budget; a child process with a 2 GiB address space runs the argv
+    budget = 1
+    proc = _run_capped(argv, budget)
+    assert proc.returncode == code, proc.stderr[-500:]
+    assert float(proc.stderr.split()[-1]) < budget + (code == EXIT_BUDGET)
 
 
 def test_huge_killing_exponent_answers_within_the_budget(monkeypatch, capsys):

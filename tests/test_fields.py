@@ -241,22 +241,33 @@ class ReferenceFunctionField:
         return ns if den == (1,) else f"{ns}/({_uformat(den)})"
 
 
-# p = 2 packs bits; 32003 and 2^61 - 1 with 65 coefficients need Kronecker
-# slots of several bytes
+# p = 2 packs one bit per coefficient; 3, 5, 7 and 32003 use 64-bit slots;
+# 2^61 - 1 needs slots of 160 bits, which the byte path of the layout reads
 PRIMES = (2, 3, 5, 7, 32003, 2 ** 61 - 1)
 MAX_DEGREE = 64
 SUITE = settings(max_examples=200, deadline=None, derandomize=True,
                      suppress_health_check=[HealthCheck.too_slow])
 
 
+def _width(p):
+    """Bits per coefficient slot in the field's packed layout."""
+    return 1 if p == 2 else RationalFunctionField(p)._polys.w
+
+
 def _packed(p, a):
     """Reference polynomial -> the field's polynomial."""
-    return sum(c << i for i, c in enumerate(a)) if p == 2 else a
+    w = _width(p)
+    return sum(c << (w * i) for i, c in enumerate(a))
 
 
 def _unpacked(p, a):
-    """The field's polynomial -> reference polynomial."""
-    return tuple((a >> i) & 1 for i in range(a.bit_length())) if p == 2 else a
+    """The field's polynomial -> reference polynomial; every slot must be
+    canonical, in [0, p)."""
+    w = _width(p)
+    slots = tuple((a >> (w * i)) & ((1 << w) - 1)
+                  for i in range(-(-a.bit_length() // w)))
+    assert all(c < p for c in slots)
+    return slots
 
 
 def _element(p, pair):
@@ -348,6 +359,57 @@ def test_fpt_gcd_matches_sympy(p, seed):
     want = as_sympy(a).gcd(as_sympy(b))
     assert got == tuple(int(c) % p for c in reversed(want.all_coeffs()))
     assert got == _ugcd(a, b, p)
+
+
+def _counting_reductions(polys):
+    """Wrap the field's slot reduction; the list counts its calls."""
+    calls = []
+    scaled = polys._scaled
+    polys._scaled = lambda a, c: calls.append(c) or scaled(a, c)
+    return calls
+
+
+def _remainder_chain(rnd, p, g, rounds):
+    """(a, b) whose Euclid runs rounds rounds above g, every quotient of
+    degree 1, so that gcd(a, b) is g made monic."""
+    a, b = g, ()
+    for _ in range(rounds):
+        q = (rnd.randrange(p), rnd.randrange(1, p))
+        a, b = _uadd(_umul(q, a, p), b, p), a
+    return a, b
+
+
+@pytest.mark.parametrize("p, renormalised", [(3, 5), (2 ** 61 - 1, 199)])
+def test_fpt_gcd_renormalises_long_remainder_chains(p, renormalised):
+    # degree-1 quotients grow the lazy slots fastest relative to the work
+    # done: over F3 the slot bound crosses 2^64 every few dozen of the 200
+    # rounds, over F_(2^61-1) on every round after the first
+    rnd = random.Random(p)
+    g = _trim([rnd.randrange(p) for _ in range(3)] + [1])
+    a, b = _remainder_chain(rnd, p, g, 200)
+    assert len(a) >= 200
+    polys = RationalFunctionField(p)._polys
+    calls = _counting_reductions(polys)
+    got = _unpacked(p, polys.gcd(_packed(p, a), _packed(p, b)))
+    assert got == _ugcd(a, b, p) == _ugcd(g, (), p)
+    # each renormalisation reduces both operands; the last call makes the
+    # gcd monic
+    assert (len(calls) - 1) // 2 >= renormalised
+
+
+@pytest.mark.parametrize("p", PRIMES[1:])
+def test_fpt_quo_of_products_needs_no_reduction(p):
+    # every coefficient p - 1: each division step adds the most it can to a
+    # slot, and still no slot carries before the quotient is read
+    for n, m in ((1, 300), (150, 150), (300, 2), (40, 7)):
+        x, y = (p - 1,) * n, (p - 1,) * m
+        polys = RationalFunctionField(p)._polys
+        product = polys.mul(_packed(p, x), _packed(p, y))
+        assert _unpacked(p, product) == _umul(x, y, p)
+        calls = _counting_reductions(polys)
+        assert _unpacked(p, polys.quo(product, _packed(p, y))) == x
+        assert _unpacked(p, polys.quo(product, _packed(p, x))) == y
+        assert not calls
 
 
 # ---------------------------------------------------------------------------

@@ -297,8 +297,8 @@ def test_bounds_on_both_sides_of_each_cap(field, relations, killing, dim, want):
 
 
 @pytest.mark.parametrize("field, pools", [
-    (GF2, {12: (0, 1), 13: None}),
-    (GF3, {8: (0, 1, 2), 9: None}),
+    (GF2, {12: range(2), 13: None}),  # F_p's elements 0..p-1, never copied
+    (GF3, {8: range(3), 9: None}),
     (QQ, {8: ((0, 1), (1, 1), (-1, 1)), 9: None}),
     (F2T, {8: (F2T.zero, F2T.one), 9: None}),  # -1 = 1 over F2(t)
     (F3T, {8: (F3T.zero, F3T.one, F3T.from_int(2)), 9: None}),
