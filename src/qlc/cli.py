@@ -490,6 +490,35 @@ def build_parser() -> argparse.ArgumentParser:
 # Parsed attributes that are not inputs: dispatch, output flags and side files.
 _NOT_INPUTS = ("command", "action", "func", "json", "out", "cert_out")
 
+# Flags whose values are polynomials or ';'-separated lists of them.
+_POLY_FLAGS = frozenset({"--ideal", "--poly", "--left", "--right", "--by", "--top",
+                         "--bottom", "--killing", "--params", "--gens", "--element",
+                         "--multiplier"})
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> set:
+    """Every option string parser and its subcommands register."""
+    out = set()
+    for action in parser._actions:
+        out.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out |= _option_strings(sub)
+    return out
+
+
+def _glue_signed_values(argv, options) -> list:
+    """argv with each polynomial flag glued to a following value that starts
+    with '-' and is no option ("--poly", "-x+1" becomes "--poly=-x+1"):
+    argparse would read that value as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _POLY_FLAGS and arg.startswith("-") and arg not in options:
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
 
 def _command_name(args) -> str:
     action = getattr(args, "action", None)
@@ -508,7 +537,7 @@ def _render(args, payload, lines) -> str:
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_signed_values(argv, _option_strings(parser)))
     except SystemExit as stop:
         return EXIT_OK if not stop.code else EXIT_USAGE
     try:

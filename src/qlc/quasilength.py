@@ -398,24 +398,38 @@ class QuasilengthBounds:
     flags: tuple = ()
 
 
-def lower_length_ratio(M: VectorModule, I: IdealHandle) -> int:
-    """ceil(dim M / length(R/(I + K))), K the ideal M was built modulo.
+def _factor_length(M: VectorModule, I: IdealHandle) -> int:
+    """length(R/(I + K)), K the ideal M was built modulo.
 
     Every filtration factor is cyclic and killed by both I and K, so its
-    length is at most length(R/(I + K)); dividing bounds the number of
-    factors from below.  Raises NotZeroDimensional when that quotient has
-    infinite length (the bound then says nothing), and NoFiltration when it
-    is zero: no nonzero factor exists then.
+    length is at most this.  Raises NotZeroDimensional when the quotient has
+    infinite length, and NoFiltration when it is zero: no nonzero factor
+    exists then.
     """
-    if M.dim == 0:
-        return 0
     gens = list(I.generators)
     if M.k_gb:
         gens.extend(M.k_gb)
     denom = length(IdealHandle(M.ring, gens))
     if denom == 0:
         raise NoFiltration("I + K is the unit ideal, so every factor is zero")
-    return -(-M.dim // denom)
+    return denom
+
+
+def lower_length_ratio(M: VectorModule, I: IdealHandle) -> int:
+    """ceil(dim M / length(R/(I + K))), K the ideal M was built modulo: a
+    lower bound on the number of factors.  Raises as _factor_length does."""
+    if M.dim == 0:
+        return 0
+    return -(-M.dim // _factor_length(M, I))
+
+
+def _factor_dim(M: VectorModule, I: IdealHandle) -> int:
+    """The most dimensions one factor of a nonzero M can add: length(R/(I + K)),
+    or dim M where that is infinite (a larger cap says nothing more)."""
+    try:
+        return min(_factor_length(M, I), M.dim)
+    except NotZeroDimensional:
+        return M.dim
 
 
 def _all_nilpotent(coords) -> bool:
@@ -425,36 +439,49 @@ def _all_nilpotent(coords) -> bool:
                    for i in range(len(coords.actions)))
 
 
-def _lower_bound(M: VectorModule, I: IdealHandle, coords) -> tuple:
+def _lower_bound(M: VectorModule, coords, denom: int) -> tuple:
+    """(bound, method) on the number of factors; denom is _factor_dim."""
     best, method = 1, "trivial"
     if _all_nilpotent(coords):
         mg = min_generators(M)
         if mg > best:
             best, method = mg, "min-generators"
-    try:
-        ratio = lower_length_ratio(M, I)
-    except NotZeroDimensional:
-        ratio = 0
+    ratio = -(-M.dim // denom)
     if ratio > best:
         best, method = ratio, "length-ratio"
     return best, method
 
 
-def _search(coords, coeff_pool):
-    """Breadth-first search over action-closed subspaces; returns the first
-    chain reaching the full module (shortest within the candidate pool)."""
+def _search(coords, coeff_pool, lower: int, denom: int):
+    """Shortest chain within the candidate pool, by breadth-first search over
+    action-closed subspaces, bounded by the greedy sweep's chain.
+
+    The greedy chain has some length U.  When the lower bound reaches U it is
+    optimal and is returned with no search.  Otherwise every factor of a
+    chain adds at most denom dimensions (_factor_dim), so a span S first
+    reached at depth k needs at least ceil((dim M - dim S) / denom) more
+    steps; S is recorded as seen but not expanded when k plus that reaches
+    U.  No chain shorter than U passes through such a span, and the first
+    parent of a span that is kept is kept too, so the walk is the unbounded
+    walk with the pruned spans left out and returns the same first chain.
+    When the walk runs out, no chain in the pool beats U and the greedy
+    chain is returned.
+    """
+    greedy = _greedy_chain(coords)
+    bound = len(greedy)
+    if lower >= bound:
+        return greedy
     images = coords.images
     start = coords.space()
     start_key = start.key()
-    if coords.dim == 0:
-        return []
     parents: dict = {start_key: None}
-    queue = deque([(start_key, start)])
+    queue = deque([(start_key, start, 0)])
     while queue:
-        key, space = queue.popleft()
+        key, space, depth = queue.popleft()
         rows = _candidate_rows(coords, space)
         if not rows:
             continue
+        depth += 1
         for vec in _combos(coords, rows, coeff_pool):
             check_budget()
             nxt = space.copy()
@@ -471,8 +498,9 @@ def _search(coords, coeff_pool):
                     chain.append(coords.unpack(gen))
                 chain.reverse()
                 return chain
-            queue.append((nkey, nxt))
-    raise NoFiltration("search exhausted every reachable stage short of the module")
+            if depth + -(-(coords.dim - nxt.dim) // denom) < bound:
+                queue.append((nkey, nxt, depth))
+    return greedy
 
 
 def _greedy_chain(coords) -> list:
@@ -517,33 +545,44 @@ def search_pool(field, dim: int) -> tuple:
 def quasilength_exact(M: VectorModule, I: IdealHandle) -> tuple:
     """Exact minimum filtration length with an optimal certificate.
 
-    Raises SearchLimit where search_pool gives a limit (infinite field, or
-    dim M above the cap).  Raises NoFiltration when no finite chain exists,
-    e.g. for a unit killing ideal on a nonzero module.
+    The greedy sweep's chain is the certificate when the lower bound meets
+    its length; otherwise the breadth-first search, pruned by that length
+    (see _search), finds a shorter chain or proves there is none.  Raises
+    SearchLimit where search_pool gives a limit (infinite field, or dim M
+    above the cap).  Raises NoFiltration when no finite chain exists, e.g.
+    for a unit killing ideal on a nonzero module.
     """
     pool, limit = search_pool(M.field, M.dim)
     if limit:
         raise SearchLimit(limit)
-    chain = _search(_coordinates(M, I.generators), pool)
+    if M.dim == 0:
+        return 0, _module_cert(M, I, [])
+    coords = _coordinates(M, I.generators)
+    denom = _factor_dim(M, I)
+    chain = _search(coords, pool, _lower_bound(M, coords, denom)[0], denom)
     return len(chain), _module_cert(M, I, chain)
 
 
 def quasilength(M: VectorModule, I: IdealHandle) -> QuasilengthBounds:
     """Best available information on the minimum filtration length.
 
-    Finite field and small dimension: exact value with an optimal
-    certificate.  Infinite field and small dimension: certified upper bound
-    from a search restricted to coordinates in {0, 1, -1}, exact only when it
-    meets the lower bound.  Large dimension: greedy certified upper bound.
     The lower bound is the better of the length ratio and (when every
-    variable acts nilpotently) the minimal generator count.
+    variable acts nilpotently) the minimal generator count; the greedy
+    sweep's chain is a certified upper bound.  Within the search cap the
+    breadth-first search, pruned by the greedy length (see _search), runs
+    unless the two bounds already meet.  Finite field: exact value with an
+    optimal certificate.  Infinite field: the upper bound is the better of
+    the greedy chain and a search restricted to coordinates in {0, 1, -1},
+    exact only when it meets the lower bound.  Above the cap: the greedy
+    chain alone.
     """
     if M.dim == 0:
         return QuasilengthBounds(0, 0, 0, _module_cert(M, I, []), "exact")
     coords = _coordinates(M, I.generators)
-    lower, method = _lower_bound(M, I, coords)
+    denom = _factor_dim(M, I)
+    lower, method = _lower_bound(M, coords, denom)
     pool, limit = search_pool(M.field, M.dim)
-    chain = _greedy_chain(coords) if pool is None else _search(coords, pool)
+    chain = _greedy_chain(coords) if pool is None else _search(coords, pool, lower, denom)
     cert = _module_cert(M, I, chain)
     upper = len(chain)
     if upper < lower:

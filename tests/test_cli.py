@@ -29,11 +29,21 @@ def test_member_text_output(capsys):
     assert capsys.readouterr().out == "false\n"
 
 
-def test_a_leading_minus_needs_the_equals_form(capsys):
-    # argparse reads "-x^2" after --poly as an option, so the value is glued on
-    assert run(["member", "--ring", "Q[x]", "--ideal", "x", "--poly=-x^2"]) == EXIT_OK
-    assert capsys.readouterr().out == "true\n"
-    assert run(["member", "--ring", "Q[x]", "--ideal", "x", "--poly", "-x^2"]) == EXIT_USAGE
+@pytest.mark.parametrize("argv, want", [
+    (["--ideal", "x", "--poly=-x^2"], "true\n"),
+    (["--ideal", "x", "--poly", "-x^2"], "true\n"),
+    (["--ideal", "x", "--poly", "-x+1"], "false\n"),
+    (["--ideal", "-x", "--poly", "-1+x^2"], "false\n"),
+], ids=["equals-form", "poly", "poly-with-unit", "ideal-and-poly"])
+def test_a_leading_minus_value_is_a_polynomial(argv, want, capsys):
+    # argparse alone reads "-x^2" after --poly as an option
+    assert run(["member", "--ring", "Q[x]"] + argv) == EXIT_OK
+    assert capsys.readouterr().out == want
+
+
+def test_an_option_after_a_polynomial_flag_stays_an_option(capsys):
+    assert run(["member", "--ring", "Q[x]", "--ideal", "x", "--poly", "--json"]) == EXIT_USAGE
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_json_envelope_shape(capsys):
@@ -362,8 +372,9 @@ def test_huge_t_respects_the_budget_in_bounded_memory(argv):
 @pytest.mark.parametrize("argv, code", [
     (["ql", "exact", "--ring", "F1000000007[x]", "--bottom", "x^2", "--killing", "x"],
      EXIT_OK),
-    (["ql", "exact", "--ring", "F1000000007[x,y]", "--bottom", "x^2;x*y;y^2",
-      "--killing", "x;y"], EXIT_BUDGET),
+    # lower 2 < greedy 3, so the search runs
+    (["ql", "exact", "--ring", "F1000000007[x,y]", "--bottom", "x^2;y^2",
+      "--killing", "x^2;x*y;y^2"], EXIT_BUDGET),
 ], ids=["answers", "runs-out"])
 def test_large_prime_exact_search_respects_the_budget_in_bounded_memory(argv, code):
     # the exhaustive pool of F_p is the lazy range 0..p-1 and its tail

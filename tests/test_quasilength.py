@@ -20,7 +20,8 @@ from qlc.linalg import RowSpace, mat_mul, nullspace
 from qlc.poly import PolyRing
 from qlc.quasilength import (FiltrationCertificate, NoFiltration, RingContext,
                              SearchLimit, _all_nilpotent, _BitCoords,
-                             _candidate_rows, _coordinates, _search,
+                             _candidate_rows, _coordinates, _factor_dim,
+                             _greedy_chain, _lower_bound, _search,
                              _staircase_exponents, certificate_from_json,
                              certificate_to_json, frobenius_transport,
                              lower_length_ratio, quasilength,
@@ -316,13 +317,14 @@ def test_search_pool_is_the_one_plan(field, pools):
 
 
 def test_pool_search_over_f2t_walks_each_class_once():
-    # -1 = 1 over F2(t): a pool of {0, 1, 1} would close 3 281 candidates
+    # -1 = 1 over F2(t): a pool of {0, 1, 1} would close 679 candidates.
+    # Lower 4 < greedy 5, so the search runs (the pinned F3 module's twin)
     R = PolyRing(F2T, ["x", "y"])
-    M = direct_sum(_quo(R, "x^2;y^2"), _quo(R, "x^2;y^2"))
+    M = direct_sum(_quo(R, "x^2;x*y;y^3"), _quo(R, "x^2;y^2"))
     with _key_log() as keys:
-        b = quasilength(M, ideal(R, dsl.parse_polys(R, "x^2;y^2")))
-    assert (b.lower, b.upper, b.exact, b.lower_method) == (2, 2, 2, "min-generators")
-    assert len(keys) == 1 + 256  # the start span, then each closure
+        b = quasilength(M, ideal(R, dsl.parse_polys(R, "x;y^2")))
+    assert (b.lower, b.upper, b.exact, b.lower_method) == (4, 4, 4, "length-ratio")
+    assert len(keys) == 1 + 280  # the start span, then each closure
 
 
 def test_quasilength_builds_one_coordinate_helper(monkeypatch):
@@ -495,9 +497,14 @@ class _TooLarge(Exception):
     pass
 
 
-def reference_search(M, I, coeff_pool, max_candidates):
+def reference_search(M, I, coeff_pool, max_candidates, bound=None):
     """Breadth-first search over action-closed subspaces on dict rows;
-    raises _TooLarge past max_candidates candidate closures."""
+    raises _TooLarge past max_candidates candidate closures.
+
+    With bound = (U, denom), a span S first reached at depth k is not
+    expanded when k + ceil((dim M - dim S) / denom) >= U, and None means
+    that no chain shorter than U was found.  With no bound every span is
+    expanded."""
     F = M.field
     mats = [poly_action(M, f) for f in I.generators]
     actions = [M.actions[var] for var in M.ring.variables]
@@ -510,10 +517,10 @@ def reference_search(M, I, coeff_pool, max_candidates):
     if M.dim == 0:
         return []
     parents = {start_key: None}
-    queue = deque([(start_key, start)])
+    queue = deque([(start_key, start, 0)])
     candidates = 0
     while queue:
-        key, space = queue.popleft()
+        key, space, depth = queue.popleft()
         rows = _ref_candidate_rows(M, space, mats)
         for vec in _ref_combos(F, rows, coeff_pool):
             candidates += 1
@@ -533,8 +540,11 @@ def reference_search(M, I, coeff_pool, max_candidates):
                     chain.append(gen)
                 chain.reverse()
                 return chain
-            queue.append((nkey, nxt))
-    raise NoFiltration("reference search exhausted")
+            if bound is None or depth + 1 + -(-(M.dim - nxt.dim) // bound[1]) < bound[0]:
+                queue.append((nkey, nxt, depth + 1))
+    if bound is None:
+        raise NoFiltration("reference search exhausted")
+    return None
 
 
 @contextmanager
@@ -558,6 +568,7 @@ def _key_log():
 
 R2 = PolyRing(GF2, ["x", "y"])
 R2xyz = PolyRing(GF2, ["x", "y", "z"])
+R3 = PolyRing(GF3, ["x", "y"])
 F2_POOL = (GF2.zero, GF2.one)
 REFERENCE = settings(max_examples=40, deadline=None, derandomize=True,
                      suppress_health_check=[HealthCheck.too_slow,
@@ -565,17 +576,18 @@ REFERENCE = settings(max_examples=40, deadline=None, derandomize=True,
 
 
 @st.composite
-def _f2_modules(draw):
-    """A monomial quotient of F2[x,y] or F2[x,y,z], or a sum of two, and a
-    killing ideal of pure powers."""
-    ring = draw(st.sampled_from([R2, R2xyz]))
+def _monomial_modules(draw, rings=(R2, R2xyz), low=2, killings=()):
+    """A monomial quotient of one of rings (by default F2[x,y] or
+    F2[x,y,z]), each variable's pure power from exponent low up, or a sum
+    of two, and a killing ideal of pure powers or one of killings."""
+    ring = draw(st.sampled_from(rings))
     n = ring.nvars
 
     def summand():
         gens = []
         for i in range(n):
             exps = [0] * n
-            exps[i] = draw(st.integers(2, 4 if n == 2 else 3))
+            exps[i] = draw(st.integers(low, 4 if n == 2 else 3))
             gens.append(ring.monomial(tuple(exps)))
         for exps in draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), max_size=2)):
             if any(exps):
@@ -585,6 +597,8 @@ def _f2_modules(draw):
     M = summand()
     if draw(st.booleans()):
         M = direct_sum(M, summand())
+    if killings and draw(st.booleans()):
+        return M, ideal(ring, dsl.parse_polys(ring, draw(st.sampled_from(killings))))
     killing = [v ** draw(st.integers(1, 2)) for v in ring.gens()]
     return M, ideal(ring, killing)
 
@@ -595,8 +609,21 @@ def _above_cap_module(killing):
     return quotient_module(ideal(R2, [x ** 4, y ** 4])), ideal(R2, killing(x, y))
 
 
+def _bounded_reference(M, I, coeff_pool, max_candidates):
+    """The engine's plan with the walk on dict rows: the greedy chain when
+    the lower bound meets its length, else the reference search bounded by
+    that length, else (no shorter chain) the greedy chain."""
+    coords = _coordinates(M, I.generators)
+    denom = _factor_dim(M, I)
+    greedy = _greedy_chain(coords)
+    if _lower_bound(M, coords, denom)[0] >= len(greedy):
+        return greedy
+    bound = (len(greedy), denom)
+    return reference_search(M, I, coeff_pool, max_candidates, bound) or greedy
+
+
 @REFERENCE
-@given(_f2_modules())
+@given(_monomial_modules())
 @example(_above_cap_module(lambda x, y: [x ** 2, y ** 2]))
 @example(_above_cap_module(lambda x, y: [x, y ** 2]))
 def test_packed_search_walks_like_the_dict_reference(case):
@@ -604,7 +631,7 @@ def test_packed_search_walks_like_the_dict_reference(case):
     assume(1 <= M.dim <= 16)
     with _key_log() as want:
         try:
-            expected = reference_search(M, I, F2_POOL, max_candidates=4000)
+            expected = _bounded_reference(M, I, F2_POOL, max_candidates=4000)
         except _TooLarge:
             expected = None
     assume(expected is not None)
@@ -614,10 +641,31 @@ def test_packed_search_walks_like_the_dict_reference(case):
             chain = list(cert.generators)
             assert value == len(chain) and cert.validated.ok
         else:  # above the cap: the search itself
-            chain = _search(_coordinates(M, I.generators), F2_POOL)
+            coords = _coordinates(M, I.generators)
+            denom = _factor_dim(M, I)
+            chain = _search(coords, F2_POOL, _lower_bound(M, coords, denom)[0], denom)
     assert chain == expected
     assert len(set(got)) == len(set(want))  # distinct spans
     assert len(got) == len(want)            # candidate closures
+
+
+@settings(REFERENCE, max_examples=80)
+@given(_monomial_modules((R2, R3), low=1, killings=("x*y;x^2;y^2", "x+y;x*y", "x^2;y")))
+def test_pruning_keeps_the_unpruned_value_and_chain(case):
+    # the bounded search against a breadth-first search with no pruning:
+    # the same value always, the same chain wherever it beats the greedy one
+    M, I = case
+    pool = search_pool(M.field, M.dim)[0]
+    assume(M.dim >= 1 and pool is not None)
+    try:
+        unpruned = reference_search(M, I, tuple(pool), max_candidates=3000)
+    except _TooLarge:
+        unpruned = None
+    assume(unpruned is not None)
+    value, cert = quasilength_exact(M, I)
+    assert value == len(unpruned) and cert.validated.ok
+    if value < len(_greedy_chain(_coordinates(M, I.generators))):
+        assert list(cert.generators) == unpruned
 
 
 def _quo(ring, text):
@@ -625,31 +673,40 @@ def _quo(ring, text):
 
 
 def _pinned_modules():
-    R3 = PolyRing(GF3, ["x", "y"])
     RQ = PolyRing(QQ, ["x", "y"])
     f2 = direct_sum(_quo(R2, "x^2;y^3"), _quo(R2, "x^3;y^2"))
     f3 = direct_sum(_quo(R3, "x^2;x*y;y^3"), _quo(R3, "x^2;y^2"))
     q = direct_sum(_quo(RQ, "x^2;y^2"), _quo(RQ, "x^2;y^2"))
+    q3 = direct_sum(_quo(RQ, "x^2;x*y;y^3"), _quo(RQ, "x^2;y^2"))
     return ((f2, ideal(R2, dsl.parse_polys(R2, "x^2;y^2"))),
             (f3, ideal(R3, dsl.parse_polys(R3, "x;y^2"))),
-            (q, ideal(RQ, dsl.parse_polys(RQ, "x;y"))))
+            (q, ideal(RQ, dsl.parse_polys(RQ, "x;y"))),
+            (q3, ideal(RQ, dsl.parse_polys(RQ, "x;y^2"))))
 
 
 @pytest.mark.parametrize("which, spans, candidates, chain", [
-    (0, 830, 22374, ["(0,x)", "(0,1)", "(y,0)", "(1,0)"]),
-    (1, 621, 6416, ["(x,0) + (0,x)", "(x,0) + (y,0) + (0,y)", "(1,0) + (0,1)",
+    # lower 3 < exact 4 = greedy 4: the pruned walk runs out, so the greedy
+    # chain is the certificate
+    (0, 239, 1228, ["(0,x)", "(y,0)", "(0,1)", "(1,0)"]),
+    # lower 4 = exact 4 < greedy 5: the walk finds the unpruned walk's chain
+    (1, 352, 1625, ["(x,0) + (0,x)", "(x,0) + (y,0) + (0,y)", "(1,0) + (0,1)",
                     "(1,0)"]),
-    # over Q: the {0,1,-1}-coordinate pool search, which meets the lower bound
-    (2, 776, 2525, ["(0,x*y)", "(0,y)", "(0,x)", "(0,1)", "(x*y,0)", "(y,0)",
-                    "(x,0)", "(1,0)"]),
-])
+    # over Q, lower 8 = greedy 8: the greedy chain, with no search at all
+    (2, 0, 0, ["(0,x*y)", "(x*y,0)", "(0,y)", "(0,x)", "(y,0)", "(x,0)",
+               "(0,1)", "(1,0)"]),
+    # over Q, lower 4 < greedy 5: the {0,1,-1}-coordinate pool search meets
+    # the lower bound with row 1's chain
+    (3, 524, 1993, ["(x,0) + (0,x)", "(x,0) + (y,0) + (0,y)", "(1,0) + (0,1)",
+                    "(1,0)"]),
+], ids=["f2-greedy-is-exact", "f3-below-greedy", "q-bounds-meet", "q-pool-below-greedy"])
 def test_exact_search_walks_are_pinned(which, spans, candidates, chain):
     M, I = _pinned_modules()[which]
     with _key_log() as keys:
         bounds = quasilength(M, I)
     assert bounds.exact == len(chain) and bounds.certificate.validated.ok
     assert len(set(keys)) == spans           # the zero span included
-    assert len(keys) == 1 + candidates       # the start span, then each closure
+    # the start span, then each closure; no span is keyed without a search
+    assert len(keys) == (spans and 1 + candidates)
     assert [M.format_vector(g) for g in bounds.certificate.generators] == chain
 
 
@@ -734,11 +791,11 @@ def test_certificate_check_catches_a_corrupted_packed_step():
     M, I = _pinned_modules()[0]
     _, cert = quasilength_exact(M, I)
     gens = list(cert.generators)
-    gens[2] = tuple(int(label == "(1,0)") for label in M.labels)  # was (y,0)
+    gens[1] = tuple(int(label == "(1,0)") for label in M.labels)  # was (y,0)
     verdict = validate_filtration(FiltrationCertificate(cert.context, cert.killing,
                                                         tuple(gens)))
-    assert verdict.status == "invalid" and verdict.step == 3
-    assert verdict.witness == "(y^2)*((1,0)) not in stage 2"
+    assert verdict.status == "invalid" and verdict.step == 2
+    assert verdict.witness == "(y^2)*((1,0)) not in stage 1"
 
 
 def test_certificate_check_catches_a_faulty_packed_search(monkeypatch):
