@@ -118,7 +118,7 @@ def _module(args):
     pres = _presentation(args)
     J = pres.ideal(_polys(pres, args.top))
     K = pres.ideal(_polys(pres, args.bottom))
-    return pres, vector_module(J, K, degree_bound=args.degree_bound)
+    return pres, vector_module(J, K)
 
 
 def _cmd_vmod(args):
@@ -412,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
                                               "(default: the whole ring)")
     p.add_argument("--bottom", required=True,
                    help="generators quotiented out")
-    p.add_argument("--degree-bound", type=int, default=64)
 
     ql = sub.add_parser("ql", help="minimum filtration length of a module "
                                    "against a killing ideal")
@@ -422,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--top", default="1")
         p.add_argument("--bottom", required=True)
         p.add_argument("--killing", required=True)
-        p.add_argument("--degree-bound", type=int, default=64)
         p.add_argument("--cert-out", metavar="PATH",
                        help="also write the certificate as JSON")
     p = _subcommand(qsub, "validate", _cmd_ql_validate, ring=False)

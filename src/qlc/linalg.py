@@ -24,6 +24,8 @@ needs no sort.
 
 from __future__ import annotations
 
+from .config import check_budget
+
 
 class RowSpace:
     """A span in reduced row echelon form, as dict rows or packed F_2 rows.
@@ -192,15 +194,14 @@ def mat_vec(field, A, v):
 
 def mat_mul(field, A, B):
     F = field
-    n = len(A)
     m = len(B[0]) if B else 0
-    out = [[F.zero] * m for _ in range(n)]
-    for i, row in enumerate(A):
+    out = [[F.zero] * m for _ in A]
+    for row, orow in zip(A, out):
+        check_budget()
         for k, a in enumerate(row):
             if a == F.zero:
                 continue
             brow = B[k]
-            orow = out[i]
             for j in range(m):
                 b = brow[j]
                 if b != F.zero:

@@ -589,7 +589,7 @@ def quasilength(M: VectorModule, I: IdealHandle) -> QuasilengthBounds:
         raise InternalError("certified upper bound undercuts the lower bound")
     if limit is None:
         return QuasilengthBounds(upper, upper, upper, cert, "exact")
-    source = "greedy sweep" if pool is None else "{0,1,-1}-coordinate pool"
+    source = "greedy sweep" if pool is None else "greedy sweep or the {0,1,-1}-coordinate pool"
     return QuasilengthBounds(lower, upper, upper if upper == lower else None, cert, method,
                              (limit, f"upper bound from the {source}"))
 

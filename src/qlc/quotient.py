@@ -4,14 +4,15 @@ An ideal in R = ambient/(relations) is handled by adjoining the relation
 generators before any Groebner computation; QuotientPresentation carries the
 convention.  vector_module realizes J/K as an explicit finite-dimensional
 vector space with one commuting action matrix per variable, found by spinning
-the generators and closing under the variable actions.
+the generators and closing under the variable actions.  J/K has finite length
+exactly when R/(K : J) is zero-dimensional, and only then is it built.
 """
 
 from __future__ import annotations
 
 from . import dsl
 from .config import check_budget
-from .groebner import IdealHandle, InternalError, normal_form
+from .groebner import IdealHandle, InternalError, colon, normal_form
 from .linalg import RowSpace, mat_mul
 from .poly import Polynomial, PolyRing, grevlex, mono_divides
 
@@ -161,13 +162,15 @@ class VectorModule:
 
         Matrices are row-major over ring.field and must commute pairwise
         (ValueError otherwise).  k_gb, when given, names the ideal the module
-        is taken modulo and only feeds lower_length_ratio.
+        is taken modulo; it feeds lower_length_ratio and the exact search's
+        pruning denominator (_factor_dim).
         """
         return cls(ring, actions, labels, k_gb)
 
 
 def _times_var(ring, var_index: int, row: dict, K: IdealHandle) -> dict:
     """Terms of x_i * row reduced modulo K."""
+    check_budget()  # a one-term normal form takes no budget check of its own
     shifted = {}
     for m, c in row.items():
         e = list(m)
@@ -176,24 +179,22 @@ def _times_var(ring, var_index: int, row: dict, K: IdealHandle) -> dict:
     return normal_form(Polynomial(ring, shifted), K).terms
 
 
-def vector_module(J: IdealHandle, K: IdealHandle, degree_bound: int = 64) -> VectorModule:
-    """The subquotient J/K as a VectorModule.  K must sit inside J; the spin
-    aborts past degree_bound (the module is then infinite length, or the
-    bound is too tight)."""
+def vector_module(J: IdealHandle, K: IdealHandle) -> VectorModule:
+    """The subquotient J/K as a VectorModule.  K must sit inside J, and J/K
+    must have finite length (R/(K : J) zero-dimensional, as it is whenever R/K
+    is); ValueError otherwise, before any spin.  The spin has no degree limit."""
     ring = J.ring
     if K.ring != ring:
         raise ValueError("J and K live in different rings")
     for g in K.generators:
         if not J.contains_poly(g):
             raise ValueError("K is not contained in J")
-
-    def images(row):
-        if any(sum(m) > degree_bound for m in row):
-            raise ValueError(f"module spin exceeded degree bound {degree_bound}")
-        return (_times_var(ring, vi, row, K) for vi in range(ring.nvars))
+    if not (is_zero_dimensional(K) or is_zero_dimensional(colon(K, J))):
+        raise ValueError("J/K has infinite length: R/(K : J) is not zero-dimensional")
 
     space = RowSpace(ring.field, colkey=grevlex.key)
-    space.close((normal_form(g, K).terms for g in J.generators), images)
+    space.close((normal_form(g, K).terms for g in J.generators),
+                lambda row: (_times_var(ring, vi, row, K) for vi in range(ring.nvars)))
     pivots = space.pivots()
     dim = len(pivots)
     zero = ring.field.zero

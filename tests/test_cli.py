@@ -156,6 +156,29 @@ def test_ql_exact_search_limit_suggests_bounds(capsys):
     assert "ql bounds" in capsys.readouterr().err
 
 
+def test_finite_module_past_degree_64_answers(capsys):
+    code = run(["ql", "bounds", "--ring", "F2[x]", "--bottom", "x^66",
+                "--killing", "x"])
+    assert code == EXIT_OK
+    assert "exact 66" in capsys.readouterr().out.splitlines()
+
+
+def test_infinite_length_module_is_a_usage_error(capsys):
+    code = run(["vmod", "--ring", "F2[x,y]", "--bottom", "x^2"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "infinite length" in captured.err
+
+
+@pytest.mark.parametrize("command", [["vmod"], ["ql", "exact"], ["ql", "bounds"]])
+def test_module_commands_take_no_degree_bound(command, capsys):
+    argv = command + ["--ring", "F2[x]", "--bottom", "x^4", "--degree-bound", "8"]
+    if command[0] == "ql":
+        argv += ["--killing", "x"]
+    assert run(argv) == EXIT_USAGE
+    assert "--degree-bound" in capsys.readouterr().err
+
+
 def test_validate_round_trip(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     code = run(["force", "qseq", "--ring", "F2[x,y]", "--params", "x;y",
@@ -312,9 +335,13 @@ def test_fermat_t3_search_respects_the_budget(monkeypatch):
     ["length", "--ring", "F2[x]", "--ideal", "x^100000000"],
     ["content", "scan", "--ring", "F2[x,y]", "--params", "x^100000000;y",
      "--t", "1"],
+    ["ql", "bounds", "--ring", "F2[x,y]", "--bottom", "x^40;y^40",
+     "--killing", "x;y"],
 ])
 def test_huge_length_respects_the_budget(argv, monkeypatch, capsys):
-    # the standard monomials of (x^e) are counted one at a time
+    # the standard monomials of (x^e) are counted one at a time, and a module
+    # is spun one row at a time (dim 1600 here; every normal form in its spin
+    # is a one-term lookup, which takes no budget check of its own)
     budget = 1
     monkeypatch.setenv("QLC_BUDGET_SECS", str(budget))
     start = time.monotonic()
@@ -433,15 +460,13 @@ _ECHO_CASES = [
     (["length", "--ring", "F3[x,y]", "--ideal", "x^2; x*y; y^3"],
      {"ring": "F3[x,y]", "ideal": "x^2; x*y; y^3"}),
     (["vmod", "--ring", "F2[x]", "--bottom", "x^4"],
-     {"ring": "F2[x]", "top": "1", "bottom": "x^4", "degree_bound": 64}),
+     {"ring": "F2[x]", "top": "1", "bottom": "x^4"}),
     (["ql", "exact", "--ring", "F2[x]", "--top", "x", "--bottom", "x^4",
-      "--killing", "x^2", "--degree-bound", "8"],
-     {"ring": "F2[x]", "top": "x", "bottom": "x^4", "killing": "x^2",
-      "degree_bound": 8}),
+      "--killing", "x^2"],
+     {"ring": "F2[x]", "top": "x", "bottom": "x^4", "killing": "x^2"}),
     (["ql", "bounds", "--ring", "F2[x]", "--bottom", "x^3", "--killing", "x",
       "--cert-out", "CERT"],
-     {"ring": "F2[x]", "top": "1", "bottom": "x^3", "killing": "x",
-      "degree_bound": 64}),
+     {"ring": "F2[x]", "top": "1", "bottom": "x^3", "killing": "x"}),
     (["ql", "validate", "--cert", "CERT"],
      {"cert": "CERT"}),
     (["content", "scan", "--ring", "F2[x,y]", "--params", "x;y", "--t", "1;2",

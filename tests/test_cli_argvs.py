@@ -91,8 +91,7 @@ def ring_argvs(draw):
         argv += ["--ideal", draw(polys)]
     elif command in ("vmod", "ql exact", "ql bounds"):
         argv += ["--top", draw(st.one_of(st.sampled_from(["1", "x", "x;y"]), polys)),
-                 "--bottom", draw(st.one_of(st.sampled_from(BOTTOMS), polys)),
-                 "--degree-bound", draw(st.integers(2, 6).map(str))]
+                 "--bottom", draw(st.one_of(st.sampled_from(BOTTOMS), polys))]
         if command != "vmod":
             argv += ["--killing", draw(polys), "--cert-out", CERT]
     elif command == "content scan":

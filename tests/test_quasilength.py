@@ -261,7 +261,7 @@ F5 = PrimeField(5)
 F2T = RationalFunctionField(2)
 F3T = RationalFunctionField(3)
 _FINITE = "exact search requires a finite coefficient field"
-_POOL = "upper bound from the {0,1,-1}-coordinate pool"
+_POOL = "upper bound from the greedy sweep or the {0,1,-1}-coordinate pool"
 _GREEDY = "upper bound from the greedy sweep"
 
 

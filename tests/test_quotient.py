@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qlc import dsl
+from qlc import dsl, quotient
 from qlc.fields import GF2, GF3, QQ, RationalFunctionField
 from qlc.groebner import ideal
 from qlc.poly import PolyRing
@@ -137,12 +137,32 @@ def test_quotient_module_matches_length():
         assert quotient_module(I).dim == length(I)
 
 
-def test_infinite_length_spin_aborts():
-    ring = PolyRing(QQ, ["x", "y"])
+def test_infinite_length_is_refused_before_any_spin(monkeypatch):
+    ring = PolyRing(GF2, ["x", "y"])
     x, y = ring.gens()
-    with pytest.raises(ValueError):
-        vector_module(ideal(ring, [ring.one()]), ideal(ring, [x * y]),
-                      degree_bound=8)
+
+    def no_spin(*args):
+        raise AssertionError("an infinite-length module was spun")
+
+    monkeypatch.setattr(quotient, "_times_var", no_spin)
+    for top in (ring.one(), x):  # R/(xy) and (x)/(xy)
+        with pytest.raises(ValueError, match="infinite length"):
+            vector_module(ideal(ring, [top]), ideal(ring, [x * y]))
+
+
+def test_finite_length_decided_through_the_colon():
+    # R/(x^3, xy) is not zero-dimensional, but (x)/(x^3, xy) is killed by
+    # (x^3, xy) : (x) = (x^2, y)
+    ring = PolyRing(GF2, ["x", "y"])
+    x, y = ring.gens()
+    M = vector_module(ideal(ring, [x]), ideal(ring, [x ** 3, x * y]))
+    assert M.dim == 2 and sorted(M.labels) == ["x", "x^2"]
+
+
+def test_finite_module_spins_past_degree_64():
+    ring = PolyRing(GF2, ["x"])
+    M = quotient_module(ideal(ring, [ring.var("x") ** 66]))
+    assert M.dim == 66 and "x^65" in M.labels
 
 
 def test_format_vector():
