@@ -25,11 +25,10 @@ from .poly import Polynomial, PolyRing, frobenius_power, grevlex, lex
 from .quasilength import (FiltrationCertificate, ModuleContext, NoFiltration,
                           QuasilengthBounds, RingContext, SearchLimit,
                           Verdict, certificate_from_json, certificate_to_json,
-                          frobenius_transport, lower_length_ratio,
-                          quasilength, quasilength_exact,
+                          frobenius_transport, quasilength, quasilength_exact,
                           staircase_filtration, validate_filtration)
 from .quotient import (NotZeroDimensional, QuotientPresentation, VectorModule,
-                       direct_sum, is_zero_dimensional, length, min_generators,
+                       direct_sum, is_zero_dimensional, length,
                        quotient_module, standard_monomials, vector_module)
 
 __version__ = "0.1.0"

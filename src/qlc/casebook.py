@@ -20,7 +20,7 @@ from .closure import (generic_forcing_algebra, lc_class_vanishing,
                       qseq_verdict_charp, test_element_search,
                       tight_membership_table)
 from .content import content_scan
-from .groebner import ideal
+from .groebner import ideal, normal_form
 from .poly import PolyRing
 from .quasilength import (FiltrationCertificate, RingContext, quasilength,
                           staircase_filtration, validate_filtration)
@@ -276,7 +276,7 @@ def normalization_w_example() -> ExampleReport:
     P = QuotientPresentation.parse(
         "Q[x,y,z,u,v,w]/(z^2-x*u-y*v; y*w+x^2+z*u; x*w-y^2-z*v;"
         " z*w^2+x*y*z+y*u^2+x*v^2; w^3-x*z*u+2*y*z*v+y^3-u^3+v^3)")
-    R = P.ambient
+    R, rel = P.ambient, P.relations
     x, y, z, u, v, w = (R.var(n) for n in "xyzuvw")
     g_q = z ** 2 - x * u - y * v
     g_yw = y * w + x ** 2 + z * u
@@ -287,15 +287,16 @@ def normalization_w_example() -> ExampleReport:
     checks = (
         _eq("cofactor identity for the cubic", True,
             x * g_yw - y * g_xw + z * g_q == cubic),
-        _eq("the cubic lies in the presentation ideal", True,
-            P.is_zero_element(cubic)),
+        _eq("the cubic lies in the presentation ideal", True, rel.contains_poly(cubic)),
         _eq("the two w-definitions agree below w", True,
             y * (y ** 2 + z * v) + x * (x ** 2 + z * u) == cubic - z * g_q),
         _eq("x times the w^2-generator reduces to the quadrics", True,
             x * g_4 == (z * w + u * v) * g_xw + (y * z + v ** 2) * g_yw
             + (v * w - y * u) * g_q),
-        _eq("x*w rewrites without w", True, P.nf(x * w) == P.nf(y ** 2 + z * v)),
-        _eq("y*w rewrites without w", True, P.nf(y * w) == P.nf(-(x ** 2) - z * u)),
+        _eq("x*w rewrites without w", True,
+            normal_form(x * w, rel) == normal_form(y ** 2 + z * v, rel)),
+        _eq("y*w rewrites without w", True,
+            normal_form(y * w, rel) == normal_form(-(x ** 2) - z * u, rel)),
         _eq("w^2-generator independent of the other four", False,
             ideal(R, [g_q, g_yw, g_xw, g_5]).contains_poly(g_4)),
         _eq("w^3-generator independent of the other four", False,

@@ -1,9 +1,9 @@
 """Buchberger engine and ideal operations.
 
-The kernel (buchberger, normal_form on a polynomial list, the private
-reducers) runs under any monomial order; the layers above work in grevlex,
-since nothing the engine reports but a printed basis depends on the order,
-and reach another order only by calling buchberger directly.
+The kernel (buchberger and the private reducers) runs under any monomial
+order; the layers above work in grevlex, since nothing the engine reports
+but a printed basis depends on the order, and reach another order only by
+calling buchberger directly.
 IdealHandle is the one ideal object: its generators and its reduced grevlex
 Groebner basis, kept next to that basis's prepared reducers.  The reduced
 basis is canonical, so IdealHandle.key is that basis itself.  The order of
@@ -134,24 +134,16 @@ def _reduce(f: Polynomial, prepped, order) -> Polynomial:
     return Polynomial(f.ring, _reduce_terms(terms, prepped, order, f.ring.field))
 
 
-def normal_form(f: Polynomial, basis, order=grevlex) -> Polynomial:
-    """Reduce f against a polynomial list (unique NF when basis is a GB), or
-    against an IdealHandle's reduced grevlex basis and its kept reducers.
-
-    Each term is reduced by the first element of the list, in list order,
-    whose leading term divides it.  A one-term f that no element divides
-    comes back as f itself.  A handle holds no basis under another order,
-    so a handle with any order but grevlex raises ValueError.
-    """
-    if isinstance(basis, IdealHandle):
-        if order is not grevlex and order != grevlex:
-            raise ValueError(f"an ideal handle reduces under grevlex only, not {order!r}")
-        prepped = basis._prepared()
-    else:
-        prepped = [g.prepared(order) for g in basis if g.terms]
+def normal_form(f: Polynomial, I: IdealHandle) -> Polynomial:
+    """The normal form of f modulo I, against I's reduced grevlex basis and
+    its kept reducers.  A one-term f that no leading term divides comes
+    back as f itself.  Raises RingMismatch when f lives in another ring."""
+    if f.ring is not I.ring and f.ring != I.ring:
+        raise RingMismatch(f"polynomial ring {f.ring!r} differs from {I.ring!r}")
+    prepped = I._prepared()
     if not prepped:
         return f
-    return _reduce(f, prepped, order)
+    return _reduce(f, prepped, grevlex)
 
 
 def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -331,9 +323,6 @@ class IdealHandle:
         self._prepared()
         return self._basis
 
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self)
-
     def contains_poly(self, f: Polynomial) -> bool:
         return normal_form(f, self).is_zero()
 
@@ -361,7 +350,7 @@ class IdealHandle:
         other seed element is carried over unchanged, prepared reducer
         included.
         """
-        r = self.normal_form(f)
+        r = normal_form(f, self)
         if r.is_zero():
             return self
         grown = IdealHandle(self.ring, self.generators + (f,))

@@ -40,8 +40,7 @@ from .config import check_budget
 from .groebner import IdealHandle, InternalError
 from .linalg import RowSpace
 from .poly import Polynomial, frobenius_power
-from .quotient import (NotZeroDimensional, QuotientPresentation, VectorModule,
-                       length, min_generators)
+from .quotient import NotZeroDimensional, QuotientPresentation, VectorModule, length
 
 
 class NoFiltration(Exception):
@@ -398,43 +397,29 @@ class QuasilengthBounds:
     flags: tuple = ()
 
 
-def _factor_length(M: VectorModule, I: IdealHandle) -> int:
-    """length(R/(I + K)), K the ideal M was built modulo.
+def _factor_dim(M: VectorModule, I: IdealHandle) -> int:
+    """The most dimensions one factor of a nonzero M can add.
 
-    Every filtration factor is cyclic and killed by both I and K, so its
-    length is at most this.  Raises NotZeroDimensional when the quotient has
-    infinite length, and NoFiltration when it is zero: no nonzero factor
-    exists then.
+    Every filtration factor is cyclic and killed by both I and K, the ideal
+    M was built modulo, so its length is at most length(R/(I + K)); dim M
+    where that is infinite (a larger cap says nothing more).  Raises
+    NoFiltration when I + K is the unit ideal: no nonzero factor exists then.
     """
     gens = list(I.generators)
     if M.k_gb:
         gens.extend(M.k_gb)
-    denom = length(IdealHandle(M.ring, gens))
-    if denom == 0:
-        raise NoFiltration("I + K is the unit ideal, so every factor is zero")
-    return denom
-
-
-def lower_length_ratio(M: VectorModule, I: IdealHandle) -> int:
-    """ceil(dim M / length(R/(I + K))), K the ideal M was built modulo: a
-    lower bound on the number of factors.  Raises as _factor_length does."""
-    if M.dim == 0:
-        return 0
-    return -(-M.dim // _factor_length(M, I))
-
-
-def _factor_dim(M: VectorModule, I: IdealHandle) -> int:
-    """The most dimensions one factor of a nonzero M can add: length(R/(I + K)),
-    or dim M where that is infinite (a larger cap says nothing more)."""
     try:
-        return min(_factor_length(M, I), M.dim)
+        denom = length(IdealHandle(M.ring, gens))
     except NotZeroDimensional:
         return M.dim
+    if denom == 0:
+        raise NoFiltration("I + K is the unit ideal, so every factor is zero")
+    return min(denom, M.dim)
 
 
 def _all_nilpotent(coords) -> bool:
-    # commuting nilpotents: Nakayama applies, min_generators is a true bound.
-    # A is nilpotent iff A^dim is zero.
+    # commuting nilpotents: Nakayama applies, the generator count is a true
+    # bound.  A is nilpotent iff A^dim is zero.
     return not any(any(coords.power(i, coords.dim or 1, {}).values())
                    for i in range(len(coords.actions)))
 
@@ -443,9 +428,14 @@ def _lower_bound(M: VectorModule, coords, denom: int) -> tuple:
     """(bound, method) on the number of factors; denom is _factor_dim."""
     best, method = 1, "trivial"
     if _all_nilpotent(coords):
-        mg = min_generators(M)
-        if mg > best:
-            best, method = mg, "min-generators"
+        # dim M/mM, m = (all variables): the minimal generator count
+        # (graded local), from the span of the action columns
+        mspace = coords.space()
+        for cols in coords.actions:
+            for col in cols.values():
+                mspace.insert(col)
+        if coords.dim - mspace.dim > best:
+            best, method = coords.dim - mspace.dim, "min-generators"
     ratio = -(-M.dim // denom)
     if ratio > best:
         best, method = ratio, "length-ratio"
@@ -543,24 +533,17 @@ def search_pool(field, dim: int) -> tuple:
 
 
 def quasilength_exact(M: VectorModule, I: IdealHandle) -> tuple:
-    """Exact minimum filtration length with an optimal certificate.
-
-    The greedy sweep's chain is the certificate when the lower bound meets
-    its length; otherwise the breadth-first search, pruned by that length
-    (see _search), finds a shorter chain or proves there is none.  Raises
-    SearchLimit where search_pool gives a limit (infinite field, or dim M
-    above the cap).  Raises NoFiltration when no finite chain exists, e.g.
-    for a unit killing ideal on a nonzero module.
+    """Exact minimum filtration length with an optimal certificate, as
+    quasilength finds them.  Raises SearchLimit where search_pool gives a
+    limit (infinite field, or dim M above the cap), before any search.
+    Raises NoFiltration when no finite chain exists, e.g. for a unit
+    killing ideal on a nonzero module.
     """
-    pool, limit = search_pool(M.field, M.dim)
+    limit = search_pool(M.field, M.dim)[1]
     if limit:
         raise SearchLimit(limit)
-    if M.dim == 0:
-        return 0, _module_cert(M, I, [])
-    coords = _coordinates(M, I.generators)
-    denom = _factor_dim(M, I)
-    chain = _search(coords, pool, _lower_bound(M, coords, denom)[0], denom)
-    return len(chain), _module_cert(M, I, chain)
+    bounds = quasilength(M, I)
+    return bounds.exact, bounds.certificate
 
 
 def quasilength(M: VectorModule, I: IdealHandle) -> QuasilengthBounds:

@@ -55,12 +55,6 @@ class QuotientPresentation:
             gens = gens.generators
         return IdealHandle(self.ambient, tuple(gens) + self.relations.generators)
 
-    def nf(self, f: Polynomial) -> Polynomial:
-        return self.relations.normal_form(f)
-
-    def is_zero_element(self, f: Polynomial) -> bool:
-        return self.relations.contains_poly(f)
-
     def __repr__(self):
         return self.describe()
 
@@ -162,8 +156,8 @@ class VectorModule:
 
         Matrices are row-major over ring.field and must commute pairwise
         (ValueError otherwise).  k_gb, when given, names the ideal the module
-        is taken modulo; it feeds lower_length_ratio and the exact search's
-        pruning denominator (_factor_dim).
+        is taken modulo; it feeds the length-ratio lower bound and the exact
+        search's pruning denominator (_factor_dim).
         """
         return cls(ring, actions, labels, k_gb)
 
@@ -214,17 +208,6 @@ def vector_module(J: IdealHandle, K: IdealHandle) -> VectorModule:
 def quotient_module(Q: IdealHandle) -> VectorModule:
     """R/Q as a VectorModule (J = (1))."""
     return vector_module(IdealHandle(Q.ring, [Q.ring.one()]), Q)
-
-
-def min_generators(M: VectorModule) -> int:
-    """dim M/mM, m = (all variables): minimal generator count (graded local)."""
-    mspace = RowSpace(M.field)
-    for var in M.ring.variables:
-        A = M.actions[var]
-        for j in range(M.dim):
-            col = {i: A[i][j] for i in range(M.dim) if A[i][j] != M.field.zero}
-            mspace.insert(col)
-    return M.dim - mspace.dim
 
 
 def direct_sum(M: VectorModule, N: VectorModule) -> VectorModule:

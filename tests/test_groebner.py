@@ -17,15 +17,19 @@ from hypothesis import strategies as st
 
 from qlc import dsl
 from qlc.fields import GF2, GF3, QQ, PrimeField, RationalFunctionField
-from qlc.groebner import (InternalError, bracket_power,
+from qlc.groebner import (InternalError, _reduce, bracket_power,
                           buchberger, colon, ideal, ideal_compare,
                           ideal_power, ideal_powers, ideal_product, ideal_sum,
                           intersect, normal_form, poly_divide_exact)
-from qlc.poly import Block, GrevLex, PolyRing, grevlex, lex
+from qlc.poly import Block, PolyRing, RingMismatch, grevlex, lex
 
 
 def qring(names="xy"):
     return PolyRing(QQ, list(names))
+
+
+def kernel_nf(f, basis, order):  # the kernel against a list, under any order
+    return _reduce(f, [g.prepared(order) for g in basis if g.terms], order)
 
 
 def random_poly(rng, ring, max_deg=3, max_terms=4):
@@ -167,16 +171,16 @@ def test_membership_of_combinations():
         for g in gens:
             comb = comb + random_poly(rng, ring, max_deg=2) * g
         assert I.contains_poly(comb)
-        assert normal_form(comb, I.groebner_basis(), grevlex).is_zero()
+        assert kernel_nf(comb, I.groebner_basis(), grevlex).is_zero()
 
 
 def test_normal_form_is_idempotent_and_additive():
     ring = qring("xy")
     x, y = ring.gens()
-    basis = buchberger([x ** 2 + y, y ** 2 - 1], grevlex)
+    I = ideal(ring, [x ** 2 + y, y ** 2 - 1])
     f = x ** 3 + x * y + 2
     g = y ** 3 - x
-    nf = lambda h: normal_form(h, basis, grevlex)
+    nf = lambda h: normal_form(h, I)
     assert nf(nf(f)) == nf(f)
     assert nf(f + g) == nf(nf(f) + nf(g))
     assert nf(f - nf(f)).is_zero()
@@ -405,7 +409,7 @@ def poly3(field):
 
 
 def assert_matches_reference(f, basis, order):
-    assert normal_form(f, basis, order).terms == reference_normal_form(f, basis, order)
+    assert kernel_nf(f, basis, order).terms == reference_normal_form(f, basis, order)
 
 
 @pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
@@ -489,16 +493,18 @@ def test_plus_folds_to_buchberger(field, order, data):
             assert stage.plus(h * g) is stage
 
 
-def test_handle_normal_form_is_grevlex_only():
-    ring = qring("xy")
-    x, y = ring.gens()
-    I = ideal(ring, [x ** 2 - y, y ** 2 - x])
-    for order in (lex, Block(1, lex, grevlex)):
-        with pytest.raises(ValueError, match="grevlex"):
-            normal_form(x ** 3, I, order)
-    assert normal_form(x ** 3, I, GrevLex()) == normal_form(x ** 3, I) == x * y
-    # a basis list still reduces under any order
-    assert normal_form(x ** 3, buchberger(I.generators, lex), lex) == y ** 3
+def test_reduction_refuses_a_polynomial_from_another_ring():
+    R = PolyRing(GF2, ["x", "y"])
+    I = ideal(R, R.gens())
+    xyz = PolyRing(GF2, ["x", "y", "z"])
+    x, _y, z = xyz.gens()
+    for f in (x * z, z, PolyRing(GF3, ["x", "y"]).var("x") + 1):
+        with pytest.raises(RingMismatch):
+            normal_form(f, I)
+        with pytest.raises(RingMismatch):
+            I.contains_poly(f)
+    # an equal ring built separately is the same ring
+    assert normal_form(PolyRing(GF2, ["x", "y"]).var("x") + 1, I) == R.one()
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +596,7 @@ def test_one_term_normal_form_matches_reference_division(field, order, data):
     assert_matches_reference(f, basis, order)
     (m,) = f.terms
     if not any(all(a >= b for a, b in zip(m, g.leading(order)[0])) for g in basis):
-        assert normal_form(f, basis, order) is f
+        assert kernel_nf(f, basis, order) is f
 
 
 # ---------------------------------------------------------------------------

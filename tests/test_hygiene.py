@@ -16,10 +16,15 @@ Only the Groebner kernel takes a monomial order: every function or method
 with a parameter named order is one of KERNEL_ORDER_TAKERS, so the option
 cannot creep back into the ideal, quotient or DSL layers, which work in
 grevlex.
+
+The sources have no runtime dependency: every absolute import names a
+top-level module of the standard library (sys.stdlib_module_names, Python
+3.10+).
 """
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -162,7 +167,7 @@ def test_public_scan_sees_calls_strings_and_exports():
 
 KERNEL_ORDER_TAKERS = {
     "groebner.py:_heap_of", "groebner.py:_reduce_terms", "groebner.py:_reduce",
-    "groebner.py:normal_form", "groebner.py:buchberger", "groebner.py:_reduce_basis",
+    "groebner.py:buchberger", "groebner.py:_reduce_basis",
     "poly.py:Polynomial.prepared", "poly.py:Polynomial.leading",
     "poly.py:Polynomial.monic",
 }
@@ -196,3 +201,27 @@ def test_order_scan_sees_functions_methods_and_nested_defs():
                      "    def n(self):\n        if True:\n"
                      "            def inner(order): pass\n")
     assert _order_takers(tree) == {"f", "C.m", "C.n.inner"}
+
+
+def _non_stdlib_imports(tree) -> list:
+    """Top-level module names of the absolute imports under tree that the
+    standard library does not provide."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names - sys.stdlib_module_names)
+
+
+def test_sources_import_the_standard_library_only():
+    found = {p.name: _non_stdlib_imports(ast.parse(p.read_text(), filename=str(p)))
+             for p in sorted(SRC.glob("*.py"))}
+    assert not {name: mods for name, mods in found.items() if mods}, found
+
+
+def test_stdlib_scan_flags_a_third_party_import():
+    tree = ast.parse("import sympy\nimport os.path\nfrom __future__ import annotations\n"
+                     "from collections import deque\nfrom . import dsl\n")
+    assert _non_stdlib_imports(tree) == ["sympy"]

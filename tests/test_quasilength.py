@@ -24,8 +24,7 @@ from qlc.quasilength import (FiltrationCertificate, NoFiltration, RingContext,
                              _greedy_chain, _lower_bound, _search,
                              _staircase_exponents, certificate_from_json,
                              certificate_to_json, frobenius_transport,
-                             lower_length_ratio, quasilength,
-                             quasilength_exact, search_pool,
+                             quasilength, quasilength_exact, search_pool,
                              staircase_filtration, validate_filtration)
 from qlc.quotient import (QuotientPresentation, direct_sum, quotient_module,
                           vector_module)
@@ -347,13 +346,33 @@ def test_quasilength_builds_one_coordinate_helper(monkeypatch):
     assert calls == [M]
 
 
+def test_exact_refuses_before_building_a_coordinate_helper(monkeypatch):
+    ql_module = importlib.import_module("qlc.quasilength")
+    calls = []
+    monkeypatch.setattr(ql_module, "_coordinates", lambda M, killing: calls.append(M))
+    RQ = PolyRing(QQ, ["x", "y"])
+    over_q = (_quo(RQ, "x^2;y^2"), ideal(RQ, dsl.parse_polys(RQ, "x;y")))
+    above_cap = _above_cap_module(lambda x, y: [x ** 2, y ** 2])
+    for M, I in (over_q, above_cap):
+        with pytest.raises(SearchLimit):
+            quasilength_exact(M, I)
+    assert calls == []
+
+
 def test_lower_length_ratio():
     ring = PolyRing(GF2, ["x", "y"])
     x, y = ring.gens()
+    I = ideal(ring, [x, y])
     for t in (1, 2, 3):
         M = quotient_module(ideal(ring, [x ** t, y ** t]))
-        assert lower_length_ratio(M, ideal(ring, [x, y])) == t * t
-        assert quasilength_exact(M, ideal(ring, [x, y]))[0] == t * t
+        assert _factor_dim(M, I) == 1  # length(R/(I + K))
+        assert _lower_bound(M, _coordinates(M, I.generators), 1)[0] == t * t
+        assert quasilength_exact(M, I)[0] == t * t
+    # a direct sum keeps no K, and R/(x) has infinite length: the cap is dim M
+    M = direct_sum(M, M)
+    assert _factor_dim(M, ideal(ring, [x])) == M.dim
+    with pytest.raises(NoFiltration):
+        _factor_dim(M, ideal(ring, [ring.one()]))
 
 
 def test_staircase_order_and_validity():
