@@ -47,21 +47,8 @@ class ExampleReport:
         return all(c.passed for c in self.checks)
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "summary": self.summary,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "description": c.description,
-                    "expected": c.expected,
-                    "computed": c.computed,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
-            "artifacts": self.artifacts,
-        }
+        return {**vars(self), "passed": self.passed,
+                "checks": [dict(vars(c)) for c in self.checks]}
 
 
 def _eq(description, expected, computed) -> Check:

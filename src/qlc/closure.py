@@ -11,12 +11,14 @@ reports carry flags saying which searches ran to completion.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
 from .config import DEFAULT, JobConfig, check_budget
-from .groebner import InternalError, ideal, ideal_powers, normal_form
-from .poly import Polynomial
+from .groebner import (InternalError, bracket_power, ideal, ideal_powers,
+                       normal_form)
+from .poly import Polynomial, frobenius_power
 from .quasilength import FiltrationCertificate, RingContext, require_valid
 from .quotient import QuotientPresentation
 
@@ -100,7 +102,7 @@ class MembershipTable:
         return all(r.member for r in self.rows)
 
     def as_dicts(self) -> list:
-        return [{"e": r.e, "q": r.q, "member": r.member} for r in self.rows]
+        return [dict(vars(r)) for r in self.rows]
 
 
 def tight_membership_table(pres: QuotientPresentation, u: Polynomial, gens,
@@ -117,12 +119,13 @@ def tight_membership_table(pres: QuotientPresentation, u: Polynomial, gens,
     if pres.relations.contains_poly(c):
         raise ValueError("multiplier vanishes in the quotient")
     es = _exponents(e_list)
+    G = ideal(pres.ambient, gens)
     rows = []
     for e in es:
         check_budget()
         q = p ** e
-        bracket = pres.ideal([g ** q for g in gens])
-        rows.append(MembershipRow(e, q, bracket.contains_poly(c * u ** q)))
+        bracket = pres.ideal(bracket_power(G, q))
+        rows.append(MembershipRow(e, q, bracket.contains_poly(c * frobenius_power(u, q))))
     if c.is_constant() and c.constant_value() == pres.ambient.field.one:
         seen_pass = False
         for r in rows:
@@ -165,10 +168,10 @@ def test_element_search(pres: QuotientPresentation, u: Polynomial, gens,
     p = pres.ambient.field.char
     if p == 0:
         raise ValueError("membership search needs positive characteristic")
-    gens = tuple(gens)
-    es = _exponents(e_list)
-    brackets = [pres.ideal([g ** (p ** e) for g in gens]) for e in es]
-    powers = [u ** (p ** e) for e in es]
+    G = ideal(pres.ambient, gens)
+    qs = [p ** e for e in _exponents(e_list)]
+    brackets = [pres.ideal(bracket_power(G, q)) for q in qs]
+    powers = [frobenius_power(u, q) for q in qs]
     for c in _monomials_by_degree(pres.ambient, degree_bound):
         check_budget()
         if pres.relations.contains_poly(c):
@@ -195,7 +198,7 @@ class VanishingTable:
     rows: tuple
 
     def as_dicts(self) -> list:
-        return [{"k": r.k, "vanished": r.vanished} for r in self.rows]
+        return [dict(vars(r)) for r in self.rows]
 
 
 def lc_class_vanishing(pres: QuotientPresentation, xs, k_max: int) -> VanishingTable:
@@ -207,9 +210,7 @@ def lc_class_vanishing(pres: QuotientPresentation, xs, k_max: int) -> VanishingT
     xs = tuple(xs)
     if not xs:
         raise ValueError("need at least one parameter")
-    prod = pres.ambient.one()
-    for x in xs:
-        prod = prod * x
+    prod = math.prod(xs, start=pres.ambient.one())
     rows = []
     for k in range(1, k_max + 1):
         check_budget()

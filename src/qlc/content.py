@@ -15,6 +15,7 @@ for the ascending chain to hold still for a few steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from .config import check_budget
 from .groebner import IdealHandle, InternalError, colon, ideal
 from .quasilength import (FiltrationCertificate, RingContext, quasilength_exact,
                           search_pool, staircase_filtration, validate_filtration)
-from .quotient import (QuotientPresentation, is_zero_dimensional, length,
+from .quotient import (NotZeroDimensional, QuotientPresentation, length,
                        quotient_module)
 
 
@@ -53,9 +54,7 @@ def limit_closure(pres: QuotientPresentation, xs, t: int, window: int | None = N
     if window < 1:
         raise ValueError("window must be at least 1")
     ambient = pres.ambient
-    prod = ambient.one()
-    for x in xs:
-        prod = prod * x
+    prod = math.prod(xs, start=ambient.one())
     current: IdealHandle | None = None
     moved_at = 0
     run = 0
@@ -97,30 +96,21 @@ class ContentTable:
     mode: str  # plain | underline
 
     def as_dicts(self) -> list:
-        return [
-            {
-                "t": r.t,
-                "upper": r.upper,
-                "lower": r.lower,
-                "upper_ratio": str(r.upper_ratio),
-                "lower_ratio": str(r.lower_ratio),
-                "upper_from": r.upper_from,
-                "lower_from": r.lower_from,
-            }
-            for r in self.rows
-        ]
+        return [{k: str(v) if isinstance(v, Fraction) else v for k, v in vars(r).items()}
+                for r in self.rows]
 
 
-def _check_supplied(cert: FiltrationCertificate, K: IdealHandle, xs) -> int:
+def _check_supplied(cert: FiltrationCertificate, K: IdealHandle,
+                    params: IdealHandle) -> int:
     """Length of a caller-supplied certificate, after checking it proves a
-    bound for this row: same module, killing ideal at least (x_1, ..., x_d)."""
+    bound for this row: same module, killing ideal at least params."""
     if not isinstance(cert.context, RingContext):
         raise ValueError("supplied certificates must be ring-context")
     pres = cert.context.presentation
     claimed = pres.ideal(cert.context.target)
     if claimed.key() != K.key():
         raise ValueError("supplied certificate presents a different module")
-    if not ideal(pres.ambient, list(cert.killing)).contains_ideal(ideal(pres.ambient, list(xs))):
+    if not ideal(pres.ambient, list(cert.killing)).contains_ideal(params):
         raise ValueError("supplied certificate's killing ideal misses a parameter")
     verdict = validate_filtration(cert)
     if not verdict.ok:
@@ -144,6 +134,7 @@ def content_scan(pres: QuotientPresentation, xs, ts, mode: str = "plain",
         raise ValueError("need at least one parameter")
     d = len(xs)
     ambient = pres.ambient
+    params = ideal(ambient, xs)
     rows = []
     for t in ts:
         check_budget()
@@ -162,19 +153,19 @@ def content_scan(pres: QuotientPresentation, xs, ts, mode: str = "plain",
         # staircase steps stay valid over any larger target ideal (checked)
         staircase_filtration(QuotientPresentation(ambient, K), xs, t)
 
-        exact = None
-        lam = None
-        if is_zero_dimensional(K):
+        try:
             lam = length(K)
-            if search_pool(ambient.field, lam)[1] is None:
-                M = quotient_module(K)
-                exact, _cert = quasilength_exact(M, ideal(ambient, list(xs)))
-                if exact < upper:
-                    upper = exact
-                    upper_from = "exact-search"
+        except NotZeroDimensional:
+            lam = None  # infinite length: no exact search and no lower bound
+        exact = None
+        if lam is not None and search_pool(ambient.field, lam)[1] is None:
+            exact, _cert = quasilength_exact(quotient_module(K), params)
+            if exact < upper:
+                upper = exact
+                upper_from = "exact-search"
 
         if supplied and t in supplied:
-            cap = _check_supplied(supplied[t], K, xs)
+            cap = _check_supplied(supplied[t], K, params)
             if cap < upper:
                 upper = cap
                 upper_from = "supplied"
@@ -183,7 +174,7 @@ def content_scan(pres: QuotientPresentation, xs, ts, mode: str = "plain",
             lower = exact
             lower_from = "exact-search"
         elif lam is not None:
-            denom = length(ideal(ambient, list(K.generators) + list(xs)))
+            denom = length(ideal(ambient, K.generators + params.generators))
             lower = -(-lam // denom)
             lower_from = "length-ratio"
         else:

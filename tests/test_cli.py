@@ -331,6 +331,20 @@ def test_fermat_t3_search_respects_the_budget(monkeypatch):
     assert time.monotonic() - start < budget + 1
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["force", "tight-table", "--ring", "F3[x,y,z]", "--element", "x+y+z",
+      "--gens", "x;y", "--multiplier", "1", "--e", "8"], "e=8 q=6561 member=false\n"),
+    (["force", "test-element", "--ring", "F3[x,y,z]", "--element", "x+y+z",
+      "--gens", "x;y;z", "--e", "8"], "1\n"),
+], ids=["tight-table", "test-element"])
+def test_frobenius_powers_answer_within_the_budget(argv, out, monkeypatch, capsys):
+    # u^q and the bracket (g^q) are formed term by term: squaring x+y+z up
+    # to q = 6561 over F3 alone would run far past the budget
+    monkeypatch.setenv("QLC_BUDGET_SECS", "5")
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize("argv", [
     ["length", "--ring", "F2[x]", "--ideal", "x^100000000"],
     ["content", "scan", "--ring", "F2[x,y]", "--params", "x^100000000;y",

@@ -91,6 +91,18 @@ def test_brenner_monsky_q8_row_within_budget():
     assert [(r.e, r.q, r.member) for r in table.rows] == [(3, 8, True)]
 
 
+def test_membership_table_reads_generators_from_an_iterator():
+    # the generators are read once, into one ideal, so a generator
+    # expression gives every row the bracket a list gives
+    pres = QuotientPresentation.parse("F2[x,y]")
+    x, y = pres.ambient.var("x"), pres.ambient.var("y")
+    one = pres.ambient.one()
+    listed = tight_membership_table(pres, x * y, [x, y], one, (1, 2))
+    streamed = tight_membership_table(pres, x * y, (g for g in (x, y)), one, (1, 2))
+    assert [(r.e, r.q, r.member) for r in listed.rows] == [(1, 2, True), (2, 4, True)]
+    assert streamed.rows == listed.rows
+
+
 def test_membership_table_input_checks():
     pres = QuotientPresentation.parse(FERMAT)
     x, y, z = (pres.ambient.var(n) for n in "xyz")

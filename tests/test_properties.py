@@ -5,10 +5,14 @@ counterexample is an implementation bug, never noise.  Sizes are kept small
 enough that the whole file stays in the tens of seconds.
 """
 
+import itertools
+
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from qlc.closure import lc_class_vanishing
+from qlc import dsl
+from qlc.closure import lc_class_vanishing, tight_membership_table
+from qlc.closure import test_element_search as element_search
 from qlc.fields import GF2, GF3, QQ
 from qlc.groebner import (buchberger, bracket_power, colon, ideal,
                           ideal_compare, ideal_power, ideal_sum, intersect,
@@ -278,3 +282,60 @@ def test_subadditivity(a, b, seed_bits, c, d):
     right = quasilength(Q, I).exact if Q.dim else 0
     assert whole is not None and left is not None and right is not None
     assert whole <= left + right
+
+
+# -- 10. the char-p tables agree with plain powering -------------------------
+
+# (ring, coefficient pool, exponents e with p^e <= 9)
+CHAR_P = []
+for _spec, _coeffs, _es in (("F2[x,y]", "1", (0, 1, 2, 3)),
+                            ("F3[x,y]", "1;2", (0, 1, 2)),
+                            ("F3(t)[x,y]", "1;2;t;t+1", (0, 1, 2))):
+    _ring, _ = dsl.parse_ring(_spec)
+    CHAR_P.append((_ring, tuple(dsl.parse_polys(_ring, _coeffs)), _es))
+
+
+def _powered_rows(pres, u, gens, c, es):
+    p = pres.ambient.field.char
+    return [(e, p ** e, pres.ideal([g ** (p ** e) for g in gens])
+             .contains_poly(c * u ** (p ** e))) for e in sorted(set(es))]
+
+
+def _powered_search(pres, u, gens, es, degree_bound):
+    p = pres.ambient.field.char
+    qs = [p ** e for e in sorted(set(es))]
+    brackets = [pres.ideal([g ** q for g in gens]) for q in qs]
+    ring = pres.ambient
+    for deg in range(degree_bound + 1):
+        for combo in itertools.combinations_with_replacement(range(ring.nvars), deg):
+            c = ring.monomial(tuple(combo.count(i) for i in range(ring.nvars)))
+            if pres.relations.contains_poly(c) or any(b.contains_poly(c) for b in brackets):
+                continue
+            if all(b.contains_poly(c * u ** q) for b, q in zip(brackets, qs)):
+                return c
+    return None
+
+
+@SUITE
+@given(st.data())
+def test_char_p_tables_match_plain_powering(data):
+    # u^q and the bracket (g^q) are formed term by term; the table and the
+    # multiplier search must read exactly as they do with u ** q and g ** q
+    ring, coeffs, es_range = data.draw(st.sampled_from(CHAR_P))
+    polys = poly_strategy(ring, coeffs, max_exp=2, max_terms=3)
+    u = data.draw(polys)
+    gens = data.draw(st.lists(polys, min_size=1, max_size=2))
+    rels = data.draw(st.lists(poly_strategy(ring, coeffs, max_exp=3, max_terms=2),
+                              max_size=1))
+    es = data.draw(st.lists(st.sampled_from(es_range), min_size=2, max_size=3))
+    c = data.draw(monomial_strategy(ring, max_exp=1))
+    try:
+        pres = QuotientPresentation(ring, rels)
+    except ValueError:
+        assume(False)
+    assume(not pres.relations.contains_poly(c))
+    table = tight_membership_table(pres, u, iter(gens), c, es)
+    assert [(r.e, r.q, r.member) for r in table.rows] == \
+        _powered_rows(pres, u, gens, c, es)
+    assert element_search(pres, u, iter(gens), es, degree_bound=2) == \
+        _powered_search(pres, u, gens, es, 2)
