@@ -30,7 +30,7 @@ from .content import content_scan, limit_closure
 from .groebner import buchberger, colon, ideal, ideal_compare, intersect
 from .poly import grevlex, lex
 from .quasilength import (NoFiltration, SearchLimit, certificate_from_json,
-                          certificate_to_json, quasilength, quasilength_exact,
+                          certificate_payload, quasilength, quasilength_exact,
                           validate_filtration)
 from .quotient import QuotientPresentation, length, vector_module
 
@@ -138,24 +138,9 @@ def _cmd_vmod(args):
     return payload, lines, EXIT_OK
 
 
-def _module_cert_payload(M, cert) -> dict:
-    F = M.field
-    return {
-        "schema": 1,
-        "kind": "module-filtration",
-        "killing": _fmt(cert.killing),
-        "basis": list(M.labels),
-        "generators": [M.format_vector(list(g)) for g in cert.generators],
-        "coordinates": [[F.format(c) for c in g] for g in cert.generators],
-        "validated": cert.validated.status,
-    }
-
-
-def _write_cert(path: str, payload) -> None:
-    text = payload if isinstance(payload, str) else (
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_cert(path: str, cert) -> None:
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(json.dumps(certificate_payload(cert), indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_ql_exact(args):
@@ -167,9 +152,9 @@ def _cmd_ql_exact(args):
         payload = {"exact": None, "filtration_exists": False}
         return payload, ["no finite filtration"], EXIT_OK
     payload = {"exact": value, "filtration_exists": True,
-               "certificate": _module_cert_payload(M, cert)}
+               "certificate": certificate_payload(cert)}
     if args.cert_out:
-        _write_cert(args.cert_out, payload["certificate"])
+        _write_cert(args.cert_out, cert)
     lines = [f"exact {value}"]
     lines.extend(f"  step {i}: {M.format_vector(list(g))}"
                  for i, g in enumerate(cert.generators, 1))
@@ -192,10 +177,10 @@ def _cmd_ql_bounds(args):
         "filtration_exists": True,
         "lower_method": b.lower_method,
         "flags": list(b.flags),
-        "certificate": _module_cert_payload(M, b.certificate),
+        "certificate": certificate_payload(b.certificate),
     }
     if args.cert_out:
-        _write_cert(args.cert_out, payload["certificate"])
+        _write_cert(args.cert_out, b.certificate)
     lines = [f"lower {b.lower} ({b.lower_method})", f"upper {b.upper}",
              f"exact {b.exact if b.exact is not None else 'undetermined'}"]
     lines.extend(f"  note: {f}" for f in b.flags)
@@ -312,7 +297,7 @@ def _cmd_force_qseq(args):
     lines.append(f"searches complete: {str(report.searches_complete).lower()}")
     if args.cert_out:
         if report.disproof is not None:
-            _write_cert(args.cert_out, certificate_to_json(report.disproof))
+            _write_cert(args.cert_out, report.disproof)
         else:
             lines.append("no disproof certificate to write")
     return payload, lines, EXIT_OK

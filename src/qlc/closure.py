@@ -19,7 +19,8 @@ from .config import DEFAULT, JobConfig, check_budget
 from .groebner import (InternalError, bracket_power, ideal, ideal_powers,
                        normal_form)
 from .poly import Polynomial, frobenius_power
-from .quasilength import FiltrationCertificate, RingContext, require_valid
+from .quasilength import (FiltrationCertificate, RingContext, parameter_powers,
+                          require_valid)
 from .quotient import QuotientPresentation
 
 
@@ -113,9 +114,7 @@ def tight_membership_table(pres: QuotientPresentation, u: Polynomial, gens,
     passing row forces every later row to pass (memberships survive q-th
     powers), which is asserted on the computed rows.
     """
-    p = pres.ambient.field.char
-    if p == 0:
-        raise ValueError("membership tables need positive characteristic")
+    p = _frobenius_char(pres)
     if pres.relations.contains_poly(c):
         raise ValueError("multiplier vanishes in the quotient")
     es = _exponents(e_list)
@@ -127,12 +126,22 @@ def tight_membership_table(pres: QuotientPresentation, u: Polynomial, gens,
         bracket = pres.ideal(bracket_power(G, q))
         rows.append(MembershipRow(e, q, bracket.contains_poly(c * frobenius_power(u, q))))
     if c.is_constant() and c.constant_value() == pres.ambient.field.one:
-        seen_pass = False
-        for r in rows:
-            if seen_pass and not r.member:
-                raise InternalError("powering broke a multiplier-free membership")
-            seen_pass = seen_pass or r.member
+        _check_monotone([r.member for r in rows], "powering broke a multiplier-free membership")
     return MembershipTable(u, c, tuple(rows))
+
+
+def _frobenius_char(pres: QuotientPresentation) -> int:
+    """The characteristic p, which every q = p^e here needs positive."""
+    p = pres.ambient.field.char
+    if p == 0:
+        raise ValueError("Frobenius powers need positive characteristic")
+    return p
+
+
+def _check_monotone(flags, message: str) -> None:
+    """Raise InternalError(message) when a False follows a True in flags."""
+    if any(a and not b for a, b in zip(flags, flags[1:])):
+        raise InternalError(message)
 
 
 def _exponents(e_list) -> list:
@@ -165,9 +174,9 @@ def test_element_search(pres: QuotientPresentation, u: Polynomial, gens,
     such a c passes that row no matter what u is, so it certifies nothing.
     Returns None when the bounded search exhausts.
     """
-    p = pres.ambient.field.char
-    if p == 0:
-        raise ValueError("membership search needs positive characteristic")
+    p = _frobenius_char(pres)
+    if degree_bound < 0:
+        raise ValueError(f"need degree_bound >= 0, got {degree_bound}")
     G = ideal(pres.ambient, gens)
     qs = [p ** e for e in _exponents(e_list)]
     brackets = [pres.ideal(bracket_power(G, q)) for q in qs]
@@ -207,20 +216,17 @@ def lc_class_vanishing(pres: QuotientPresentation, xs, k_max: int) -> VanishingT
     A pass at k forces a pass at every larger k (multiply the witness by the
     product and absorb one power of each parameter); asserted on the rows.
     """
+    if k_max < 1:
+        raise ValueError(f"need k_max >= 1 (an empty table passes vacuously), got {k_max}")
     xs = tuple(xs)
-    if not xs:
-        raise ValueError("need at least one parameter")
     prod = math.prod(xs, start=pres.ambient.one())
     rows = []
     for k in range(1, k_max + 1):
         check_budget()
-        handle = pres.ideal([x ** (k + 1) for x in xs])
+        handle = pres.ideal(parameter_powers(xs, k + 1))
         rows.append(VanishingRow(k, handle.contains_poly(prod ** k)))
-    seen = False
-    for r in rows:
-        if seen and not r.vanished:
-            raise InternalError("vanishing is monotone in k; computed rows are not")
-        seen = seen or r.vanished
+    _check_monotone([r.vanished for r in rows],
+                    "vanishing is monotone in k; computed rows are not")
     return VanishingTable(tuple(rows))
 
 
@@ -249,13 +255,11 @@ def short_filtration_search(pres: QuotientPresentation, xs, t: int,
     complete=False and no certificate.
     """
     xs = tuple(xs)
+    target = parameter_powers(xs, t)
     d = len(xs)
-    if t < 1 or d < 1:
-        raise ValueError("need t >= 1 and at least one parameter")
     full = t ** d
     max_steps = full - 1
     ambient = pres.ambient
-    target = tuple(x ** t for x in xs)
     pool = []
     for m in _monomials_by_degree(ambient, 2 * t * d):
         check_budget()
@@ -351,10 +355,9 @@ def qseq_verdict_charp(pres: QuotientPresentation, params, u: Polynomial,
     general: a report can be inconclusive, and the flags say which bounded
     searches exhausted their space.
     """
-    if pres.ambient.field.char == 0:
-        raise ValueError("this verdict is only defined in positive characteristic")
+    _frobenius_char(pres)
     params = tuple(params)
-    gens = [x ** t for x in params]
+    gens = parameter_powers(params, t)
     notes = (
         "verdicts are bounded evidence: the multiplier search caps monomial "
         "degree and the filtration search caps depth and candidate degree",

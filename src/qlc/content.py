@@ -21,8 +21,9 @@ from fractions import Fraction
 
 from .config import check_budget
 from .groebner import IdealHandle, InternalError, colon, ideal
-from .quasilength import (FiltrationCertificate, RingContext, quasilength_exact,
-                          search_pool, staircase_filtration, validate_filtration)
+from .quasilength import (FiltrationCertificate, RingContext, parameter_powers,
+                          quasilength, search_pool, staircase_filtration,
+                          validate_filtration)
 from .quotient import (NotZeroDimensional, QuotientPresentation, length,
                        quotient_module)
 
@@ -45,8 +46,6 @@ def limit_closure(pres: QuotientPresentation, xs, t: int, window: int | None = N
     stopping heuristic, not a proof of stabilization: the stabilized flag
     records only that the window was observed.  window None means 3.
     """
-    if t < 1:
-        raise ValueError("t must be at least 1")
     if max_k < 0:
         raise ValueError("max_k must be at least 0")
     xs = tuple(xs)
@@ -60,7 +59,7 @@ def limit_closure(pres: QuotientPresentation, xs, t: int, window: int | None = N
     run = 0
     for k in range(max_k + 1):
         check_budget()
-        base = pres.ideal([x ** (t + k) for x in xs])
+        base = pres.ideal(parameter_powers(xs, t + k))
         stage = colon(base, ideal(ambient, [prod ** k])) if k else base
         if current is None:
             current = stage
@@ -129,19 +128,17 @@ def content_scan(pres: QuotientPresentation, xs, ts, mode: str = "plain",
     """
     if mode not in ("plain", "underline"):
         raise ValueError(f"unknown mode {mode!r}")
-    xs = tuple(xs)
-    if not xs:
-        raise ValueError("need at least one parameter")
+    xs, ts = tuple(xs), tuple(ts)
+    if not ts:
+        raise ValueError("need at least one exponent t")
     d = len(xs)
     ambient = pres.ambient
     params = ideal(ambient, xs)
     rows = []
     for t in ts:
         check_budget()
-        if t < 1:
-            raise ValueError("exponents must be at least 1")
         if mode == "plain":
-            K = pres.ideal([x ** t for x in xs])
+            K = pres.ideal(parameter_powers(xs, t))
         else:
             K = limit_closure(pres, xs, t).ideal
         if K.is_unit_ideal():
@@ -159,7 +156,7 @@ def content_scan(pres: QuotientPresentation, xs, ts, mode: str = "plain",
             lam = None  # infinite length: no exact search and no lower bound
         exact = None
         if lam is not None and search_pool(ambient.field, lam)[1] is None:
-            exact, _cert = quasilength_exact(quotient_module(K), params)
+            exact = quasilength(quotient_module(K), params).exact
             if exact < upper:
                 upper = exact
                 upper_from = "exact-search"

@@ -12,7 +12,7 @@ length-ratio lower bound and a certified upper bound.
 Certificates come in two flavours.  Ring contexts live in a quotient of a
 polynomial ring: the module is R/(relations + target) and generators are
 polynomials.  Module contexts carry an explicit VectorModule and generators
-are coordinate vectors; they validate in-process but do not serialize.
+are coordinate vectors; they validate in-process and serialize one way.
 
 The search works on coordinate vectors in the row kind the field picks
 (RowSpace.coordinates): ints read as bit vectors over F_2, dicts of nonzero
@@ -597,6 +597,15 @@ def _staircase_exponents(t: int, d: int):
         yield from vectors(total, d)
 
 
+def parameter_powers(xs, t: int) -> tuple:
+    """(x_1^t, ..., x_d^t), the one place a parameter power is formed.
+    Raises ValueError unless t >= 1 and at least one parameter is given."""
+    xs = tuple(xs)
+    if t < 1 or not xs:
+        raise ValueError(f"need t >= 1 and at least one parameter, got t={t}")
+    return tuple(x ** t for x in xs)
+
+
 def staircase_filtration(pres: QuotientPresentation, xs, t: int) -> FiltrationCertificate:
     """The t^d-step certificate for R/(relations + (x_1^t, ..., x_d^t)).
 
@@ -606,12 +615,8 @@ def staircase_filtration(pres: QuotientPresentation, xs, t: int) -> FiltrationCe
     x_i: multiplying a generator by x_i either raises its exponent past t-1
     (landing in the target) or yields an earlier, higher-degree generator.
     """
-    if t < 1:
-        raise ValueError("t must be at least 1")
     xs = tuple(xs)
-    if not xs:
-        raise ValueError("need at least one parameter")
-    target = tuple(x ** t for x in xs)
+    target = parameter_powers(xs, t)
     gens = []
     for e in _staircase_exponents(t, len(xs)):
         check_budget()
@@ -649,23 +654,32 @@ def frobenius_transport(cert: FiltrationCertificate, e: int) -> FiltrationCertif
 
 
 # ---------------------------------------------------------------------------
-# serialization (ring contexts only)
+# serialization
+
+
+def certificate_payload(cert: FiltrationCertificate) -> dict:
+    """The JSON object of a certificate of either kind.  Ring filtrations
+    read back through certificate_from_json; module filtrations (coordinates
+    in the module's basis) are for reading only."""
+    fmt, gens = dsl.format_poly, cert.generators
+    payload = {"schema": 1, "killing": [fmt(f) for f in cert.killing],
+               "validated": cert.validated.status}
+    if isinstance(cert.context, RingContext):
+        payload.update(kind="ring-filtration", ring=cert.context.presentation.describe(),
+                       target=[fmt(f) for f in cert.context.target],
+                       generators=[fmt(g) for g in gens])
+    else:
+        M = cert.context.module
+        payload.update(kind="module-filtration", basis=list(M.labels),
+                       generators=[M.format_vector(list(g)) for g in gens],
+                       coordinates=[[M.field.format(c) for c in g] for g in gens])
+    return payload
 
 
 def certificate_to_json(cert: FiltrationCertificate) -> str:
     if not isinstance(cert.context, RingContext):
         raise ValueError("module-context certificates have no serialized form")
-    pres = cert.context.presentation
-    payload = {
-        "schema": 1,
-        "kind": "ring-filtration",
-        "ring": pres.describe(),
-        "target": [dsl.format_poly(f) for f in cert.context.target],
-        "killing": [dsl.format_poly(f) for f in cert.killing],
-        "generators": [dsl.format_poly(g) for g in cert.generators],
-        "validated": cert.validated.status,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(certificate_payload(cert), indent=2, sort_keys=True) + "\n"
 
 
 def certificate_from_json(text: str) -> FiltrationCertificate:

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from qlc import casebook, cli
+from qlc import casebook, cli, groebner
 from qlc.cli import (EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_INTERRUPTED, EXIT_OK,
                      EXIT_USAGE, run)
 from qlc.fields import PRIME_BOUND
@@ -21,6 +21,22 @@ def test_length_text_output(capsys):
     code = run(["length", "--ring", "F3[x,y]", "--ideal", "x^2; x*y; y^3"])
     assert code == EXIT_OK
     assert capsys.readouterr().out == "4\n"
+
+
+@pytest.mark.parametrize("t", ["0", "-1"])
+def test_qseq_checks_t_before_any_groebner_basis(t, capsys, monkeypatch):
+    # t used to be checked by the filtration search, after the multiplier
+    # search had computed its bracket bases (and t = -1 failed in powering)
+    calls = []
+    original = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger",
+                        lambda *args, **kw: calls.append(args) or original(*args, **kw))
+    code = run(["force", "qseq", "--ring", "F2[x,y]", "--params", "x;y",
+                "--element", "x", "--t", t])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err == f"error: need t >= 1 and at least one parameter, got t={t}\n"
+    assert calls == []
 
 
 def test_member_text_output(capsys):

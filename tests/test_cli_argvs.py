@@ -34,8 +34,9 @@ CHEAP_EXAMPLES = ("cubic_forcing", "dvr", "normalization_w", "roberts",
                   "segre_matrix", "square_shortcut", "uv")
 
 # usage errors that the engine once answered with a crash (max_k < 0, an
-# empty qseq list, two parameters in a curve) or a vacuous table (an empty
-# exponent list)
+# empty qseq list, two parameters in a curve), a vacuous table (an empty
+# exponent list, no k up to --k-max) or a search over no candidates (a
+# negative degree bound, where only 1 was tried)
 BUG_ARGVS = (
     ["content", "limit-closure", "--ring", "F3[x,y]", "--params", "x;y",
      "--t", "1", "--max-k", "-1"],
@@ -47,6 +48,13 @@ BUG_ARGVS = (
      "--gens", "y", "--multiplier", "1", "--e", ";"],
     ["force", "qseq", "--ring", "F2[x,y]/(x^2-y^3)", "--params", "x;y",
      "--element", "x*y"],
+    ["force", "lc-class", "--ring", "F2[x,y]", "--params", "x;y", "--k-max", "0"],
+    ["force", "lc-class", "--ring", "F2[x,y]", "--params", "x;y", "--k-max", "-1"],
+    ["content", "scan", "--ring", "F2[x,y]", "--params", "x;y", "--t", ";"],
+    ["force", "test-element", "--ring", "F2[x,y]", "--element", "x*y",
+     "--gens", "x;y", "--e", "1", "--degree-bound", "-1"],
+    ["force", "qseq", "--ring", "F2[x,y]", "--params", "x;y", "--element", "x*y",
+     "--degree-bound", "-1"],
 )
 
 CERT = "CERT"  # stands for a certificate path in the case's own directory
@@ -159,6 +167,11 @@ def _certificate_file(source: str, folder: str) -> str:
 @example(argv=BUG_ARGVS[2], as_json=False)
 @example(argv=BUG_ARGVS[3], as_json=True)
 @example(argv=BUG_ARGVS[4], as_json=False)
+@example(argv=BUG_ARGVS[5], as_json=True)
+@example(argv=BUG_ARGVS[6], as_json=False)
+@example(argv=BUG_ARGVS[7], as_json=True)
+@example(argv=BUG_ARGVS[8], as_json=False)
+@example(argv=BUG_ARGVS[9], as_json=True)
 @example(argv=["examples", "run-all"], as_json=True)
 def test_generated_argvs_exit_cleanly_and_repeat(argv, as_json):
     with tempfile.TemporaryDirectory() as folder:
@@ -186,11 +199,15 @@ def test_generated_argvs_exit_cleanly_and_repeat(argv, as_json):
 
 @pytest.mark.parametrize("argv", BUG_ARGVS, ids=["limit-closure max-k", "qseq empty e",
                                                  "test-element empty e",
-                                                 "tight-table empty e", "qseq curve"])
+                                                 "tight-table empty e", "qseq curve",
+                                                 "lc-class k-max 0", "lc-class k-max -1",
+                                                 "scan empty t", "test-element degree -1",
+                                                 "qseq degree -1"])
 def test_bug_argvs_are_usage_errors(argv):
-    # a negative max_k leaves no stage, an empty exponent list would make
-    # every table pass vacuously, and a qseq verdict that is both supported
-    # and refuted shows that its hypotheses fail
+    # a negative max_k leaves no stage, an empty exponent list (or k range)
+    # would make every table pass vacuously, a negative degree bound would
+    # try 1 alone, and a qseq verdict that is both supported and refuted
+    # shows that its hypotheses fail
     for flags in ([], ["--json"]):
         code, out, err = _run(argv + flags)
         assert code == EXIT_USAGE and out == "" and err.startswith("error: ")

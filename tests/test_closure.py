@@ -116,6 +116,9 @@ def test_membership_table_input_checks():
         tight_membership_table(pres0, xx, (yy,), xx, (1,))
     with pytest.raises(ValueError, match="characteristic"):
         element_search(pres0, xx, (yy,), (1,))
+    # a negative degree bound used to try the multiplier 1 alone
+    with pytest.raises(ValueError, match="degree_bound"):
+        element_search(pres, z ** 2, (x, y), (1,), degree_bound=-1)
 
 
 def test_forcing_algebra_shape():
@@ -165,6 +168,9 @@ def test_vanishing_table_polynomial_ring_all_false():
     assert [r.vanished for r in table.rows] == [False, False, False]
     with pytest.raises(ValueError):
         lc_class_vanishing(pres, (), 2)
+    for k_max in (0, -1):  # these used to give an empty table, passing vacuously
+        with pytest.raises(ValueError, match="k_max"):
+            lc_class_vanishing(pres, xs, k_max)
 
 
 def test_vanishing_table_flips_after_forced_relation():

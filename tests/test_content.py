@@ -71,6 +71,9 @@ def test_closure_respects_max_k_window():
         limit_closure(pres, xs, 0)
     with pytest.raises(ValueError):
         limit_closure(pres, xs, 1, window=0)
+    # no parameters used to return the relations as a stabilized closure
+    with pytest.raises(ValueError, match="at least one parameter"):
+        limit_closure(pres, (), 1)
 
 
 def test_box_rows_rational():
@@ -174,3 +177,5 @@ def test_scan_argument_validation():
         content_scan(pres, (), (1,))
     with pytest.raises(ValueError):
         content_scan(pres, (x,), (0,))
+    with pytest.raises(ValueError, match="exponent"):
+        content_scan(pres, (x,), ())

@@ -23,9 +23,10 @@ from qlc.quasilength import (FiltrationCertificate, NoFiltration, RingContext,
                              _candidate_rows, _coordinates, _factor_dim,
                              _greedy_chain, _lower_bound, _search,
                              _staircase_exponents, certificate_from_json,
-                             certificate_to_json, frobenius_transport,
-                             quasilength, quasilength_exact, search_pool,
-                             staircase_filtration, validate_filtration)
+                             certificate_payload, certificate_to_json,
+                             frobenius_transport, parameter_powers, quasilength,
+                             quasilength_exact, search_pool, staircase_filtration,
+                             validate_filtration)
 from qlc.quotient import (QuotientPresentation, direct_sum, quotient_module,
                           vector_module)
 
@@ -387,6 +388,15 @@ def test_staircase_order_and_validity():
     assert cert2.validated.ok and len(cert2) == 4
 
 
+def test_parameter_powers_check_t_and_the_parameters():
+    pres = QuotientPresentation.parse("F2[x,y]")
+    x, y = pres.ambient.var("x"), pres.ambient.var("y")
+    assert parameter_powers((g for g in (x, x + y)), 3) == (x ** 3, (x + y) ** 3)
+    for xs, t in (((x, y), 0), ((x, y), -1), ((), 2)):
+        with pytest.raises(ValueError, match=f"t >= 1 and at least one parameter, got t={t}"):
+            parameter_powers(xs, t)
+
+
 def test_staircase_exponents_are_the_sorted_order():
     for t in range(1, 6):
         for d in range(1, 5):
@@ -425,6 +435,7 @@ def test_certificate_json_round_trip():
     cert = staircase_filtration(pres, (x, y), 2)
     text = certificate_to_json(cert)
     payload = json.loads(text)
+    assert payload == certificate_payload(cert)
     assert payload["schema"] == 1 and payload["kind"] == "ring-filtration"
     back = certificate_from_json(text)
     assert back.validated.status == "unchecked"  # verdicts never ride along
@@ -440,6 +451,11 @@ def test_module_certificates_do_not_serialize():
     _, cert = quasilength_exact(M, ideal(ring, [x ** 2]))
     with pytest.raises(ValueError):
         certificate_to_json(cert)
+    # their payload is for reading only: coordinates, no ring to parse back
+    payload = certificate_payload(cert)
+    assert payload == {"schema": 1, "kind": "module-filtration", "killing": ["x^2"],
+                       "basis": list(M.labels), "generators": [M.format_vector([1])],
+                       "coordinates": [["1"]], "validated": "valid"}
 
 
 def test_zero_module_has_zero_quasilength():
