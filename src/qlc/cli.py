@@ -18,6 +18,7 @@ any finite number of seconds above 0, and any other value exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -342,8 +343,9 @@ def _cmd_examples_run_all(args):
 
 def _subcommand(sub, name, func, ring=True, **kw):
     """Register one subcommand: --ring (unless ring=False), the output flags
-    and its handler.  Every other option it declares is an input, echoed in
-    the JSON report."""
+    and its handler, by name, so that run looks the handler up when it
+    dispatches and a parser built once never holds a stale function.  Every
+    other option it declares is an input, echoed in the JSON report."""
     p = sub.add_parser(name, **kw)
     if ring:
         p.add_argument("--ring", required=True,
@@ -353,11 +355,12 @@ def _subcommand(sub, name, func, ring=True, **kw):
                      help="emit the versioned JSON report instead of text")
     out.add_argument("--out", metavar="PATH",
                      help="write the report to PATH instead of stdout")
-    p.set_defaults(func=func)
+    p.set_defaults(func=func.__name__)
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(example_names) -> argparse.ArgumentParser:
+    """The qlc parser; example_names are the names `examples run` accepts."""
     parser = argparse.ArgumentParser(
         prog="qlc",
         description="Exact filtration-length and closure-evidence toolkit "
@@ -459,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                "examples with expected values")
     esub = examples.add_subparsers(dest="action", required=True)
     p = _subcommand(esub, "run", _cmd_examples_run, ring=False)
-    p.add_argument("name", choices=sorted(casebook.REGISTRY))
+    p.add_argument("name", choices=example_names)
     p = _subcommand(esub, "run-all", _cmd_examples_run_all, ring=False)
     p.add_argument("--long", action="store_true",
                    help="include the long-running entries")
@@ -517,15 +520,24 @@ def _render(args, payload, lines) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(example_names: tuple) -> tuple:
+    """The parser and its option strings, built once per set of example
+    names, the one thing the parser reads that can change while a process
+    runs."""
+    parser = build_parser(example_names)
+    return parser, _option_strings(parser)
+
+
 def run(argv) -> int:
-    parser = build_parser()
+    parser, options = _parser(tuple(sorted(casebook.REGISTRY)))
     try:
-        args = parser.parse_args(_glue_signed_values(argv, _option_strings(parser)))
+        args = parser.parse_args(_glue_signed_values(argv, options))
     except SystemExit as stop:
         return EXIT_OK if not stop.code else EXIT_USAGE
     try:
         with budget(default_budget_seconds()):
-            payload, lines, code = args.func(args)
+            payload, lines, code = globals()[args.func](args)
         text = _render(args, payload, lines)
     except KeyboardInterrupt:
         sys.stderr.write("interrupted\n")

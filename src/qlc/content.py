@@ -131,14 +131,16 @@ def content_scan(pres: QuotientPresentation, xs, ts, mode: str = "plain",
     xs, ts = tuple(xs), tuple(ts)
     if not ts:
         raise ValueError("need at least one exponent t")
+    # every row's exponent is checked before the first row's work
+    powers = [parameter_powers(xs, t) for t in ts]
     d = len(xs)
     ambient = pres.ambient
     params = ideal(ambient, xs)
     rows = []
-    for t in ts:
+    for t, target in zip(ts, powers):
         check_budget()
         if mode == "plain":
-            K = pres.ideal(parameter_powers(xs, t))
+            K = pres.ideal(target)
         else:
             K = limit_closure(pres, xs, t).ideal
         if K.is_unit_ideal():

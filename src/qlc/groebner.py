@@ -20,7 +20,10 @@ section 5.5), applied once per new element h and never at pop time.  Pairs
 no later leading term divides.  Among them criterion M keeps one pair per
 minimal lcm, and criterion F drops every pair whose lcm a coprime pair's
 lcm divides; a coprime pair never enters the heap, since its S-polynomial
-reduces to zero by the pair itself.  Criterion B_h drops a queued pair
+reduces to zero by the pair itself.  Nor does a pair of two one-term
+elements, whose S-polynomial is identically zero: it takes part in M and F
+as a coprime pair does, F included, and counts as treated in the chain
+argument below.  Criterion B_h drops a queued pair
 (i, j) whose lcm L the leading term of h divides, unless lcm(lt_i, lt_h) or
 lcm(lt_j, lt_h) equals L; it leaves the heap lazily, through the map of
 live pairs that the pop loop checks.  A pair dropped by B_h is covered by
@@ -177,28 +180,37 @@ def buchberger(gens, order=grevlex, seed=()) -> list[Polynomial]:
     """Reduced Groebner basis of (gens) + (seed).
 
     seed, when given, must already be the *reduced* Groebner basis of its
-    own ideal under the same order: its internal S-pairs are skipped, and a
-    seed element is reduced again only where a new leading term divides one
-    of its terms.  The result is the canonical reduced basis either way.
+    own ideal under the same order, and is taken as given: its elements are
+    monic, its internal S-pairs are skipped, a seed element's sugar (its
+    degree) is read only when a pair with it is queued, and a seed element
+    is reduced again only where a new leading term divides one of its tail
+    terms.  The result is the canonical reduced basis either way.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens and not seed:
         return []
     ring = (gens[0] if gens else seed[0]).ring
 
-    basis = [g.monic(order) for g in seed]
+    basis = list(seed)
     prepped = [g.prepared(order) for g in basis]   # (lt, lc, tail), kept with basis
     lts = [p[0] for p in prepped]
-    sugars = [g.total_degree() for g in basis]
     n0 = len(basis)
+    sugars = [None] * n0   # a seed element's sugar, read on first use
     active = list(range(n0))   # elements whose leading term no later one divides
     live: dict = {}   # queued pair (i, j), i < j -> lcm of lt_i and lt_j
     heap: list = []   # (sugar, deg L, order.key(L), i, j, L); stale unless in live
+
+    def sugar_of(i: int) -> int:
+        sugar = sugars[i]
+        if sugar is None:
+            sugar = sugars[i] = basis[i].total_degree()
+        return sugar
 
     def append(g: Polynomial, sugar: int):
         g = g.monic(order)
         prep = g.prepared(order)
         lt = prep[0]
+        one_term = not prep[2]
         k = len(basis)
         # criterion B_k on the queued pairs
         dropped = [p for p, L in live.items()
@@ -206,22 +218,27 @@ def buchberger(gens, order=grevlex, seed=()) -> list[Polynomial]:
                    and mono_lcm(lts[p[1]], lt) != L]
         for p in dropped:
             del live[p]
-        # criteria M and F on the new pairs
-        new = []
-        for i in active:
-            L = mono_lcm(lts[i], lt)
-            new.append((mono_deg(L), L, not mono_gcd_is_one(lts[i], lt), i))
-        new.sort()   # by lcm degree, so a divisor comes first; coprime first per lcm
-        shift = sugar - mono_deg(lt)
-        minimal: list = []
-        for dL, L, plain, i in new:
-            if any(all(map(le, m, L)) for m in minimal):
-                continue
-            minimal.append(L)
-            if plain:
-                live[i, k] = L
-                heapq.heappush(heap, (max(sugars[i] - mono_deg(lts[i]), shift) + dL,
-                                      dL, order.key(L), i, k, L))
+        # criteria M and F on the new pairs, of which a coprime pair and a
+        # pair of one-term elements are treated already and never queued;
+        # when every new pair is, there is nothing to select
+        treated = [one_term and not prepped[i][2] or mono_gcd_is_one(lts[i], lt)
+                   for i in active]
+        if not all(treated):
+            new = []
+            for i, done in zip(active, treated):
+                L = mono_lcm(lts[i], lt)
+                new.append((mono_deg(L), L, not done, i))
+            new.sort()   # by lcm degree, so a divisor comes first; treated pairs first per lcm
+            shift = sugar - mono_deg(lt)
+            minimal: list = []
+            for dL, L, plain, i in new:
+                if any(all(map(le, m, L)) for m in minimal):
+                    continue
+                minimal.append(L)
+                if plain:
+                    live[i, k] = L
+                    heapq.heappush(heap, (max(sugar_of(i) - mono_deg(lts[i]), shift) + dL,
+                                          dL, order.key(L), i, k, L))
         active[:] = [i for i in active if not all(map(le, lt, lts[i]))]
         active.append(k)
         basis.append(g)
@@ -274,20 +291,28 @@ def _reduce_basis(basis, prepped, kept, n0, order) -> list[Polynomial]:
     kept lists, in index order, the elements whose leading term no later
     leading term divides.  basis[:n0] is a reduced basis (the seed), and
     each later element was appended in normal form against every element
-    before it.  So a kept element can only be hit by a leading term
-    appended after both it and the seed: when such a term divides one of
-    its other terms it is reduced again against the kept elements.  Every
-    other element is already reduced and is kept as it is.
+    before it.  So a kept element can only be hit by a fresh leading term,
+    one appended after both it and the seed, and only in its tail, since
+    no later kept leading term divides its own: when such a term divides a
+    tail term it is reduced again against the kept elements.  Every other
+    element, a one-term one included, is already reduced and is kept as it
+    is.
     """
     lts = [p[0] for p in prepped]
-    for i in kept:
-        later = [lts[k] for k in kept if k > i and k >= n0]
-        if later and any(mono_divides(lt, m) for m in basis[i].terms for lt in later):
+    fresh_lts = [lts[k] for k in kept if k >= n0]   # in index order, so kept ends with them
+    n_seed = len(kept) - len(fresh_lts)
+    for pos, i in enumerate(kept):
+        tail = prepped[i][2]
+        if not tail:
+            continue
+        later = fresh_lts if pos < n_seed else fresh_lts[pos - n_seed + 1:]
+        if later and any(mono_divides(lt, m) for m, _c in tail for lt in later):
             others = [prepped[k] for k in kept if k != i]
             g = _reduce(basis[i], others, order).monic(order)
             basis[i] = g
             prepped[i] = g.prepared(order)
-    kept.sort(key=lambda i: order.key(lts[i]))
+    # heap_key is the order reversed, and in grevlex it costs less than key
+    kept.sort(key=lambda i: order.heap_key(lts[i]), reverse=True)
     return [basis[i] for i in kept]
 
 
@@ -345,7 +370,7 @@ class IdealHandle:
         Buchberger, so a chain of plus calls costs about one Buchberger run
         on the union.  Only the new pairs are reduced, and the
         interreduction at the end is incremental: a seed element whose
-        leading term a new leading term divides is dropped, one with another
+        leading term a new leading term divides is dropped, one with a tail
         term that a new leading term divides is reduced again, and every
         other seed element is carried over unchanged, prepared reducer
         included.

@@ -39,6 +39,26 @@ def test_qseq_checks_t_before_any_groebner_basis(t, capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("mode", ["plain", "underline"])
+def test_scan_checks_every_t_before_the_first_row(mode, capsys, monkeypatch):
+    # a bad t late in the list used to be refused only after the rows
+    # before it had computed their Groebner bases
+    calls = []
+    original = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger",
+                        lambda *args, **kw: calls.append(args) or original(*args, **kw))
+    seen = []
+    for ts in ("3;0", "0;3"):
+        calls.clear()
+        code = run(["content", "scan", "--ring", "F2[x,y]/(x^2*y)", "--params", "x;y",
+                    "--t", ts, "--mode", mode])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err == "error: need t >= 1 and at least one parameter, got t=0\n"
+        seen.append(len(calls))
+    assert seen[0] == seen[1]  # the parent stopped after 12 and 1 calls (plain)
+
+
 def test_member_text_output(capsys):
     code = run(["member", "--ring", "Q[x]", "--ideal", "x", "--poly", "1"])
     assert code == EXIT_OK
@@ -250,6 +270,40 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def _child_env(**extra) -> dict:
+    """The environment for a child Python that imports this qlc."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("bad", [
+    ["examples", "run", "no-such-example"],
+    ["gb", "--ring", "Q[x]"],
+], ids=["unknown-example", "missing-option"])
+def test_runs_in_one_process_print_what_fresh_processes_print(bad, capsys, monkeypatch):
+    # the parser is built once per process; a usage error must leave it
+    # as a fresh one
+    good = ["examples", "run", "dvr", "--json"]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    fresh = [subprocess.run([sys.executable, "-m", "qlc.cli", *argv], env=_child_env(),
+                            capture_output=True, text=True, timeout=60)
+             for argv in (bad, good)]
+    codes = [run(bad), run(good)]
+    captured = capsys.readouterr()
+    assert codes == [p.returncode for p in fresh] == [EXIT_USAGE, EXIT_OK]
+    assert captured.out == "".join(p.stdout for p in fresh)
+    assert captured.err == "".join(p.stderr for p in fresh)
+
+
+def test_default_examples_match_the_golden_file(capsys):
+    # tests/golden/examples.json is `examples run-all --json` as committed;
+    # CI compares the --long set with examples-long.json the same way
+    golden = pathlib.Path(__file__).parent / "golden" / "examples.json"
+    assert run(["examples", "run-all", "--json"]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == EXIT_OK
     assert "subcommand" in capsys.readouterr().out.lower() or True
@@ -398,10 +452,8 @@ def _run_capped(argv, budget):
     """Run argv in a child process with QLC_BUDGET_SECS=budget, a 2 GiB
     address space and a hard timeout; the child's last word on stderr is
     the seconds run took."""
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, QLC_BUDGET_SECS=str(budget),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", _TIMED_RUN, *argv], env=env,
+    return subprocess.run([sys.executable, "-c", _TIMED_RUN, *argv],
+                          env=_child_env(QLC_BUDGET_SECS=str(budget)),
                           preexec_fn=_capped_address_space, capture_output=True,
                           text=True, timeout=budget + 10)
 

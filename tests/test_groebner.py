@@ -15,7 +15,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qlc import dsl
+from qlc import dsl, groebner
 from qlc.fields import GF2, GF3, QQ, PrimeField, RationalFunctionField
 from qlc.groebner import (InternalError, _reduce, bracket_power,
                           buchberger, colon, ideal, ideal_compare,
@@ -706,6 +706,55 @@ def test_criteria_f_and_m_cases_by_hand():
         gens = dsl.parse_polys(ring, text)
         for order in ORDERS:
             assert buchberger(gens, order) == reference_buchberger(gens, order)
+
+
+def _count_s_polynomials(monkeypatch) -> list:
+    calls = []
+    original = groebner._s_polynomial
+    monkeypatch.setattr(groebner, "_s_polynomial",
+                        lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_one_term_pairs_form_no_s_polynomial(monkeypatch):
+    # the S-polynomial of two one-term elements is identically zero
+    ring = PolyRing(GF2, ["x", "y", "z"])
+    gens = dsl.parse_polys(ring, "x^2*y; x*y^2; x*z; y*z^3")
+    calls = _count_s_polynomials(monkeypatch)
+    for order in ORDERS:
+        assert buchberger(gens, order) == reference_buchberger(gens, order)
+        assert seeded_chain(gens, order)[-1] == reference_buchberger(gens, order)
+    assert calls == []
+
+
+@pytest.mark.parametrize("text, binomial_lt", [
+    ("y*z+1; x*y; x*z", (0, 1, 1)),            # F: lcm(x*y, x*z) = lcm(y*z, x*z)
+    ("y^2*z^2+y*z; x*y^2; x*z", (0, 2, 2)),    # M: lcm(x*y^2, x*z) | lcm(y^2*z^2, x*z)
+], ids=["F", "M"])
+@pytest.mark.parametrize("field", CRITERIA_FIELDS, ids=CRITERIA_FIELD_IDS)
+def test_one_term_pair_covers_a_binomial_pair(text, binomial_lt, field, monkeypatch):
+    # appending x*z forms a one-term pair with the second generator, never
+    # queued, whose lcm covers the pair of x*z with the binomial
+    ring = PolyRing(field, ["x", "y", "z"])
+    gens = dsl.parse_polys(ring, text)
+    calls = _count_s_polynomials(monkeypatch)
+    for order in ORDERS:
+        calls.clear()
+        assert buchberger(gens, order) == reference_buchberger(gens, order)
+        assert calls  # the binomial still pairs with the second generator
+        assert {binomial_lt, (1, 0, 1)} not in [{pi[0], pj[0]} for pi, pj, _L, _r in calls]
+
+
+def test_plus_chain_of_one_term_generators_onto_a_binomial_seed():
+    # the shape of a disproof-search stage: a seed with binomials, grown by
+    # one monomial at a time
+    ring = PolyRing(GF2, ["x", "y", "z"])
+    stage = ideal(ring, dsl.parse_polys(ring, "x^2+y*z; y^3+z; x*z^2+y"))
+    for text in ("x*y^2", "z^3", "x*y*z", "y^2*z", "x*y", "z^2", "y^2", "x"):
+        stage = stage.plus(dsl.parse_poly(ring, text))
+        gens = list(stage.generators)
+        assert list(stage.groebner_basis()) == buchberger(gens) \
+            == reference_buchberger(gens, grevlex)
 
 
 # ---------------------------------------------------------------------------
