@@ -10,8 +10,13 @@ the arithmetic.  Everything is exact, nothing is mutated.
   and gcd(num, den) = 1.  A polynomial is one nonnegative int that holds
   its coefficients in w-bit slots, lowest degree first, each in [0, p): 0
   is 0, 1 is 1 and t is 1 << w.  For p = 2, w = 1: the int is a bit
-  vector, addition is XOR and products shift and XOR.  For odd p, w is 64
-  (whole bytes of at least 2*bits(p) + 32 bits once p >= 2^16):
+  vector, addition is XOR and products shift and XOR.  For p = 3, w = 2:
+  bit 2i marks a coefficient 1 and bit 2i+1 a 2, and Euclid, exact division
+  and products run on the two bit planes these bits form (Harrison, Page
+  and Smart, LMS J. Comput. Math. 5, 2002): a step adds a shifted divisor
+  in seven bitwise operations, and a negation swaps the planes.  For
+  p >= 5, w is 64 (whole bytes of at least 2*bits(p) + 32 bits once
+  p >= 2^16):
   - a product is Kronecker substitution (Harvey, "Faster polynomial
     multiplication via multipoint Kronecker substitution", JSC 2009): one
     big-int product of the two stored ints, then every slot mod p;
@@ -26,7 +31,7 @@ Q and F_p(t) sums and products split their gcds (Henrici, JACM 3, 1956;
 Knuth, TAOCP 2, 4.5.1): a product cancels gcd(an, bd) and gcd(bn, ad) rather
 than taking the gcd of the two products, and a sum takes gcd(ad, bd) and at
 most one more gcd with that.  Every step of Euclid, of long division and of
-a shift-and-XOR product checks the time budget.
+a shift-and-XOR or shift-and-add product checks the time budget.
 """
 
 from __future__ import annotations
@@ -281,8 +286,158 @@ class _BinaryPolys:
         return tuple((a >> i) & 1 for i in range(a.bit_length()))
 
 
+class _TernaryPolys:
+    """F_3[t] on ints holding two bit planes: the coefficient of t^i is the
+    2-bit slot i, bit 2i marking a 1 and bit 2i+1 a 2, so the int is the sum
+    of c_i * 4^i.  gcd, quo and mul split their operands once into the plane
+    of 1s, a & M, and the plane of 2s, a >> 1 & M (M = 0x55...), loop on the
+    planes and merge them once at the end.  On planes a negation swaps them
+    and a sum is seven bitwise operations (Harrison, Page and Smart, LMS J.
+    Comput. Math. 5, 2002; see _add)."""
+
+    w = 2
+    t = 4
+
+    def __init__(self):
+        self._mask = 0x5555555555555555  # grown in _planes
+
+    def _planes(self, n: int) -> int:
+        """M: a 1 in the low bit of every slot, over at least n bits."""
+        M = self._mask
+        if n > M.bit_length():
+            # (4^k - 1) / 3 is 0x55... on 2k bits
+            self._mask = M = ((1 << 2 * max(n, M.bit_length())) - 1) // 3
+        return M
+
+    @staticmethod
+    def _add(x1: int, x2: int, y1: int, y2: int) -> tuple:
+        """(x1, x2) + (y1, y2) slotwise in GF(3), on the planes of 1s and 2s;
+        t marks the slots where the two sides differ.  The six-operation sum
+        of Kawahara, Aoki and Takagi (Pairing 2008) needs an and-not, which
+        on Python ints goes through a negative complement: it ran 2.5 times
+        slower on 6000-slot operands (Python 3.11)."""
+        t = (x1 | y2) ^ (x2 | y1)
+        return (x2 | y2) ^ t, (x1 | y1) ^ t
+
+    def add(self, a: int, b: int) -> int:
+        M = self._planes(max(a.bit_length(), b.bit_length()))
+        s1, s2 = self._add(a & M, a >> 1 & M, b & M, b >> 1 & M)
+        return s1 | s2 << 1
+
+    def neg(self, a: int) -> int:
+        M = self._planes(a.bit_length())
+        return (a & M) << 1 | a >> 1 & M
+
+    def mul(self, a: int, b: int) -> int:
+        """Shift-and-add over the nonzero slots of the sparser factor: a
+        nonzero slot sets one bit, so bit_count counts them.  Slot s of a
+        adds b * t^s when it holds 1 and -b * t^s, b's planes swapped, when
+        it holds 2."""
+        if a == 1:
+            return b
+        if b == 1:
+            return a
+        timed = config._deadline is not None
+        if a.bit_count() > b.bit_count():
+            a, b = b, a
+        M = self._planes(b.bit_length())
+        b1, b2 = b & M, b >> 1 & M
+        add = self._add
+        o1 = o2 = 0
+        while a:
+            if timed:
+                config.check_budget()
+            low = a & -a
+            a ^= low
+            bit = low.bit_length() - 1
+            if bit & 1:
+                o1, o2 = add(o1, o2, b2 << bit - 1, b1 << bit - 1)
+            else:
+                o1, o2 = add(o1, o2, b1 << bit, b2 << bit)
+        return o1 | o2 << 1
+
+    def quo(self, a: int, b: int) -> int:
+        """a / b for b dividing a, by long division on the planes.  b is
+        made monic first (by negating it and the quotient when it leads with
+        2), so the quotient's slot is the top slot c of the remainder, and
+        the step subtracts c * b * t^s: it adds b's planes swapped when c is
+        1 and as they are when c is 2."""
+        timed = config._deadline is not None
+        M = self._planes(a.bit_length())
+        a1, a2 = a & M, a >> 1 & M
+        b1, b2 = b & M, b >> 1 & M
+        negated = b2 > b1
+        if negated:
+            b1, b2 = b2, b1
+        db = b1.bit_length()
+        q1 = q2 = 0
+        while True:
+            if timed:
+                config.check_budget()
+            n1, n2 = a1.bit_length(), a2.bit_length()
+            if n1 > n2:
+                s = n1 - db
+                if s < 0:
+                    break
+                q1 |= 1 << s
+                y1, y2 = b2 << s, b1 << s
+            else:
+                s = n2 - db
+                if s < 0:
+                    break
+                q2 |= 1 << s
+                y1, y2 = b1 << s, b2 << s
+            t = (a1 | y2) ^ (a2 | y1)           # _add, inlined
+            a1, a2 = (a2 | y2) ^ t, (a1 | y1) ^ t
+        return q2 | q1 << 1 if negated else q1 | q2 << 1
+
+    def gcd(self, a: int, b: int) -> int:
+        """Monic gcd, b nonzero, by Euclid's algorithm on the planes.  Each
+        round makes the divisor monic by swapping its planes when it leads
+        with 2, and reduces the other side by it as quo does; the monic
+        divisor that leaves remainder 0 is the gcd."""
+        timed = config._deadline is not None
+        M = self._planes(max(a.bit_length(), b.bit_length()))
+        a1, a2 = a & M, a >> 1 & M
+        b1, b2 = b & M, b >> 1 & M
+        while True:
+            if b2 > b1:
+                b1, b2 = b2, b1
+            db = b1.bit_length()
+            if db == 1:
+                return 1
+            while True:
+                if timed:
+                    config.check_budget()
+                n1, n2 = a1.bit_length(), a2.bit_length()
+                if n1 > n2:
+                    s = n1 - db
+                    if s < 0:
+                        break
+                    y1, y2 = b2 << s, b1 << s
+                else:
+                    s = n2 - db
+                    if s < 0:
+                        break
+                    y1, y2 = b1 << s, b2 << s
+                t = (a1 | y2) ^ (a2 | y1)       # _add, inlined
+                a1, a2 = (a2 | y2) ^ t, (a1 | y1) ^ t
+            if not (a1 or a2):
+                return b1 | b2 << 1
+            a1, a2, b1, b2 = b1, b2, a1, a2
+
+    def monic(self, num: int, den: int) -> tuple:
+        """(num, den) negated when den leads with 2, in an odd bit."""
+        if den.bit_length() & 1:
+            return num, den
+        return self.neg(num), self.neg(den)
+
+    def coeffs(self, a: int) -> tuple:
+        return tuple(a >> i & 3 for i in range(0, a.bit_length(), 2))
+
+
 class _OddPolys:
-    """F_p[t] for odd p on nonnegative ints: the coefficient of t^i is the
+    """F_p[t] for p >= 5 on nonnegative ints: the coefficient of t^i is the
     w-bit slot i, canonical in [0, p).  w is 64 when 2*bits(p) + 32 <= 64,
     else the whole bytes that hold 2*bits(p) + 32 bits: the 32 spare bits
     keep every slot of a product below 2^w (see mul)."""
@@ -418,6 +573,8 @@ class _OddPolys:
                         if c:
                             a += (p - c) * low << top - dbw
             while a:                    # drop top slots that are 0 mod p
+                if timed:
+                    config.check_budget()
                 top = (a.bit_length() - 1) // w * w
                 v = a >> top
                 a -= v << top
@@ -461,11 +618,12 @@ class RationalFunctionField(Field):
     """F_p(t).  An element is a canonical pair (num, den) of F_p[t]
     polynomials, den monic and gcd(num, den) = 1, num zero for 0.  Each
     polynomial is an int with one coefficient per w-bit slot: bit vectors
-    for p = 2, 64-bit slots for odd p below 2^16, wider byte slots above.
-    Odd-p sums are SWAR on the packed int, products one big-int product,
-    and Euclid and exact division reduce their slots mod p only when a slot
-    could overflow (see the module docstring).  Equal elements are equal
-    pairs, so they hash equal."""
+    for p = 2, two bit planes in 2-bit slots for p = 3, 64-bit slots for
+    5 <= p < 2^16 and wider byte slots above.  F_3[t] works on the planes
+    with bitwise operations; for p >= 5 sums are SWAR on the packed int,
+    products one big-int product, and Euclid and exact division reduce their
+    slots mod p only when a slot could overflow (see the module docstring).
+    Equal elements are equal pairs, so they hash equal."""
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -474,7 +632,8 @@ class RationalFunctionField(Field):
         self.char = p
         self.size = None
         self.tag = ("F(t)", p)
-        self._polys = polys = _BinaryPolys() if p == 2 else _OddPolys(p)
+        self._polys = polys = (_BinaryPolys() if p == 2 else _TernaryPolys() if p == 3
+                               else _OddPolys(p))
         self.zero = (0, 1)
         self.one = (1, 1)
         self.t = (polys.t, 1)

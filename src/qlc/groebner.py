@@ -128,7 +128,7 @@ def _reduce(f: Polynomial, prepped, order) -> Polynomial:
         for lt, _lc, tail in prepped:
             if all(map(ge, m, lt)):
                 if not tail:
-                    return Polynomial(f.ring, {})
+                    return f.ring.zero()
                 break
         else:
             return f
@@ -378,7 +378,11 @@ class IdealHandle:
         r = normal_form(f, self)
         if r.is_zero():
             return self
-        grown = IdealHandle(self.ring, self.generators + (f,))
+        # normal_form has refused an f from another ring and the inherited
+        # generators were checked when self was built, so skip __init__
+        grown = object.__new__(IdealHandle)
+        grown.ring = self.ring
+        grown.generators = self.generators + (f,)
         grown._keep(buchberger([r], seed=self.groebner_basis()))
         return grown
 

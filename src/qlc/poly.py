@@ -123,7 +123,7 @@ grevlex = GrevLex()
 class PolyRing:
     """Polynomial ring field[x1..xn]; value-equal by (field, variables)."""
 
-    __slots__ = ("field", "variables", "_index")
+    __slots__ = ("field", "variables", "_index", "_zero")
 
     def __init__(self, field, variables):
         variables = tuple(variables)
@@ -134,6 +134,7 @@ class PolyRing:
         self.field = field
         self.variables = variables
         self._index = {v: i for i, v in enumerate(variables)}
+        self._zero = Polynomial(self, {})  # one zero per ring: polynomials are immutable
 
     @property
     def nvars(self) -> int:
@@ -143,7 +144,7 @@ class PolyRing:
         return (0,) * self.nvars
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return self._zero
 
     def one(self) -> "Polynomial":
         return Polynomial(self, {self.zero_mono(): self.field.one})

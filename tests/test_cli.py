@@ -377,15 +377,17 @@ def test_powering_respects_the_budget(monkeypatch):
 
 
 def test_one_long_gcd_respects_the_budget(monkeypatch):
-    # both denominators are quick to build over F3, but their gcd alone runs
-    # for several seconds: the budget has to reach into Euclid's algorithm
+    # each pair of denominators is quick to build, but their gcd alone runs
+    # for several seconds: the budget has to reach into Euclid's algorithm,
+    # on the lazily reduced slots of F5(t) and on the bit planes of F3(t)
     budget = 1
     monkeypatch.setenv("QLC_BUDGET_SECS", str(budget))
-    start = time.monotonic()
-    code = run(["member", "--ring", "F3(t)[x]", "--ideal", "x^2",
-                "--poly", "x/((t+1)^30000+t)+x/((t^2+1)^14999+1)"])
-    assert code == EXIT_BUDGET
-    assert time.monotonic() - start < budget + 1
+    for ring, poly in (("F5(t)[x]", "x/((t+1)^30000+t)+x/((t^2+1)^14999+1)"),
+                       ("F3(t)[x]", "x/(t^300000+t+1)+x/(t^299997+t+2)")):
+        start = time.monotonic()
+        code = run(["member", "--ring", ring, "--ideal", "x^2", "--poly", poly])
+        assert code == EXIT_BUDGET, ring
+        assert time.monotonic() - start < budget + 1, ring
 
 
 def test_fermat_t3_search_respects_the_budget(monkeypatch):

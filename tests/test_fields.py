@@ -241,8 +241,9 @@ class ReferenceFunctionField:
         return ns if den == (1,) else f"{ns}/({_uformat(den)})"
 
 
-# p = 2 packs one bit per coefficient; 3, 5, 7 and 32003 use 64-bit slots;
-# 2^61 - 1 needs slots of 160 bits, which the byte path of the layout reads
+# p = 2 packs one bit per coefficient and p = 3 two bit planes in 2-bit
+# slots; 5, 7 and 32003 use 64-bit slots; 2^61 - 1 needs slots of 160 bits,
+# which the byte path of the layout reads
 PRIMES = (2, 3, 5, 7, 32003, 2 ** 61 - 1)
 MAX_DEGREE = 64
 SUITE = settings(max_examples=200, deadline=None, derandomize=True,
@@ -379,11 +380,11 @@ def _remainder_chain(rnd, p, g, rounds):
     return a, b
 
 
-@pytest.mark.parametrize("p, renormalised", [(3, 5), (2 ** 61 - 1, 199)])
+@pytest.mark.parametrize("p, renormalised", [(5, 9), (2 ** 61 - 1, 199)])
 def test_fpt_gcd_renormalises_long_remainder_chains(p, renormalised):
     # degree-1 quotients grow the lazy slots fastest relative to the work
-    # done: over F3 the slot bound crosses 2^64 every few dozen of the 200
-    # rounds, over F_(2^61-1) on every round after the first
+    # done: over F5 the slot bound crosses 2^64 every two dozen or so of the
+    # 200 rounds, over F_(2^61-1) on every round after the first
     rnd = random.Random(p)
     g = _trim([rnd.randrange(p) for _ in range(3)] + [1])
     a, b = _remainder_chain(rnd, p, g, 200)
@@ -400,16 +401,39 @@ def test_fpt_gcd_renormalises_long_remainder_chains(p, renormalised):
 @pytest.mark.parametrize("p", PRIMES[1:])
 def test_fpt_quo_of_products_needs_no_reduction(p):
     # every coefficient p - 1: each division step adds the most it can to a
-    # slot, and still no slot carries before the quotient is read
+    # slot, and still no slot carries before the quotient is read.  F3 has
+    # no lazy slots (its bit planes stay canonical), so there only the
+    # values are checked
     for n, m in ((1, 300), (150, 150), (300, 2), (40, 7)):
         x, y = (p - 1,) * n, (p - 1,) * m
         polys = RationalFunctionField(p)._polys
         product = polys.mul(_packed(p, x), _packed(p, y))
         assert _unpacked(p, product) == _umul(x, y, p)
-        calls = _counting_reductions(polys)
+        calls = _counting_reductions(polys) if p > 3 else []
         assert _unpacked(p, polys.quo(product, _packed(p, y))) == x
         assert _unpacked(p, polys.quo(product, _packed(p, x))) == y
         assert not calls
+
+
+def test_f3_planes_stay_canonical_on_dense_long_inputs():
+    # F3[t] keeps two bit planes in 2-bit slots, t = 4; after long runs of
+    # Euclid, long division and shift-and-add products no slot may hold 3
+    # (_unpacked checks every slot) and the gcd must be monic
+    p = 3
+    rnd = random.Random(3)
+    dense = lambda n: tuple(rnd.randrange(3) for _ in range(n - 1)) + (rnd.randrange(1, 3),)
+    g, x, y = dense(300), dense(800), dense(750)
+    a, b = _umul(g, x, p), _umul(g, y, p)
+    assert len(a) >= 1000 and len(b) >= 1000
+    F = RationalFunctionField(p)
+    assert F.t == (4, 1)
+    polys = F._polys
+    got = _unpacked(p, polys.gcd(_packed(p, a), _packed(p, b)))
+    assert got == _ugcd(a, b, p) and got[-1] == 1
+    assert _unpacked(p, polys.quo(_packed(p, a), _packed(p, g))) == x
+    assert _unpacked(p, polys.mul(_packed(p, x), _packed(p, y))) == _umul(x, y, p)
+    assert _unpacked(p, polys.add(_packed(p, a), _packed(p, b))) == _uadd(a, b, p)
+    assert _unpacked(p, polys.neg(_packed(p, a))) == _uneg(a, p)
 
 
 # ---------------------------------------------------------------------------

@@ -503,8 +503,27 @@ def test_reduction_refuses_a_polynomial_from_another_ring():
             normal_form(f, I)
         with pytest.raises(RingMismatch):
             I.contains_poly(f)
+        # a handle refuses a foreign generator, given directly or through plus
+        with pytest.raises(RingMismatch):
+            ideal(R, [R.var("x"), f])
+        with pytest.raises(RingMismatch):
+            I.plus(f)
     # an equal ring built separately is the same ring
     assert normal_form(PolyRing(GF2, ["x", "y"]).var("x") + 1, I) == R.one()
+
+
+def test_a_one_term_reduced_to_zero_is_a_real_zero():
+    # a one-term f that a tail-free reducer divides comes back as the ring's
+    # one kept zero, which must behave as any other zero polynomial
+    R = PolyRing(GF3, ["x", "y"])
+    x, y = R.gens()
+    I = ideal(R, [x, y ** 2 + x])
+    for f in (x * y, x, 2 * x ** 3):
+        r = normal_form(f, I)
+        assert r.is_zero() and r == R.zero() == x - x
+        assert hash(r) == hash(R.zero()) == hash(x - x)
+        assert {r: 1}[R.zero()] == 1
+        assert r + y == y and I.contains_poly(f)
 
 
 # ---------------------------------------------------------------------------
