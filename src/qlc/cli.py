@@ -31,8 +31,8 @@ from .content import content_scan, limit_closure
 from .groebner import buchberger, colon, ideal, ideal_compare, intersect
 from .poly import grevlex, lex
 from .quasilength import (NoFiltration, SearchLimit, certificate_from_json,
-                          certificate_payload, quasilength, quasilength_exact,
-                          validate_filtration)
+                          certificate_payload, certificate_to_json, quasilength,
+                          quasilength_exact, validate_filtration)
 from .quotient import QuotientPresentation, length, vector_module
 
 EXIT_OK = 0
@@ -141,7 +141,7 @@ def _cmd_vmod(args):
 
 def _write_cert(path: str, cert) -> None:
     with open(path, "w") as fh:
-        fh.write(json.dumps(certificate_payload(cert), indent=2, sort_keys=True) + "\n")
+        fh.write(certificate_to_json(cert))
 
 
 def _cmd_ql_exact(args):

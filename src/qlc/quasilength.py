@@ -5,14 +5,14 @@ killing ideal I: it claims the chain M_0 = 0, M_j = M_{j-1} + R*g_j exhausts
 the module while every step satisfies I*g_j <= M_{j-1}.  The minimum h over
 all such chains is the quasilength of the module with respect to I.  This
 module validates certificates, builds the staircase certificate for powers of
-a parameter system, transports certificates along Frobenius, and computes the
-minimum exactly (small modules over finite fields) or brackets it between a
-length-ratio lower bound and a certified upper bound.
+a parameter system, transports certificates along Frobenius, and brackets
+the minimum between a lower bound and a certified upper bound, exact
+whenever the two meet.
 
 Certificates come in two flavours.  Ring contexts live in a quotient of a
 polynomial ring: the module is R/(relations + target) and generators are
 polynomials.  Module contexts carry an explicit VectorModule and generators
-are coordinate vectors; they validate in-process and serialize one way.
+are coordinate vectors; they validate in-process and serialize for reading.
 
 The search works on coordinate vectors in the row kind the field picks
 (RowSpace.coordinates): ints read as bit vectors over F_2, dicts of nonzero
@@ -48,7 +48,7 @@ class NoFiltration(Exception):
 
 
 class SearchLimit(Exception):
-    """Exact search declined where search_pool gives a limit."""
+    """The bounds do not meet; the message is search_pool's limit."""
 
 
 @dataclass(frozen=True)
@@ -534,15 +534,13 @@ def search_pool(field, dim: int) -> tuple:
 
 def quasilength_exact(M: VectorModule, I: IdealHandle) -> tuple:
     """Exact minimum filtration length with an optimal certificate, as
-    quasilength finds them.  Raises SearchLimit where search_pool gives a
-    limit (infinite field, or dim M above the cap), before any search.
-    Raises NoFiltration when no finite chain exists, e.g. for a unit
-    killing ideal on a nonzero module.
+    quasilength finds them.  Raises SearchLimit when quasilength leaves the
+    value undetermined, and NoFiltration when no finite chain exists, e.g.
+    for a unit killing ideal on a nonzero module.
     """
-    limit = search_pool(M.field, M.dim)[1]
-    if limit:
-        raise SearchLimit(limit)
     bounds = quasilength(M, I)
+    if bounds.exact is None:
+        raise SearchLimit(bounds.flags[0])
     return bounds.exact, bounds.certificate
 
 
@@ -677,8 +675,7 @@ def certificate_payload(cert: FiltrationCertificate) -> dict:
 
 
 def certificate_to_json(cert: FiltrationCertificate) -> str:
-    if not isinstance(cert.context, RingContext):
-        raise ValueError("module-context certificates have no serialized form")
+    """The certificate file of either kind: certificate_payload as JSON."""
     return json.dumps(certificate_payload(cert), indent=2, sort_keys=True) + "\n"
 
 

@@ -167,6 +167,11 @@ def test_ql_exact_no_filtration(capsys):
     assert code == EXIT_OK
     result = json.loads(capsys.readouterr().out)["result"]
     assert result == {"exact": None, "filtration_exists": False}
+    # over an infinite field and above the cap alike: no search limit to report
+    for ring, bottom in (("Q[x,y]", "x^2-y;y^3"), ("F2[x,y]", "x^4;y^4")):
+        code = run(["ql", "exact", "--ring", ring, "--bottom", bottom, "--killing", "1"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == "no finite filtration\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -186,10 +191,31 @@ def test_ql_bounds_unit_sum_has_no_filtration(argv, capsys):
 
 
 def test_ql_exact_search_limit_suggests_bounds(capsys):
-    code = run(["ql", "exact", "--ring", "F3[x]", "--bottom", "x^9",
-                "--killing", "x^3"])
+    # dim 9 above the F3 cap, bounds 5..6
+    code = run(["ql", "exact", "--ring", "F3[x,y]", "--bottom", "x^3;y^3",
+                "--killing", "x;y^2"])
     assert code == EXIT_USAGE
     assert "ql bounds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ring, bottom, killing, value", [
+    ("Q[x,y]", "x^2;y^2", "x;y", 4),
+    ("F2[x,y]", "x^4;y^4", "x^2;y^2", 4),        # dim 16, above the F2 cap
+    ("Q[x]", "1", "x", 0),                        # the zero module
+    ("F5(t)[x,y]", "x^2;y^2", "x;y", 4),
+    ("F3[x]", "x^9", "x^3", 3),                   # dim 9, above the F3 cap
+    ("F2[x,y]", "x^12;y^12", "x^3;y^2", 24),     # dim 144
+])
+def test_ql_exact_answers_where_the_bounds_meet(ring, bottom, killing, value, capsys):
+    argv = ["ql", "exact", "--ring", ring, "--bottom", bottom, "--killing", killing]
+    assert run(argv) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"exact {value}" and len(lines) == 1 + value
+    assert run(argv + ["--json"]) == EXIT_OK
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["exact"] == value and result["filtration_exists"]
+    assert result["certificate"]["validated"] == "valid"
+    assert len(result["certificate"]["generators"]) == value
 
 
 def test_finite_module_past_degree_64_answers(capsys):
@@ -423,11 +449,15 @@ def test_frobenius_powers_answer_within_the_budget(argv, out, monkeypatch, capsy
      "--t", "1"],
     ["ql", "bounds", "--ring", "F2[x,y]", "--bottom", "x^40;y^40",
      "--killing", "x;y"],
+    ["ql", "exact", "--ring", "F2[x,y]", "--bottom", "x^30;y^30",
+     "--killing", "x;y"],
 ])
 def test_huge_length_respects_the_budget(argv, monkeypatch, capsys):
     # the standard monomials of (x^e) are counted one at a time, and a module
     # is spun one row at a time (dim 1600 here; every normal form in its spin
-    # is a one-term lookup, which takes no budget check of its own)
+    # is a one-term lookup, which takes no budget check of its own); ql exact
+    # on the dim-900 module builds it, then its greedy sweep checks the
+    # budget once per round
     budget = 1
     monkeypatch.setenv("QLC_BUDGET_SECS", str(budget))
     start = time.monotonic()
@@ -624,7 +654,7 @@ def _readme_transcript() -> list:
 
 def test_readme_transcript_replays(capsys):
     commands = _readme_transcript()
-    assert len(commands) == 5
+    assert len(commands) == 6
     for argv, expected, elided in commands:
         assert run(argv) == EXIT_OK, argv
         out = capsys.readouterr().out.splitlines()

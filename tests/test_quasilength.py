@@ -7,13 +7,14 @@ import itertools
 import json
 import random
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qlc import dsl
+from qlc.cli import run
 from qlc.fields import GF2, GF3, QQ, Field, PrimeField, RationalFunctionField
 from qlc.groebner import InternalError, ideal
 from qlc.linalg import RowSpace, mat_mul, nullspace
@@ -249,12 +250,15 @@ def test_search_limit_and_greedy_fallback():
     x = ring.var("x")
     M = quotient_module(ideal(ring, [x ** 9]))  # dim 9 > cap 8 over F3
     I = ideal(ring, [x ** 3])
-    with pytest.raises(SearchLimit):
-        quasilength_exact(M, I)
+    assert quasilength_exact(M, I)[0] == 3  # the bounds meet above the cap
     b = quasilength(M, I)
     assert b.lower <= b.upper and b.certificate.validated.ok
     assert any("greedy" in f for f in b.flags)
     assert b.exact == 3  # greedy happens to be optimal here: 9/3
+    # bounds 5..6 above the cap: no exact value
+    R = PolyRing(GF3, ["x", "y"])
+    with pytest.raises(SearchLimit, match="dim 9 exceeds the exact-search cap 8"):
+        quasilength_exact(_quo(R, "x^3;y^3"), ideal(R, dsl.parse_polys(R, "x;y^2")))
 
 
 F5 = PrimeField(5)
@@ -292,9 +296,18 @@ def test_bounds_on_both_sides_of_each_cap(field, relations, killing, dim, want):
     ring = PolyRing(field, ["x", "y"])
     M = _quo(ring, relations)
     assert M.dim == dim
-    b = quasilength(M, ideal(ring, dsl.parse_polys(ring, killing)))
+    I = ideal(ring, dsl.parse_polys(ring, killing))
+    b = quasilength(M, I)
     assert (b.lower, b.upper, b.exact, b.lower_method, b.flags) == want
     assert b.certificate.validated.ok
+    # quasilength_exact answers exactly where the bounds meet
+    if b.exact is None:
+        with pytest.raises(SearchLimit) as err:
+            quasilength_exact(M, I)
+        assert str(err.value) == b.flags[0]
+    else:
+        value, cert = quasilength_exact(M, I)
+        assert value == b.exact == len(cert) and cert.validated.ok
 
 
 @pytest.mark.parametrize("field, pools", [
@@ -337,27 +350,13 @@ def test_quasilength_builds_one_coordinate_helper(monkeypatch):
         return original(M, killing)
 
     monkeypatch.setattr(ql_module, "_coordinates", counted)
-    for M, I in _pinned_modules():
-        calls.clear()
-        quasilength(M, I)
-        assert calls == [M]
-    calls.clear()
-    M, I = _above_cap_module(lambda x, y: [x ** 2, y ** 2])  # the greedy sweep
-    quasilength(M, I)
-    assert calls == [M]
-
-
-def test_exact_refuses_before_building_a_coordinate_helper(monkeypatch):
-    ql_module = importlib.import_module("qlc.quasilength")
-    calls = []
-    monkeypatch.setattr(ql_module, "_coordinates", lambda M, killing: calls.append(M))
-    RQ = PolyRing(QQ, ["x", "y"])
-    over_q = (_quo(RQ, "x^2;y^2"), ideal(RQ, dsl.parse_polys(RQ, "x;y")))
-    above_cap = _above_cap_module(lambda x, y: [x ** 2, y ** 2])
-    for M, I in (over_q, above_cap):
-        with pytest.raises(SearchLimit):
-            quasilength_exact(M, I)
-    assert calls == []
+    above_cap = _above_cap_module(lambda x, y: [x ** 2, y ** 2])  # the greedy sweep
+    for M, I in _pinned_modules() + (above_cap,):
+        for entry in (quasilength, quasilength_exact):
+            calls.clear()
+            with suppress(SearchLimit):  # the Q module whose bounds do not meet
+                entry(M, I)
+            assert calls == [M]
 
 
 def test_lower_length_ratio():
@@ -444,13 +443,20 @@ def test_certificate_json_round_trip():
         [dsl.format_poly(g) for g in cert.generators]
 
 
-def test_module_certificates_do_not_serialize():
+def test_module_certificates_serialize_for_reading_only(tmp_path, capsys):
     ring = PolyRing(GF2, ["x"])
     x = ring.var("x")
     M = vector_module(ideal(ring, [x]), ideal(ring, [x ** 2]))
     _, cert = quasilength_exact(M, ideal(ring, [x ** 2]))
-    with pytest.raises(ValueError):
-        certificate_to_json(cert)
+    # one writer: the library's JSON is the file ql exact --cert-out writes
+    path = tmp_path / "cert.json"
+    assert run(["ql", "exact", "--ring", "F2[x]", "--top", "x", "--bottom", "x^2",
+                "--killing", "x^2", "--cert-out", str(path)]) == 0
+    capsys.readouterr()
+    text = certificate_to_json(cert)
+    assert text == path.read_text()
+    with pytest.raises(ValueError, match="not a ring filtration payload"):
+        certificate_from_json(text)
     # their payload is for reading only: coordinates, no ring to parse back
     payload = certificate_payload(cert)
     assert payload == {"schema": 1, "kind": "module-filtration", "killing": ["x^2"],
