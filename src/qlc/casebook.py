@@ -71,7 +71,8 @@ def dvr_example() -> ExampleReport:
     I = ideal(ring, [x ** 2])
     bm = quasilength(M, I)
     bn = quasilength(N, I)
-    bd = quasilength(direct_sum(M, N), I)
+    MN = direct_sum(M, N)
+    bd = quasilength(MN, I)
     reversed_cert = FiltrationCertificate(
         bm.certificate.context, bm.certificate.killing,
         tuple(reversed(bm.certificate.generators)))
@@ -86,9 +87,8 @@ def dvr_example() -> ExampleReport:
     arts = {
         "chain for (x)/(x^4)": [M.format_vector(list(g))
                                 for g in bm.certificate.generators],
-        "chain for the direct sum": [
-            direct_sum(M, N).format_vector(list(g))
-            for g in bd.certificate.generators],
+        "chain for the direct sum": [MN.format_vector(list(g))
+                                     for g in bd.certificate.generators],
     }
     return ExampleReport("dvr", "rank-one valuation model: exact quasilengths "
                          "and an invalid reversed chain", checks, arts)
@@ -311,21 +311,13 @@ def _pair(ring: PolyRing, a: int):
     return x ** a * v ** a + y ** a * u ** a
 
 
-def segre_comparison(t: int, field: str = "F2", third: str = "plus") -> dict:
+def segre_comparison(t: int, field: str = "F2") -> dict:
     """Mutual-containment data for (x1^t, x2^t, x3^t) versus the variant with
-    third generator x^t v^t + y^t u^t.
-
-    third = "minus" swaps in x3 = xv - yu, which breaks the square identities
-    whenever the characteristic is not 2; kept as a sign diagnostic.
-    """
+    third generator x^t v^t + y^t u^t."""
     if t < 1:
         raise ValueError("t must be at least 1")
     ring, (x1, x2, x3) = _segre_ring(field)
     x, y, u, v = (ring.var(n) for n in "xyuv")
-    if third == "minus":
-        x3 = x * v - y * u
-    elif third != "plus":
-        raise ValueError("third must be 'plus' or 'minus'")
     power = lambda k: ideal(ring, [x1 ** k, x2 ** k, x3 ** k])
     variant = lambda k: ideal(ring, [x1 ** k, x2 ** k, _pair(ring, k)])
     return {
@@ -413,10 +405,12 @@ def segre_example() -> ExampleReport:
                               r["xv_squared_identity"]))
             checks.append(_eq(f"[{field}, t={t}] (yu)^2 identity", True,
                               r["yu_squared_identity"]))
-    diag = segre_comparison(1, "Q", third="minus")
-    checks.append(_eq("[Q, t=1] the minus-sign variant breaks the (xv)^2 "
-                      "identity", False, diag["xv_squared_identity"]))
     ring, (x1, x2, x3) = _segre_ring("Q")
+    x, y, u, v = (ring.var(n) for n in "xyuv")
+    minus = x * v - y * u  # breaks the square identities outside char 2
+    checks.append(_eq("[Q, t=1] the minus-sign variant breaks the (xv)^2 "
+                      "identity", False,
+                      (x * v) ** 2 == minus ** 2 - (y * u) * minus - x1 * x2))
     pres = QuotientPresentation(ring)
     plain = content_scan(pres, (x1, x2, x3), (1, 2))
     under = content_scan(pres, (x1, x2, x3), (1,), mode="underline")

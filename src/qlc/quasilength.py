@@ -524,12 +524,12 @@ def search_pool(field, dim: int) -> tuple:
     8 otherwise), where the greedy sweep runs.  limit says why the answer is
     not exact, None when it is."""
     cap = 12 if field.size == 2 else 8
-    limit = None if field.size else "exact search requires a finite coefficient field"
     if dim > cap:
-        return None, limit or f"dim {dim} exceeds the exact-search cap {cap}"
+        return None, f"dim {dim} exceeds the exact-search cap {cap}"
     if field.size:
         return range(field.size), None
-    return tuple(dict.fromkeys((field.zero, field.one, field.neg(field.one)))), limit
+    return (tuple(dict.fromkeys((field.zero, field.one, field.neg(field.one)))),
+            "exact search requires a finite coefficient field")
 
 
 def quasilength_exact(M: VectorModule, I: IdealHandle) -> tuple:

@@ -191,11 +191,13 @@ def test_ql_bounds_unit_sum_has_no_filtration(argv, capsys):
 
 
 def test_ql_exact_search_limit_suggests_bounds(capsys):
-    # dim 9 above the F3 cap, bounds 5..6
-    code = run(["ql", "exact", "--ring", "F3[x,y]", "--bottom", "x^3;y^3",
-                "--killing", "x;y^2"])
-    assert code == EXIT_USAGE
-    assert "ql bounds" in capsys.readouterr().err
+    # dim 9 above the cap, bounds 5..6; over Q too the cap is why no search ran
+    for ring in ("F3[x,y]", "Q[x,y]"):
+        code = run(["ql", "exact", "--ring", ring, "--bottom", "x^3;y^3",
+                    "--killing", "x;y^2"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: dim 9 exceeds the exact-search cap 8 (try 'ql bounds')\n")
 
 
 @pytest.mark.parametrize("ring, bottom, killing, value", [

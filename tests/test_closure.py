@@ -8,7 +8,7 @@ never touches a basis computation.
 
 import pytest
 
-from qlc import dsl
+from qlc import dsl, groebner
 from qlc.closure import (generic_forcing_algebra, lc_class_vanishing,
                          qseq_verdict_charp, short_filtration_search,
                          tight_membership_table)
@@ -159,6 +159,14 @@ def test_degenerate_multipliers_are_filtered():
         assert bracket.contains_poly(x ** 4 * (x * y) ** q)
     assert pres.ideal([g ** 2 for g in gens]).contains_poly(x ** 4)
     assert element_search(pres, x * y, gens, (1, 2), degree_bound=4) is None
+    # in F2[x,y]/(x*y) the multiples of x*y are zero, so they pass the row
+    # (x^6, y^6) + (x*y) for free; the search skips them and finds x^4 after
+    pres = QuotientPresentation.parse("F2[x,y]/(x*y)")
+    x, y = pres.ambient.var("x"), pres.ambient.var("y")
+    bracket = pres.ideal([x ** 6, y ** 6])
+    assert all(bracket.contains_poly(c) for c in (x * y, x ** 2 * y, x * y ** 2))
+    assert element_search(pres, x + y, (x ** 3, y ** 3), (1,), degree_bound=3) is None
+    assert element_search(pres, x + y, (x ** 3, y ** 3), (1,), degree_bound=4) == x ** 4
 
 
 def test_vanishing_table_polynomial_ring_all_false():
@@ -257,7 +265,7 @@ def test_qseq_refuted_on_square_product():
     assert report.forcing.z_names == ("Z1", "Z2")
 
 
-def test_qseq_supported_on_cubic():
+def test_qseq_supported_on_cubic(monkeypatch):
     pres = QuotientPresentation.parse(FERMAT)
     x, y, z = (pres.ambient.var(n) for n in "xyz")
     report = qseq_verdict_charp(pres, (x, y), z ** 2, t=1, e_list=(1, 2),
@@ -265,6 +273,27 @@ def test_qseq_supported_on_cubic():
     assert report.verdict == "supported"
     assert report.multiplier is not None and report.table.all_pass()
     assert report.disproof is None
+    # the table is the search's own rows: each bracket basis is computed
+    # once, and a one-shot iterator of exponents gives the same report
+    brackets = [pres.ideal([x ** q, y ** q]).generators for q in (7, 49)]
+    calls = []
+    buchberger = groebner.buchberger
+
+    def counted(gens, *args, **kwargs):
+        calls.append(tuple(gens))
+        return buchberger(gens, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    again = qseq_verdict_charp(pres, (x, y), z ** 2, t=1, e_list=iter((1, 2)),
+                               degree_bound=1)
+    monkeypatch.undo()
+    assert [calls.count(b) for b in brackets] == [1, 1]
+    fields = ("verdict", "multiplier", "table", "disproof", "target_count",
+              "found_count", "notes", "searches_complete")
+    assert [getattr(again, f) for f in fields] == [getattr(report, f) for f in fields]
+    assert again.forcing.describe() == report.forcing.describe()
+    independent = tight_membership_table(pres, z ** 2, (x, y), report.multiplier, (1, 2))
+    assert report.table.rows == independent.rows
     pres0 = QuotientPresentation.parse("Q[x,y]")
     with pytest.raises(ValueError):
         qseq_verdict_charp(pres0, (pres0.ambient.var("x"),),
