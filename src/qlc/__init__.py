@@ -28,8 +28,8 @@ from .quasilength import (FiltrationCertificate, ModuleContext, NoFiltration,
                           frobenius_transport, quasilength, quasilength_exact,
                           staircase_filtration, validate_filtration)
 from .quotient import (NotZeroDimensional, QuotientPresentation, VectorModule,
-                       direct_sum, is_zero_dimensional, length,
-                       quotient_module, standard_monomials, vector_module)
+                       direct_sum, length, quotient_module,
+                       standard_monomials, vector_module)
 
 __version__ = "0.1.0"
 

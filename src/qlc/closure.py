@@ -15,6 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from . import dsl
 from .config import DEFAULT, JobConfig, check_budget
 from .groebner import (InternalError, bracket_power, ideal, ideal_powers,
                        normal_form)
@@ -49,9 +50,10 @@ def generic_forcing_algebra(base: QuotientPresentation, gens, u: Polynomial,
                             prefix: str = "Z") -> ForcingAlgebra:
     """Adjoin one fresh variable per generator and the relation u = sum Z_i g_i.
 
-    Fresh names are prefix1..prefixh; a clash with an existing variable gets
-    an underscore suffix and a warning.  The construction makes u a member of
-    the extended ideal of the g_i, which is asserted before returning.
+    Fresh names are prefix1..prefixh, variable names of the ring syntax
+    (ValueError otherwise); a clash gets an underscore suffix and a warning.
+    The construction makes u a member of the extended ideal of the g_i,
+    which is asserted before returning.
     """
     gens = tuple(gens)
     if not gens:
@@ -61,6 +63,8 @@ def generic_forcing_algebra(base: QuotientPresentation, gens, u: Polynomial,
     renamed = []
     for i in range(1, len(gens) + 1):
         name = f"{prefix}{i}"
+        if not dsl.IDENTIFIER.fullmatch(name):
+            raise ValueError(f"prefix {prefix!r} gives {name!r}, which is not a variable name")
         while name in ambient.variables or name in names:
             name = name + "_"
         if name != f"{prefix}{i}":
@@ -159,10 +163,7 @@ def _monomials_by_degree(ring, degree_bound: int):
     n = ring.nvars
     for deg in range(1, degree_bound + 1):
         for combo in itertools.combinations_with_replacement(range(n), deg):
-            e = [0] * n
-            for i in combo:
-                e[i] += 1
-            yield ring.monomial(tuple(e))
+            yield ring.monomial(tuple(map(combo.count, range(n))))
 
 
 def test_element_search(pres: QuotientPresentation, u: Polynomial, gens,
@@ -349,11 +350,11 @@ def qseq_verdict_charp(pres: QuotientPresentation, params, u: Polynomial,
     the report's table is the search's own rows, every one passing.
     Refuted: the forcing algebra of u against (x_i^t) admits a filtration of
     its parameter-power quotient with fewer than t^d steps.  Both at once
-    would contradict the powering argument that transports memberships, so
-    that combination means the hypotheses fail (say, more parameters than
-    the dimension) and raises ValueError.  Neither search is complete in
-    general: a report can be inconclusive, and the flags say which bounded
-    searches exhausted their space.
+    raise ValueError: the listed exponents are too few to separate the two
+    (x*y against x^2, y^2 in F2[x,y] at e = 1, where x^2 passes q = 2), or
+    the hypotheses fail (say, more parameters than the dimension).  Neither
+    search is complete in general: a report can be inconclusive, and the
+    flags say which bounded searches exhausted their space.
     """
     p = _frobenius_char(pres)
     params = tuple(params)
@@ -378,8 +379,8 @@ def qseq_verdict_charp(pres: QuotientPresentation, params, u: Polynomial,
                                      config=config)
 
     if multiplier is not None and search.certificate is not None:
-        raise ValueError("membership evidence and a short filtration coexist, so the "
-                         "parameters fail the verdict's hypotheses")
+        raise ValueError("membership evidence and a short filtration coexist: too few listed "
+                         "exponents to separate them, or the verdict's hypotheses fail")
     if multiplier is not None:
         verdict = "supported"
     elif search.certificate is not None:

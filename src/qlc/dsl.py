@@ -28,8 +28,9 @@ class DslError(ValueError):
         super().__init__(f"{message} at position {pos}: ...{snippet!r}...")
 
 
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # a variable name
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[-+*/^()\[\],;]))"
+    rf"\s*(?:(?P<int>\d+)|(?P<ident>{IDENTIFIER.pattern})|(?P<sym>[-+*/^()\[\],;]))"
 )
 
 

@@ -6,9 +6,9 @@ the span no matter the insertion order, which makes spans usable as search
 states.  A span holds one of two row kinds:
 
 - dict rows, RowSpace(field, colkey): sparse {column: coeff} vectors whose
-  column keys are arbitrary hashable values (monomials during module spins,
-  integers for coordinate vectors), compared through colkey; the pivot is
-  the largest column.
+  column keys are arbitrary hashable values (monomials in a module's basis
+  rows, integers for coordinate vectors), compared through colkey; the
+  pivot is the largest column.
 - packed rows over F_2, from RowSpace.coordinates(field): a vector is an int
   read as a bit vector, bit i being coordinate i.  The pivot is the highest
   set bit, and reduction XORs in the rows whose pivot bits are set

@@ -167,8 +167,11 @@ class _Coords:
         self.killing = [self._times(f) for f in killing]
 
     def _columns(self, A) -> dict:
-        rows = range(self.dim)
-        return {self._unit_key(j): self.pack([A[i][j] for i in rows]) for j in rows}
+        out = {}
+        for j, col in enumerate(zip(*A)):
+            check_budget()
+            out[self._unit_key(j)] = self.pack(col)
+        return out
 
     def _times(self, f: Polynomial) -> dict:
         """Columns of multiplication by f: f*e_j is the sum of c*x^m*e_j over

@@ -2,19 +2,21 @@
 
 An ideal in R = ambient/(relations) is handled by adjoining the relation
 generators before any Groebner computation; QuotientPresentation carries the
-convention.  vector_module realizes J/K as an explicit finite-dimensional
-vector space with one commuting action matrix per variable, found by spinning
-the generators and closing under the variable actions.  J/K has finite length
-exactly when R/(K : J) is zero-dimensional, and only then is it built.
+convention.  A length counts the standard monomials, those outside LT(I).
+vector_module realizes J/K, for K inside J, as an explicit vector space with
+one commuting action matrix per variable, read off the reduced bases of J
+and K (Macaulay's basis theorem; Cox, Little and O'Shea, "Ideals, Varieties,
+and Algorithms", ch. 5 §3): the monomials of LT(J) outside LT(K) index its
+basis, and J/K has finite length exactly when they are finitely many.
 """
 
 from __future__ import annotations
 
 from . import dsl
 from .config import check_budget
-from .groebner import IdealHandle, InternalError, colon, normal_form
+from .groebner import IdealHandle, InternalError, normal_form
 from .linalg import RowSpace, mat_mul
-from .poly import Polynomial, PolyRing, grevlex, mono_divides
+from .poly import Polynomial, PolyRing, grevlex, mono_divides, mono_mul
 
 
 class NotZeroDimensional(ValueError):
@@ -59,24 +61,18 @@ class QuotientPresentation:
         return self.describe()
 
 
-def is_zero_dimensional(I: IdealHandle) -> bool:
-    """True when R/I has finite length (a pure power of every variable leads)."""
-    try:
-        next(_standard(I), None)  # the walk checks the box before it starts
-    except NotZeroDimensional:
-        return False
-    return True
+def _leads(I: IdealHandle) -> list:
+    """Leading monomials of I's reduced grevlex basis."""
+    return [g.leading()[0] for g in I.groebner_basis()]
 
 
-def _standard(I: IdealHandle):
-    """The monomials outside LT(I), lazily and in lex order: each exponent
-    run inside the box below the leading pure powers stops at its first
-    monomial in LT(I).  Raises NotZeroDimensional when some variable has no
-    leading pure power (infinitely many monomials lie outside)."""
-    gb = I.groebner_basis()
-    if any(g.is_constant() and not g.is_zero() for g in gb):
-        return
-    lts = [g.leading()[0] for g in gb]
+def _standard(lts: list, I: IdealHandle):
+    """The monomials of I's ring outside the monomial ideal lts generate,
+    lazily and in lex order: each exponent run in the box below the pure
+    powers among lts stops at its first monomial in the ideal.  Raises
+    NotZeroDimensional, naming I, when some variable has no pure power."""
+    if any(not any(lt) for lt in lts):
+        return  # the unit ideal
     bounds = []
     for i, name in enumerate(I.ring.variables):
         pure = [lt[i] for lt in lts if lt[i] > 0 and sum(lt) == lt[i]]
@@ -98,12 +94,12 @@ def _standard(I: IdealHandle):
 
 def standard_monomials(I: IdealHandle) -> list[tuple]:
     """Monomials outside LT(I), sorted ascending under grevlex."""
-    return sorted(_standard(I), key=grevlex.key)
+    return sorted(_standard(_leads(I), I), key=grevlex.key)
 
 
 def length(I: IdealHandle) -> int:
     """Vector space dimension of R/I (0 for the unit ideal)."""
-    return sum(1 for _ in _standard(I))
+    return sum(1 for _ in _standard(_leads(I), I))
 
 
 class VectorModule:
@@ -122,9 +118,8 @@ class VectorModule:
         if len(dims) != 1:
             raise ValueError("action matrices disagree on dimension")
         n = dims.pop()
-        for m in actions.values():
-            if any(len(row) != n for row in m):
-                raise ValueError("action matrices must be square")
+        if any(len(row) != n for m in actions.values() for row in m):
+            raise ValueError("action matrices must be square")
         self.ring = ring
         self.field = ring.field
         self.k_gb = k_gb
@@ -165,42 +160,50 @@ class VectorModule:
 def _times_var(ring, var_index: int, row: dict, K: IdealHandle) -> dict:
     """Terms of x_i * row reduced modulo K."""
     check_budget()  # a one-term normal form takes no budget check of its own
-    shifted = {}
-    for m, c in row.items():
-        e = list(m)
-        e[var_index] += 1
-        shifted[tuple(e)] = c
+    shifted = {m[:var_index] + (m[var_index] + 1,) + m[var_index + 1:]: c
+               for m, c in row.items()}
     return normal_form(Polynomial(ring, shifted), K).terms
 
 
 def vector_module(J: IdealHandle, K: IdealHandle) -> VectorModule:
-    """The subquotient J/K as a VectorModule.  K must sit inside J, and J/K
-    must have finite length (R/(K : J) zero-dimensional, as it is whenever R/K
-    is); ValueError otherwise, before any spin.  The spin has no degree limit."""
+    """The subquotient J/K as a VectorModule; K must sit inside J.
+
+    The basis is labelled by the pivots, largest first: the monomials of
+    LT(J) outside LT(K), that is a*u for a in LT(J) and u outside the
+    monomial colon (LT(K) : a).  When they are infinitely many, so is the
+    length of J/K: ValueError, before any normal form.  The row at pivot m
+    is m - NF_J(m): it lies in J, is reduced modulo K (inside J), and has
+    coefficient 1 at m and 0 at every other pivot.  No degree limit.
+    """
     ring = J.ring
     if K.ring != ring:
         raise ValueError("J and K live in different rings")
-    for g in K.generators:
-        if not J.contains_poly(g):
-            raise ValueError("K is not contained in J")
-    if not (is_zero_dimensional(K) or is_zero_dimensional(colon(K, J))):
-        raise ValueError("J/K has infinite length: R/(K : J) is not zero-dimensional")
-
+    if not J.contains_ideal(K):
+        raise ValueError("K is not contained in J")
+    k_lts = _leads(K)
+    pivots = set()
+    try:
+        for a in _leads(J):
+            colon = [tuple(max(b_i - a_i, 0) for a_i, b_i in zip(a, b)) for b in k_lts]
+            pivots.update(mono_mul(a, u) for u in _standard(colon, K))
+    except NotZeroDimensional:
+        raise ValueError("J/K has infinite length: R/(K : J) is not zero-dimensional") from None
+    pivots = sorted(pivots, key=grevlex.key, reverse=True)
     space = RowSpace(ring.field, colkey=grevlex.key)
-    space.close((normal_form(g, K).terms for g in J.generators),
-                lambda row: (_times_var(ring, vi, row, K) for vi in range(ring.nvars)))
-    pivots = space.pivots()
-    dim = len(pivots)
-    zero = ring.field.zero
+    for m in pivots:
+        mono = ring.monomial(m)
+        space.rows[m] = (mono - normal_form(mono, J)).terms  # already reduced echelon
+    index = {m: i for i, m in enumerate(pivots)}
     actions = {}
     for vi, var in enumerate(ring.variables):
-        cols = []
-        for p in pivots:
-            image = _times_var(ring, vi, space.rows[p], K)
+        A = actions[var] = [[ring.field.zero] * len(pivots) for _ in pivots]
+        for j, m in enumerate(pivots):
+            image = _times_var(ring, vi, space.rows[m], K)
             if space.reduce(image):
-                raise InternalError("module spin was not action-closed")
-            cols.append([image.get(q, zero) for q in pivots])
-        actions[var] = [[cols[j][i] for j in range(dim)] for i in range(dim)]
+                raise InternalError("J/K's basis is not action-closed")
+            for q, c in image.items():
+                if q in index:  # coordinates are the pivot coefficients
+                    A[index[q]][j] = c
     labels = [dsl._format_mono(ring, p) or "1" for p in pivots]
     return VectorModule(ring, actions, labels, list(K.groebner_basis()))
 

@@ -35,8 +35,11 @@ CHEAP_EXAMPLES = ("cubic_forcing", "dvr", "normalization_w", "roberts",
 
 # usage errors that the engine once answered with a crash (max_k < 0, an
 # empty qseq list, two parameters in a curve), a vacuous table (an empty
-# exponent list, no k up to --k-max) or a search over no candidates (a
-# negative degree bound, where only 1 was tried)
+# exponent list, no k up to --k-max), a search over no candidates (a
+# negative degree bound, where only 1 was tried) or a ring it could not read
+# back (a --prefix whose fresh names are not variable names); a qseq run on
+# one exponent, where a multiplier and a short filtration both turn up,
+# exits 2 as well
 BUG_ARGVS = (
     ["content", "limit-closure", "--ring", "F3[x,y]", "--params", "x;y",
      "--t", "1", "--max-k", "-1"],
@@ -55,6 +58,12 @@ BUG_ARGVS = (
      "--gens", "x;y", "--e", "1", "--degree-bound", "-1"],
     ["force", "qseq", "--ring", "F2[x,y]", "--params", "x;y", "--element", "x*y",
      "--degree-bound", "-1"],
+    ["force", "qseq", "--ring", "F2[x,y]", "--params", "x;y", "--element", "x*y",
+     "--t", "2", "--e", "1"],
+    ["force", "build", "--ring", "F2[x,y]", "--gens", "x", "--element", "x",
+     "--prefix", ""],
+    ["force", "build", "--ring", "F2[x,y]", "--gens", "x", "--element", "x",
+     "--prefix", "1"],
 )
 
 CERT = "CERT"  # stands for a certificate path in the case's own directory
@@ -172,6 +181,8 @@ def _certificate_file(source: str, folder: str) -> str:
 @example(argv=BUG_ARGVS[7], as_json=True)
 @example(argv=BUG_ARGVS[8], as_json=False)
 @example(argv=BUG_ARGVS[9], as_json=True)
+@example(argv=BUG_ARGVS[10], as_json=False)
+@example(argv=BUG_ARGVS[11], as_json=True)
 @example(argv=["examples", "run-all"], as_json=True)
 def test_generated_argvs_exit_cleanly_and_repeat(argv, as_json):
     with tempfile.TemporaryDirectory() as folder:
@@ -202,12 +213,14 @@ def test_generated_argvs_exit_cleanly_and_repeat(argv, as_json):
                                                  "tight-table empty e", "qseq curve",
                                                  "lc-class k-max 0", "lc-class k-max -1",
                                                  "scan empty t", "test-element degree -1",
-                                                 "qseq degree -1"])
+                                                 "qseq degree -1", "qseq too few exponents",
+                                                 "build empty prefix", "build digit prefix"])
 def test_bug_argvs_are_usage_errors(argv):
     # a negative max_k leaves no stage, an empty exponent list (or k range)
     # would make every table pass vacuously, a negative degree bound would
-    # try 1 alone, and a qseq verdict that is both supported and refuted
-    # shows that its hypotheses fail
+    # try 1 alone, a qseq verdict that is both supported and refuted shows
+    # too few exponents or failed hypotheses, and a prefix that makes a
+    # variable named 1 prints a ring the syntax cannot read
     for flags in ([], ["--json"]):
         code, out, err = _run(argv + flags)
         assert code == EXIT_USAGE and out == "" and err.startswith("error: ")

@@ -147,6 +147,30 @@ def test_forcing_variable_clash_renames_with_warning():
         generic_forcing_algebra(base, (), x)
 
 
+def test_forcing_prefix_must_make_variable_names():
+    # a fresh name the ring syntax cannot read back ("1", "11", "Z-1") is
+    # refused; a name that only needs the clash suffix is not
+    base = QuotientPresentation.parse("F2[x,y]")
+    x = base.ambient.var("x")
+    for prefix in ("", "1", "Z-", " Z"):
+        with pytest.raises(ValueError, match="prefix"):
+            generic_forcing_algebra(base, (x,), x, prefix=prefix)
+    for prefix in ("_", "z0", "x"):
+        fa = generic_forcing_algebra(base, (x,), x, prefix=prefix)
+        assert dsl.parse_ring(fa.describe())[0] == fa.presentation.ambient
+
+
+def test_qseq_with_one_exponent_names_both_causes():
+    # x, y is a system of parameters of F2[x,y], but with e = 1 alone the
+    # multiplier x^2 passes q = 2 while the 3-step disproof chain exists
+    pres = QuotientPresentation.parse("F2[x,y]")
+    x, y = pres.ambient.var("x"), pres.ambient.var("y")
+    for e in (0, 1):
+        with pytest.raises(ValueError, match="too few listed exponents"):
+            qseq_verdict_charp(pres, (x, y), x * y, t=2, e_list=(e,))
+    assert qseq_verdict_charp(pres, (x, y), x * y, t=2).verdict == "refuted"
+
+
 def test_degenerate_multipliers_are_filtered():
     pres = QuotientPresentation.parse("F2[x,y]")
     x, y = pres.ambient.var("x"), pres.ambient.var("y")

@@ -1,18 +1,21 @@
-"""Lengths against a direct lattice-point oracle, plus module spins."""
+"""Lengths against a direct lattice-point oracle, plus J/K modules read off
+the reduced bases of J and K, checked against the colon (K : J)."""
 
 import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qlc import dsl, quotient
 from qlc.fields import GF2, GF3, QQ, RationalFunctionField
-from qlc.groebner import ideal, normal_form
-from qlc.poly import PolyRing
+from qlc.groebner import colon, ideal, normal_form
+from qlc.linalg import RowSpace
+from qlc.poly import PolyRing, mono_divides
 from qlc.quasilength import _coordinates, _lower_bound
 from qlc.quotient import (NotZeroDimensional, QuotientPresentation,
-                          VectorModule, direct_sum, is_zero_dimensional,
-                          length, quotient_module,
+                          VectorModule, direct_sum, length, quotient_module,
                           standard_monomials, vector_module)
 
 
@@ -63,14 +66,13 @@ def test_length_examples():
 def test_zero_dimensionality():
     ring = PolyRing(QQ, ["x", "y"])
     x, y = ring.gens()
-    assert is_zero_dimensional(ideal(ring, [x ** 2, y ** 3]))
-    assert not is_zero_dimensional(ideal(ring, [x * y]))
-    with pytest.raises(NotZeroDimensional):
+    assert length(ideal(ring, [x ** 2, y ** 3])) == 6
+    with pytest.raises(NotZeroDimensional, match="no pure power of x"):
         length(ideal(ring, [x * y]))
     assert length(ideal(ring, [x, x + 1])) == 0  # unit ideal, zero module
     ring3 = PolyRing(QQ, ["x", "y", "z"])
     a, b, c = ring3.gens()
-    assert is_zero_dimensional(ideal(ring3, [a, b, a ** 3 + b ** 3 + c ** 3]))
+    assert length(ideal(ring3, [a, b, a ** 3 + b ** 3 + c ** 3])) == 3
 
 
 def test_presentation_rejects_zero_ring():
@@ -147,6 +149,7 @@ def test_infinite_length_is_refused_before_any_spin(monkeypatch):
         raise AssertionError("an infinite-length module was spun")
 
     monkeypatch.setattr(quotient, "_times_var", no_spin)
+    monkeypatch.setattr(quotient, "normal_form", no_spin)
     for top in (ring.one(), x):  # R/(xy) and (x)/(xy)
         with pytest.raises(ValueError, match="infinite length"):
             vector_module(ideal(ring, [top]), ideal(ring, [x * y]))
@@ -159,6 +162,93 @@ def test_finite_length_decided_through_the_colon():
     x, y = ring.gens()
     M = vector_module(ideal(ring, [x]), ideal(ring, [x ** 3, x * y]))
     assert M.dim == 2 and sorted(M.labels) == ["x", "x^2"]
+
+
+# -- J/K read off the reduced bases, against the colon ----------------------
+
+_RINGS = [PolyRing(F, ["x", "y"]) for F in (GF2, GF3, QQ)]
+
+
+@st.composite
+def _nested_ideals(draw):
+    """A ring over F2, F3 or Q and ideals K inside J of monomials and
+    binomials: each K generator is a J generator times a monomial, a
+    binomial or a pure power.  Half the time J holds x^a and y^b and K
+    their multiples x^(a+c) and y^(b+d), so that R/K is finite."""
+    ring = draw(st.sampled_from(_RINGS))
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    coeff = st.sampled_from([1, -1, 2]).map(ring.field.from_int)
+
+    def term_sum(max_terms):
+        def build(parts):
+            return sum((ring.monomial(e) * ring.constant(c) for e, c in parts),
+                       ring.zero())
+        return st.lists(st.tuples(exps, coeff), min_size=1, max_size=max_terms).map(build)
+
+    x, y = ring.gens()
+    top = [f for f in draw(st.lists(term_sum(2), min_size=1, max_size=2)) if not f.is_zero()]
+    powers = st.sampled_from([x ** 3, y ** 3, x ** 2])
+    bottom = [g * draw(st.one_of(term_sum(2), powers))
+              for g in top for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        a, b, c, d = (draw(st.integers(lo, 3)) for lo in (1, 1, 0, 0))
+        top += [x ** a, y ** b]
+        bottom += [x ** (a + c), y ** (b + d)]
+    return ring, ideal(ring, top), ideal(ring, [f for f in bottom if not f.is_zero()])
+
+
+def _leads(I):
+    return [g.leading()[0] for g in I.groebner_basis()]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_nested_ideals())
+def test_vector_module_against_the_colon(case):
+    ring, J, K = case
+    try:
+        length(colon(K, J))
+        finite = True
+    except NotZeroDimensional:
+        finite = False
+    spaces = []
+
+    class Recorded(RowSpace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            spaces.append(self)
+
+    quotient.RowSpace, original = Recorded, quotient.RowSpace
+    try:
+        if not finite:
+            with pytest.raises(ValueError, match="infinite length"):
+                vector_module(J, K)
+            return
+        M = vector_module(J, K)
+    finally:
+        quotient.RowSpace = original
+    try:
+        assert M.dim == length(K) - length(J)
+    except NotZeroDimensional:
+        pass  # R/K has infinite length: J/K is finite inside it
+    # the labels are the monomials of LT(J) outside LT(K), read in a box
+    # that holds every such monomial of a finite J/K
+    lj, lk = _leads(J), _leads(K)
+    box = [max((lt[i] for lt in lj), default=0) + max((lt[i] for lt in lk), default=0) + 1
+           for i in range(2)]
+    expected = {m for m in itertools.product(*map(range, box))
+                if any(mono_divides(a, m) for a in lj)
+                and not any(mono_divides(b, m) for b in lk)}
+    assert len(M.labels) == len(expected)
+    assert set(M.labels) == {dsl._format_mono(ring, m) or "1" for m in expected}
+    # every basis row lies in J, is reduced modulo K, and is 1 at its pivot
+    # and 0 at every other one
+    (space,) = spaces
+    for pivot, row in space.rows.items():
+        f = ring.from_terms(row)
+        assert J.contains_poly(f) and normal_form(f, K) == f
+        assert {m: row.get(m) for m in space.rows} == {
+            m: ring.field.one if m == pivot else None for m in space.rows}
 
 
 def test_finite_module_spins_past_degree_64():
