@@ -163,7 +163,10 @@ def _monomials_by_degree(ring, degree_bound: int):
     n = ring.nvars
     for deg in range(1, degree_bound + 1):
         for combo in itertools.combinations_with_replacement(range(n), deg):
-            yield ring.monomial(tuple(map(combo.count, range(n))))
+            e = [0] * n
+            for i in combo:
+                e[i] += 1
+            yield ring.monomial(tuple(e))
 
 
 def test_element_search(pres: QuotientPresentation, u: Polynomial, gens,

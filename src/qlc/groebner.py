@@ -404,8 +404,16 @@ def ideal_sum(I: IdealHandle, J: IdealHandle) -> IdealHandle:
 def ideal_product(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     if I.ring != J.ring:
         raise RingMismatch("ideal product across different rings")
-    products = dict.fromkeys(f * g for f in I.generators for g in J.generators)
-    return IdealHandle(I.ring, [h for h in products if not h.is_zero()])
+    gens = []
+    seen = set()
+    for f in I.generators:
+        for g in J.generators:
+            h = f * g
+            if h.is_zero() or h in seen:
+                continue
+            seen.add(h)
+            gens.append(h)
+    return IdealHandle(I.ring, gens)
 
 
 def ideal_powers(I: IdealHandle):

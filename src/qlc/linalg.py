@@ -5,10 +5,8 @@ stay fully reduced and pivot-monic, so the row set is a canonical basis of
 the span no matter the insertion order, which makes spans usable as search
 states.  A span holds one of two row kinds:
 
-- dict rows, RowSpace(field, colkey): sparse {column: coeff} vectors whose
-  column keys are arbitrary hashable values (monomials in a module's basis
-  rows, integers for coordinate vectors), compared through colkey; the
-  pivot is the largest column.
+- dict rows, RowSpace(field): sparse {column: coeff} vectors whose column
+  keys are coordinate indices; the pivot is the largest column.
 - packed rows over F_2, from RowSpace.coordinates(field): a vector is an int
   read as a bit vector, bit i being coordinate i.  The pivot is the highest
   set bit, and reduction XORs in the rows whose pivot bits are set
@@ -36,9 +34,8 @@ class RowSpace:
     and returns vectors of the span's own kind.
     """
 
-    def __init__(self, field, colkey=None):
+    def __init__(self, field):
         self.field = field
-        self.colkey = colkey  # None: columns compare as themselves
         self.rows: dict = {}
         self.packed = False
         self.mask = 0
@@ -52,7 +49,7 @@ class RowSpace:
         return space
 
     def copy(self) -> "RowSpace":
-        out = RowSpace(self.field, self.colkey)
+        out = RowSpace(self.field)
         if self.packed:
             out.packed = True
             out.mask = self.mask
@@ -114,7 +111,7 @@ class RowSpace:
         red = self.reduce(vec)
         if not red:
             return None
-        pivot = max(red, key=self.colkey)
+        pivot = max(red)
         inv = F.inv(red[pivot])
         if inv != F.one:
             red = {k: F.mul(inv, v) for k, v in red.items()}
@@ -159,7 +156,7 @@ class RowSpace:
 
     def pivots(self) -> list:
         """Pivots, largest first: columns for dict rows, bits for packed."""
-        return sorted(self.rows, key=self.colkey, reverse=True)
+        return sorted(self.rows, reverse=True)
 
     def basis(self) -> list:
         return [self.rows[p] for p in self.pivots()]

@@ -66,18 +66,19 @@ def _leads(I: IdealHandle) -> list:
     return [g.leading()[0] for g in I.groebner_basis()]
 
 
-def _standard(lts: list, I: IdealHandle):
-    """The monomials of I's ring outside the monomial ideal lts generate,
+def _standard(lts: list, ring, what):
+    """The monomials of ring outside the monomial ideal lts generate,
     lazily and in lex order: each exponent run in the box below the pure
     powers among lts stops at its first monomial in the ideal.  Raises
-    NotZeroDimensional, naming I, when some variable has no pure power."""
+    NotZeroDimensional, naming what (the ideal lts lead), when some
+    variable has no pure power."""
     if any(not any(lt) for lt in lts):
         return  # the unit ideal
     bounds = []
-    for i, name in enumerate(I.ring.variables):
+    for i, name in enumerate(ring.variables):
         pure = [lt[i] for lt in lts if lt[i] > 0 and sum(lt) == lt[i]]
         if not pure:
-            raise NotZeroDimensional(f"no pure power of {name} leads {I!r}")
+            raise NotZeroDimensional(f"no pure power of {name} leads {what}")
         bounds.append(min(pure))
 
     def walk(head):
@@ -94,12 +95,12 @@ def _standard(lts: list, I: IdealHandle):
 
 def standard_monomials(I: IdealHandle) -> list[tuple]:
     """Monomials outside LT(I), sorted ascending under grevlex."""
-    return sorted(_standard(_leads(I), I), key=grevlex.key)
+    return sorted(_standard(_leads(I), I.ring, I), key=grevlex.key)
 
 
 def length(I: IdealHandle) -> int:
     """Vector space dimension of R/I (0 for the unit ideal)."""
-    return sum(1 for _ in _standard(_leads(I), I))
+    return sum(1 for _ in _standard(_leads(I), I.ring, I))
 
 
 class VectorModule:
@@ -118,8 +119,9 @@ class VectorModule:
         if len(dims) != 1:
             raise ValueError("action matrices disagree on dimension")
         n = dims.pop()
-        if any(len(row) != n for m in actions.values() for row in m):
-            raise ValueError("action matrices must be square")
+        for m in actions.values():
+            if any(len(row) != n for row in m):
+                raise ValueError("action matrices must be square")
         self.ring = ring
         self.field = ring.field
         self.k_gb = k_gb
@@ -160,8 +162,11 @@ class VectorModule:
 def _times_var(ring, var_index: int, row: dict, K: IdealHandle) -> dict:
     """Terms of x_i * row reduced modulo K."""
     check_budget()  # a one-term normal form takes no budget check of its own
-    shifted = {m[:var_index] + (m[var_index] + 1,) + m[var_index + 1:]: c
-               for m, c in row.items()}
+    shifted = {}
+    for m, c in row.items():
+        e = list(m)
+        e[var_index] += 1
+        shifted[tuple(e)] = c
     return normal_form(Polynomial(ring, shifted), K).terms
 
 
@@ -171,7 +176,7 @@ def vector_module(J: IdealHandle, K: IdealHandle) -> VectorModule:
     The basis is labelled by the pivots, largest first: the monomials of
     LT(J) outside LT(K), that is a*u for a in LT(J) and u outside the
     monomial colon (LT(K) : a).  When they are infinitely many, so is the
-    length of J/K: ValueError, before any normal form.  The row at pivot m
+    length of J/K: ValueError, before any basis row is built.  The row at m
     is m - NF_J(m): it lies in J, is reduced modulo K (inside J), and has
     coefficient 1 at m and 0 at every other pivot.  No degree limit.
     """
@@ -185,11 +190,12 @@ def vector_module(J: IdealHandle, K: IdealHandle) -> VectorModule:
     try:
         for a in _leads(J):
             colon = [tuple(max(b_i - a_i, 0) for a_i, b_i in zip(a, b)) for b in k_lts]
-            pivots.update(mono_mul(a, u) for u in _standard(colon, K))
+            what = "LT(K) : a, for a leading term a of J"
+            pivots.update(mono_mul(a, u) for u in _standard(colon, ring, what))
     except NotZeroDimensional:
         raise ValueError("J/K has infinite length: R/(K : J) is not zero-dimensional") from None
     pivots = sorted(pivots, key=grevlex.key, reverse=True)
-    space = RowSpace(ring.field, colkey=grevlex.key)
+    space = RowSpace(ring.field)  # reduce alone reads rows keyed by monomials
     for m in pivots:
         mono = ring.monomial(m)
         space.rows[m] = (mono - normal_form(mono, J)).terms  # already reduced echelon

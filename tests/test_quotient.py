@@ -67,7 +67,7 @@ def test_zero_dimensionality():
     ring = PolyRing(QQ, ["x", "y"])
     x, y = ring.gens()
     assert length(ideal(ring, [x ** 2, y ** 3])) == 6
-    with pytest.raises(NotZeroDimensional, match="no pure power of x"):
+    with pytest.raises(NotZeroDimensional, match=r"no pure power of x leads ideal\(x\*y\)$"):
         length(ideal(ring, [x * y]))
     assert length(ideal(ring, [x, x + 1])) == 0  # unit ideal, zero module
     ring3 = PolyRing(QQ, ["x", "y", "z"])
