@@ -245,9 +245,9 @@ def _cmd_force_tight_table(args):
                                    _polys(pres, args.gens),
                                    _poly(pres, args.multiplier),
                                    _ints(args.e))
-    payload = {"rows": table.as_dicts(), "all_pass": table.all_pass()}
-    lines = [f"e={r.e} q={r.q} member={str(r.member).lower()}"
-             for r in table.rows]
+    rows = table.as_dicts()
+    payload = {"rows": rows, "all_pass": table.all_pass()}
+    lines = [f"e={r['e']} q={r['q']} member={str(r['member']).lower()}" for r in rows]
     return payload, lines, EXIT_OK
 
 

@@ -90,6 +90,11 @@ def generic_forcing_algebra(base: QuotientPresentation, gens, u: Polynomial,
 # membership tables
 
 
+# CPython prints an int of at most 4300 digits and refuses a longer one
+# (sys.set_int_max_str_digits); a q that long is reported as "p^e" instead
+_PRINTABLE_Q = 10 ** 4300
+
+
 @dataclass
 class MembershipRow:
     e: int
@@ -107,7 +112,11 @@ class MembershipTable:
         return all(r.member for r in self.rows)
 
     def as_dicts(self) -> list:
-        return [dict(vars(r)) for r in self.rows]
+        """One dict per row, for printing: q is the int p^e while it has at
+        most 4300 digits and the text "p^e" beyond."""
+        p = self.element.ring.field.char
+        return [{"e": r.e, "q": r.q if r.q < _PRINTABLE_Q else f"{p}^{r.e}",
+                 "member": r.member} for r in self.rows]
 
 
 def tight_membership_table(pres: QuotientPresentation, u: Polynomial, gens,

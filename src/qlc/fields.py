@@ -4,7 +4,11 @@ Field elements are plain hashable Python values; the field object carries
 the arithmetic.  Everything is exact, nothing is mutated.
 
 - Q: a canonical pair (num, den) of ints with den > 0 and
-  gcd(num, den) = 1.
+  gcd(num, den) = 1.  The Groebner kernel's normal forms do not add or
+  multiply these pairs: they reduce fraction-free on integers, one gcd per
+  surviving term, and divide by the content once the common denominator
+  has grown by 64 bits (see the groebner module docstring); the pairs
+  they return are canonical as well.
 - F_p: int in [0, p).
 - F_p(t): a canonical pair (num, den) of F_p[t] polynomials with den monic
   and gcd(num, den) = 1.  A polynomial is one nonnegative int that holds

@@ -32,12 +32,30 @@ dropped by M or F is covered by a pair (j, h) whose lcm divides L,
 properly for M and equal to it for F, together with (i, j), whose lcm
 divides L and may equal it.  Gebauer and Moeller's chain argument then
 shows that the result stays a Groebner basis.
+
+Over Q the heap reduction runs on integers, fraction-free (pseudo-division
+on primitive parts; Knuth, TAOCP 2, 4.6.1).  Polynomial.prepared keeps each
+reducer's primitive integer form L x^lt + sum n_i x^(m_i) next to its
+canonical terms: the monic element times L > 0, the lcm of its
+denominators, built once and freed with the polynomial.  The part of f
+still to treat is W/s, W a dict of ints and s > 0.  A step on a term w x^m
+whose monomial lt divides takes g = gcd(w, L) and sets
+W <- (L/g) W - (w/g) x^(m-lt) tail and s <- (L/g) s; a term that no leading
+term divides leaves as the canonical pair (w/g', s/g'), g' = gcd(w, s).
+The content rule is fixed: once s has grown by more than 64 bits since the
+last division (or the start), W and s are divided by gcd(s, W).  W/s is
+exactly the work polynomial of the Q arithmetic at every step, so the same
+terms survive, the same reducer meets each one, and every normal form and
+reduced basis is the one canonical pairs give.  The Q sums and products
+stay in poly_divide_exact and _s_polynomial, and F_p and F_p(t) reduce as
+they always did.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from math import gcd, lcm
 from operator import add, ge, le, sub
 
 from . import config
@@ -87,16 +105,69 @@ def _add_multiple(work: dict, heap: list, heap_key, factor, q, tail, field) -> N
 
 
 def _reduce_terms(terms: dict, prepped, order, field) -> dict:
-    """Full normal form of a term dict against prepared reducers (lt, lc, tail).
+    """Full normal form of a term dict against prepared reducers
+    (lt, lc, tail, ints).
 
     The terms still to treat live in work, and a heap over them yields the
     biggest one next.  Each monomial's heap key is computed once, when it
     enters work; entries whose monomial cancelled out of work are skipped.
+    Over Q the reduction runs on integers, as the module docstring says.
     """
-    work = dict(terms)
-    heap = _heap_of(work, order)
     heap_key = order.heap_key
     out: dict = {}
+    if field.char == 0:
+        # work / s is the part still to treat: work holds ints and s > 0
+        s = lcm(*[d for _n, d in terms.values()])
+        work = {m: n if d == s else n * (s // d) for m, (n, d) in terms.items()}
+        heap = _heap_of(work, order)
+        bits = s.bit_length()   # at the last content division
+        while heap:
+            m = heapq.heappop(heap)[1]
+            w = work.pop(m, None)
+            if w is None:
+                continue
+            config.check_budget()
+            for lt, _lc, _tail, ints in prepped:
+                if all(map(ge, m, lt)):
+                    # with g = gcd(w, L): work <- (L/g) work - (w/g) x^q tail
+                    # and s <- (L/g) s; the leading term cancels exactly
+                    L, tail = ints
+                    if L != 1:
+                        g = gcd(w, L)
+                        w //= g
+                        if g != L:
+                            a = L // g
+                            for k in work:
+                                work[k] *= a
+                            s *= a
+                    q = tuple(map(sub, m, lt))
+                    w = -w
+                    for tm, tn in tail:
+                        nm = tuple(map(add, tm, q))
+                        old = work.get(nm)
+                        if old is None:
+                            work[nm] = w * tn
+                            heapq.heappush(heap, (heap_key(nm), nm))
+                        else:
+                            old += w * tn
+                            if old:
+                                work[nm] = old
+                            else:
+                                del work[nm]
+                    if s.bit_length() > bits + 64:   # the fixed content rule
+                        c = gcd(s, *work.values())
+                        if c != 1:
+                            s //= c
+                            for k in work:
+                                work[k] //= c
+                        bits = s.bit_length()
+                    break
+            else:
+                g = gcd(w, s)
+                out[m] = (w, s) if g == 1 else (w // g, s // g)
+        return out
+    work = dict(terms)
+    heap = _heap_of(work, order)
     one = field.one
     while heap:
         m = heapq.heappop(heap)[1]
@@ -104,7 +175,7 @@ def _reduce_terms(terms: dict, prepped, order, field) -> dict:
         if c is None:
             continue
         config.check_budget()
-        for lt, lc, tail in prepped:
+        for lt, lc, tail, _ints in prepped:
             if all(map(ge, m, lt)):
                 # work -= (c/lc) * x^q * g; the leading term cancels exactly
                 factor = field.neg(c if lc == one else field.div(c, lc))
@@ -125,7 +196,7 @@ def _reduce(f: Polynomial, prepped, order) -> Polynomial:
     terms = f.terms
     if len(terms) == 1:
         (m,) = terms
-        for lt, _lc, tail in prepped:
+        for lt, _lc, tail, _ints in prepped:
             if all(map(ge, m, lt)):
                 if not tail:
                     return f.ring.zero()
@@ -154,7 +225,7 @@ def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     if g.is_zero():
         raise InternalError("division by the zero polynomial")
     field = f.ring.field
-    ltg, lcg, tail = g.prepared()
+    ltg, lcg, tail, _ints = g.prepared()
     work = dict(f.terms)
     heap = _heap_of(work, grevlex)
     quot: dict = {}
@@ -192,7 +263,7 @@ def buchberger(gens, order=grevlex, seed=()) -> list[Polynomial]:
     ring = (gens[0] if gens else seed[0]).ring
 
     basis = list(seed)
-    prepped = [g.prepared(order) for g in basis]   # (lt, lc, tail), kept with basis
+    prepped = [g.prepared(order) for g in basis]   # (lt, lc, tail, ints), kept with basis
     lts = [p[0] for p in prepped]
     n0 = len(basis)
     sugars = [None] * n0   # a seed element's sugar, read on first use
@@ -322,7 +393,7 @@ def _reduce_basis(basis, prepped, kept, n0, order) -> list[Polynomial]:
 
 class IdealHandle:
     """An ideal given by generators, with its reduced grevlex GB kept next to
-    that basis's prepared reducers (lt, lc, tail), both computed on first use."""
+    that basis's prepared reducers (lt, lc, tail, ints), both computed on first use."""
 
     __slots__ = ("ring", "generators", "_basis", "_reducers")
 

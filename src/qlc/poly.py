@@ -3,11 +3,13 @@
 Monomials are exponent tuples; a polynomial is an immutable
 {exponents: coefficient} map tied to a PolyRing.  Monomial orders are small
 key objects; a polynomial caches its prepared form (leading term, leading
-coefficient, tail) per order for the Groebner kernel.
+coefficient, tail and, over Q, the integer form the kernel reduces with) per
+order for the Groebner kernel.
 """
 
 from __future__ import annotations
 
+from math import lcm, log
 from operator import add, ge, le, sub
 
 from . import config
@@ -231,8 +233,10 @@ class Polynomial:
         return max((mono_deg(m) for m in self.terms), default=-1)
 
     def prepared(self, order=grevlex):
-        """(lt, lc, tail) under order: the leading monomial, its coefficient and
-        the other terms as (monomial, coefficient) pairs; cached per order."""
+        """(lt, lc, tail, ints) under order: the leading monomial, its
+        coefficient, the other terms as (monomial, coefficient) pairs and,
+        over Q, the primitive integer form the kernel reduces with (see
+        _integer_form; None over other fields); cached per order."""
         cache = self._prep
         if cache is None:
             cache = self._prep = {}
@@ -241,8 +245,11 @@ class Polynomial:
             if not self.terms:
                 raise ValueError("zero polynomial has no leading term")
             lt = max(self.terms, key=order.key)
+            lc = self.terms[lt]
             tail = [(m, c) for m, c in self.terms.items() if m != lt]
-            got = cache[order.tag] = (lt, self.terms[lt], tail)
+            F = self.ring.field
+            ints = _integer_form(F, lc, tail) if F.char == 0 else None
+            got = cache[order.tag] = (lt, lc, tail, ints)
         return got
 
     def leading(self, order=grevlex):
@@ -359,29 +366,45 @@ class Polynomial:
         return format_poly(self)
 
 
+def _integer_form(F, lc, tail) -> tuple:
+    """(L, [(m, n)]) with L > 0: the monic element x^lt + sum (c/lc) x^m over
+    Q times L, the lcm of its denominators, is L x^lt + sum n x^m, with
+    integer n and content 1 (each prime of L divides the denominator of some
+    c/lc to its full power in L, so it leaves that n alone)."""
+    if lc != F.one:
+        tail = [(m, F.div(c, lc)) for m, c in tail]
+    L = lcm(*[d for _m, (_n, d) in tail])
+    return L, [(m, n * (L // d)) for m, (n, d) in tail]
+
+
 def frobenius_power(f: Polynomial, q: int) -> Polynomial:
-    """f^q computed termwise; valid only when q is a power of char p."""
-    p = f.ring.field.char
+    """f^q computed termwise; valid only when q is a power of char p.
+
+    q = p^k is decided by one power of p, with k read off log_p q, and over
+    F_p the coefficients stay as they are (c^q = c there).  Over F_p(t) each
+    coefficient goes to the q-th power by squaring.  Each term and each
+    squaring checks the time budget.
+    """
+    F = f.ring.field
+    p = F.char
     if p == 0:
         raise ValueError("frobenius_power needs positive characteristic")
-    qq = q
-    while qq % p == 0:
-        qq //= p
-    if qq != 1:
+    if q < 1 or p ** round(log(q, p)) != q:
         raise ValueError(f"{q} is not a power of the characteristic {p}")
-    F = f.ring.field
     out = {}
     for m, c in f.terms.items():
-        out[tuple(e * q for e in m)] = _field_pow(F, c, q)
+        config.check_budget()
+        out[tuple(e * q for e in m)] = c if F.size == p else _field_pow(F, c, q)
     return Polynomial(f.ring, out)
 
 
 def _field_pow(F, c, n: int):
     r = F.one
-    b = c
     while n:
+        config.check_budget()
         if n & 1:
-            r = F.mul(r, b)
-        b = F.mul(b, b)
+            r = F.mul(r, c)
         n >>= 1
+        if n:
+            c = F.mul(c, c)
     return r

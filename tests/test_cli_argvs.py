@@ -13,6 +13,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -224,3 +225,46 @@ def test_bug_argvs_are_usage_errors(argv):
     for flags in ([], ["--json"]):
         code, out, err = _run(argv + flags)
         assert code == EXIT_USAGE and out == "" and err.startswith("error: ")
+
+
+# Frobenius powers whose q = 3^e has more than 4300 digits, which CPython
+# refuses to print: at e = 10000 the table was computed and the command then
+# exited 2 with that refusal, and at e = 100000 it ran 16 s past a one-second
+# budget, dividing q by p once per unit of e.  Such a q prints as "3^e".
+FROBENIUS_ARGVS = {
+    "tight-table e=10000": ["force", "tight-table", "--ring", "F3[x,y]", "--element", "x",
+                            "--gens", "x;y", "--multiplier", "1", "--e", "10000"],
+    "qseq e=10000": ["force", "qseq", "--ring", "F3[x,y]", "--params", "x;y",
+                     "--element", "x", "--t", "1", "--e", "10000"],
+    "tight-table e=100000": ["force", "tight-table", "--ring", "F3[x,y]", "--element", "x",
+                             "--gens", "x;y", "--multiplier", "1", "--e", "100000"],
+}
+
+
+def test_a_huge_q_prints_as_a_power():
+    code, out, err = _run(FROBENIUS_ARGVS["tight-table e=10000"])
+    assert (code, out, err) == (EXIT_OK, "e=10000 q=3^10000 member=true\n", "")
+    code, out, _err = _run(FROBENIUS_ARGVS["tight-table e=10000"] + ["--json"])
+    assert code == EXIT_OK
+    assert json.loads(out)["result"]["rows"] == [{"e": 10000, "q": "3^10000", "member": True}]
+    code, out, _err = _run(FROBENIUS_ARGVS["qseq e=10000"] + ["--json"])
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    assert (result["verdict"], result["table"]) == (
+        "supported", [{"e": 10000, "q": "3^10000", "member": True}])
+
+
+@pytest.mark.parametrize("e, q", [(9012, str(3 ** 9012)), (9013, "3^9013")])
+def test_q_prints_in_full_up_to_4300_digits(e, q):
+    # 3^9012 has 4300 digits and 3^9013 has 4301
+    argv = FROBENIUS_ARGVS["tight-table e=10000"][:-1] + [str(e)]
+    assert _run(argv) == (EXIT_OK, f"e={e} q={q} member=true\n", "")
+
+
+def test_a_huge_q_answers_within_the_budget():
+    start = time.monotonic()
+    code, out, _err = _run(FROBENIUS_ARGVS["tight-table e=100000"])
+    assert time.monotonic() - start < 2
+    assert code in (EXIT_OK, EXIT_BUDGET)
+    if code == EXIT_OK:
+        assert out == "e=100000 q=3^100000 member=true\n"

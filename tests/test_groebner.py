@@ -12,10 +12,10 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qlc import dsl, groebner
+from qlc import config, dsl, groebner
 from qlc.fields import GF2, GF3, QQ, PrimeField, RationalFunctionField
 from qlc.groebner import (InternalError, _reduce, bracket_power,
                           buchberger, colon, ideal, ideal_compare,
@@ -444,6 +444,54 @@ def test_exact_division_recovers_the_cofactor(data):
     g = data.draw(poly3(QQ))
     assume(not g.is_zero())
     assert poly_divide_exact(f * g, g) == f
+
+
+# ---------------------------------------------------------------------------
+# the Q kernel, which reduces fraction-free on primitive integer reducers
+
+QXYZ = PolyRing(QQ, ["x", "y", "z"])
+BIG_DENOMINATORS = (2**64 + 13, 2**70 + 1, 3**45)
+
+
+def qparse(text):
+    return dsl.parse_poly(QXYZ, text)
+
+
+def qpoly3():
+    """Polynomials in x, y, z with fractional coefficients, denominators
+    above 2^64 among them."""
+    coefficient = st.tuples(st.integers(-4, 4).filter(bool),
+                            st.sampled_from((1, 2, 3, 7, 2**40 + 15) + BIG_DENOMINATORS))
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * 3), coefficient)
+    return st.lists(term, max_size=5).map(lambda ts: QXYZ.from_terms(
+        {m: QQ.div(QQ.from_int(n), QQ.from_int(d)) for m, (n, d) in ts}))
+
+
+@pytest.mark.parametrize("order", [grevlex, lex, Block(1, lex, grevlex)],
+                         ids=["grevlex", "lex", "block"])
+@PROPERTY
+@given(f=qpoly3(), basis=st.lists(qpoly3(), max_size=4))
+# non-monic reducers: a negative lead, and a -3/7 lead with a fractional tail
+@example(f=qparse("z+1"), basis=[qparse("-z")])
+@example(f=qparse("x^3+x*y-2/5*y^2"), basis=[qparse("-3/7*x^2+y"), qparse("-y^2+1/3*x")])
+# denominators above 2^64, in the reducers and in f
+@example(f=qparse(f"x^2/{2**64 + 13}+y"),
+         basis=[qparse(f"x/{2**70 + 1}-y/{2**64 + 13}"), qparse(f"3*y-z/{3**45}")])
+# s grows past 64 bits and gcd(s, W) is a 42-bit content: the fixed content
+# division runs
+@example(f=qparse(f"3/{2**41 + 21}*x^3*y^2*z^2"),
+         basis=[qparse(f"1/{2**41 + 21}*x*z+2/{2**40 + 15}*y*z")])
+def test_q_kernel_matches_reference_division(order, f, basis):
+    assert_matches_reference(f, basis, order)
+
+
+def test_q_kernel_checks_the_budget():
+    f = qparse("(x+y+z+1/2)^6")
+    basis = [qparse("x-1/3*y"), qparse("y^2-2/7*z")]
+    assert kernel_nf(f, basis, grevlex).terms  # a reduction with terms left over
+    with config.budget(0):
+        with pytest.raises(config.BudgetExhausted):
+            kernel_nf(f, basis, grevlex)
 
 
 

@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
-from qlc.fields import GF2, GF3, QQ
+from qlc.config import BudgetExhausted, budget
+from qlc.fields import GF2, GF3, QQ, RationalFunctionField
 from qlc.poly import PolyRing, frobenius_power, grevlex, lex
 
 
@@ -94,3 +97,38 @@ def test_frobenius_power_is_ring_map_in_char_p():
     assert frobenius_power(f + g, q) == frobenius_power(f, q) + frobenius_power(g, q)
     assert frobenius_power(f * g, q) == frobenius_power(f, q) * frobenius_power(g, q)
     assert frobenius_power(f, q) == f ** q
+
+
+def test_frobenius_power_over_f3_t_powers_coefficients():
+    F = RationalFunctionField(3)
+    R = PolyRing(F, ["x", "y"])
+    c = F.div(F.add(F.t, F.one), F.add(F.mul(F.t, F.t), F.from_int(2)))
+    f = R.from_terms({(1, 0): c, (0, 2): F.t})
+    for q in (1, 3, 27, 81):
+        assert frobenius_power(f, q) == f ** q
+
+
+def test_frobenius_power_over_f3_t_checks_the_budget():
+    # c^q over F_3(t) has degree q: its squarings check the budget
+    F = RationalFunctionField(3)
+    f = PolyRing(F, ["x"]).from_terms({(1,): F.add(F.t, F.one)})
+    start = time.monotonic()
+    with pytest.raises(BudgetExhausted):
+        with budget(1):
+            frobenius_power(f, 3 ** 40)
+    assert time.monotonic() - start < 2
+
+
+@pytest.mark.parametrize("field, q", [(GF3, 6), (GF3, 0), (GF3, -3), (GF3, 3 ** 500 + 1),
+                                      (GF2, 2 ** 64 * 3), (QQ, 1)])
+def test_frobenius_power_refuses_anything_but_a_power_of_p(field, q):
+    with pytest.raises(ValueError):
+        frobenius_power(ring2(field).var("x"), q)
+
+
+def test_frobenius_power_of_a_huge_q_costs_little():
+    # one power of 3 decides that q is a power of 3, and over F_3 the
+    # coefficients are left as they are
+    x, y = ring2(GF3).gens()
+    q = 3 ** 200000
+    assert frobenius_power(2 * x * y + y, q).terms == {(q, q): 2, (0, q): 1}
