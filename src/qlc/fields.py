@@ -4,11 +4,7 @@ Field elements are plain hashable Python values; the field object carries
 the arithmetic.  Everything is exact, nothing is mutated.
 
 - Q: a canonical pair (num, den) of ints with den > 0 and
-  gcd(num, den) = 1.  The Groebner kernel's normal forms do not add or
-  multiply these pairs: they reduce fraction-free on integers, one gcd per
-  surviving term, and divide by the content once the common denominator
-  has grown by 64 bits (see the groebner module docstring); the pairs
-  they return are canonical as well.
+  gcd(num, den) = 1.
 - F_p: int in [0, p).
 - F_p(t): a canonical pair (num, den) of F_p[t] polynomials with den monic
   and gcd(num, den) = 1.  A polynomial is one nonnegative int that holds
@@ -30,6 +26,13 @@ the arithmetic.  Everything is exact, nothing is mutated.
   - Euclid and exact division run on lazily reduced slots: a step adds
     (p - c) * b * t^s and drops the top slot, whose value mod p gave c, and
     the slots are reduced mod p only when the next step could carry.
+
+The Groebner kernel's normal forms over Q and over F_p(t) do not add or
+multiply these pairs: they reduce fraction-free on the numerators, ints or
+F_p[t] polynomials, with at most one gcd per step and one per surviving
+term, and divide by the content once the common denominator has grown by
+64 bits over Q or by 16 slots over F_p(t) (see the groebner module
+docstring); the pairs they return are canonical as well.
 
 Q and F_p(t) sums and products split their gcds (Henrici, JACM 3, 1956;
 Knuth, TAOCP 2, 4.5.1): a product cancels gcd(an, bd) and gcd(bn, ad) rather
@@ -227,9 +230,24 @@ class PrimeField(Field):
 # on every step, without one it only tests a local flag.
 
 
-class _BinaryPolys:
+class _Polys:
+    """What the three F_p[t] classes share."""
+
+    def lcm(self, *polys) -> int:
+        """The monic lcm of monic polynomials, 1 for none."""
+        L = 1
+        for d in polys:
+            if d != 1 and d != L:
+                g = self.gcd(L, d)
+                if g != d:
+                    L = self.mul(L, self.quo(d, g))
+        return L
+
+
+class _BinaryPolys(_Polys):
     """F_2[t] on ints read as bit vectors: bit i is the coefficient of t^i."""
 
+    w = 1
     t = 2
 
     def add(self, a: int, b: int) -> int:
@@ -290,7 +308,7 @@ class _BinaryPolys:
         return tuple((a >> i) & 1 for i in range(a.bit_length()))
 
 
-class _TernaryPolys:
+class _TernaryPolys(_Polys):
     """F_3[t] on ints holding two bit planes: the coefficient of t^i is the
     2-bit slot i, bit 2i marking a 1 and bit 2i+1 a 2, so the int is the sum
     of c_i * 4^i.  gcd, quo and mul split their operands once into the plane
@@ -440,7 +458,7 @@ class _TernaryPolys:
         return tuple(a >> i & 3 for i in range(0, a.bit_length(), 2))
 
 
-class _OddPolys:
+class _OddPolys(_Polys):
     """F_p[t] for p >= 5 on nonnegative ints: the coefficient of t^i is the
     w-bit slot i, canonical in [0, p).  w is 64 when 2*bits(p) + 32 <= 64,
     else the whole bytes that hold 2*bits(p) + 32 bits: the 32 spare bits

@@ -33,22 +33,25 @@ properly for M and equal to it for F, together with (i, j), whose lcm
 divides L and may equal it.  Gebauer and Moeller's chain argument then
 shows that the result stays a Groebner basis.
 
-Over Q the heap reduction runs on integers, fraction-free (pseudo-division
-on primitive parts; Knuth, TAOCP 2, 4.6.1).  Polynomial.prepared keeps each
-reducer's primitive integer form L x^lt + sum n_i x^(m_i) next to its
-canonical terms: the monic element times L > 0, the lcm of its
-denominators, built once and freed with the polynomial.  The part of f
-still to treat is W/s, W a dict of ints and s > 0.  A step on a term w x^m
-whose monomial lt divides takes g = gcd(w, L) and sets
-W <- (L/g) W - (w/g) x^(m-lt) tail and s <- (L/g) s; a term that no leading
-term divides leaves as the canonical pair (w/g', s/g'), g' = gcd(w, s).
-The content rule is fixed: once s has grown by more than 64 bits since the
-last division (or the start), W and s are divided by gcd(s, W).  W/s is
-exactly the work polynomial of the Q arithmetic at every step, so the same
+Over Q and over F_p(t) the heap reduction runs fraction-free (pseudo-division
+on primitive parts; Knuth, TAOCP 2, 4.6.1), on ints over Q and on F_p[t]
+polynomials, the packed ints of the field's _polys, over F_p(t).
+Polynomial.prepared keeps each reducer's primitive form
+L x^lt + sum n_i x^(m_i) next to its canonical terms: the monic element
+times L, the lcm of its denominators, with L > 0 over Q and L monic over
+F_p(t), built once and freed with the polynomial.  The part of f still to
+treat is W/s, W a dict of numerators and s > 0 or monic.  A step on a term
+w x^m whose monomial lt divides takes g = gcd(w, L) and sets
+W <- (L/g) W - (w/g) x^(m-lt) tail and s <- (L/g) s, scaling only when
+L/g != 1; a term that no leading term divides leaves as the canonical pair
+(w/g', s/g'), g' = gcd(w, s).  The content rule is fixed: once s has grown
+by more than 64 bits over Q, or 16 slots over F_p(t), since the last
+division (or the start), W and s are divided by gcd(s, W).  W/s is exactly
+the work polynomial of the field arithmetic at every step, so the same
 terms survive, the same reducer meets each one, and every normal form and
-reduced basis is the one canonical pairs give.  The Q sums and products
-stay in poly_divide_exact and _s_polynomial, and F_p and F_p(t) reduce as
-they always did.
+reduced basis is the one canonical pairs give.  The Q and F_p(t) sums and
+products stay in poly_divide_exact and _s_polynomial, and F_p reduces as it
+always did.
 """
 
 from __future__ import annotations
@@ -111,7 +114,8 @@ def _reduce_terms(terms: dict, prepped, order, field) -> dict:
     The terms still to treat live in work, and a heap over them yields the
     biggest one next.  Each monomial's heap key is computed once, when it
     enters work; entries whose monomial cancelled out of work are skipped.
-    Over Q the reduction runs on integers, as the module docstring says.
+    Over Q and F_p(t) the reduction runs fraction-free on numerators, ints
+    or F_p[t] polynomials, as the module docstring says.
     """
     heap_key = order.heap_key
     out: dict = {}
@@ -165,6 +169,64 @@ def _reduce_terms(terms: dict, prepped, order, field) -> dict:
             else:
                 g = gcd(w, s)
                 out[m] = (w, s) if g == 1 else (w // g, s // g)
+        return out
+    if field.size is None:
+        # F_p(t) as Q above, on F_p[t] numerators and a monic s: the packed
+        # polynomials of field._polys stand in for the ints
+        P = field._polys
+        pmul, padd, pneg, pgcd, pquo = P.mul, P.add, P.neg, P.gcd, P.quo
+        s = P.lcm(*[d for _n, d in terms.values()])
+        work = {m: n if d == s else pmul(n, pquo(s, d)) for m, (n, d) in terms.items()}
+        heap = _heap_of(work, order)
+        grow = 16 * P.w   # the fixed content rule: 16 slots of s
+        bits = s.bit_length()   # at the last content division
+        while heap:
+            m = heapq.heappop(heap)[1]
+            w = work.pop(m, None)
+            if w is None:
+                continue
+            config.check_budget()
+            for lt, _lc, _tail, ints in prepped:
+                if all(map(ge, m, lt)):
+                    L, tail = ints
+                    if L != 1:
+                        g = pgcd(w, L)
+                        if g != 1:
+                            w = pquo(w, g)
+                        if g != L:
+                            a = L if g == 1 else pquo(L, g)
+                            for k in work:
+                                work[k] = pmul(work[k], a)
+                            s = pmul(s, a)
+                    q = tuple(map(sub, m, lt))
+                    w = pneg(w)
+                    for tm, tn in tail:
+                        nm = tuple(map(add, tm, q))
+                        old = work.get(nm)
+                        if old is None:
+                            work[nm] = pmul(w, tn)
+                            heapq.heappush(heap, (heap_key(nm), nm))
+                        else:
+                            old = padd(old, pmul(w, tn))
+                            if old:
+                                work[nm] = old
+                            else:
+                                del work[nm]
+                    if s.bit_length() > bits + grow:
+                        c = s
+                        for v in work.values():
+                            c = pgcd(v, c)
+                            if c == 1:
+                                break
+                        if c != 1:
+                            s = pquo(s, c)
+                            for k in work:
+                                work[k] = pquo(work[k], c)
+                        bits = s.bit_length()
+                    break
+            else:
+                g = pgcd(w, s)
+                out[m] = (w, s) if g == 1 else (pquo(w, g), pquo(s, g))
         return out
     work = dict(terms)
     heap = _heap_of(work, order)

@@ -3,8 +3,8 @@
 Monomials are exponent tuples; a polynomial is an immutable
 {exponents: coefficient} map tied to a PolyRing.  Monomial orders are small
 key objects; a polynomial caches its prepared form (leading term, leading
-coefficient, tail and, over Q, the integer form the kernel reduces with) per
-order for the Groebner kernel.
+coefficient, tail and, over Q and F_p(t), the primitive form the kernel
+reduces with) per order for the Groebner kernel.
 """
 
 from __future__ import annotations
@@ -235,8 +235,9 @@ class Polynomial:
     def prepared(self, order=grevlex):
         """(lt, lc, tail, ints) under order: the leading monomial, its
         coefficient, the other terms as (monomial, coefficient) pairs and,
-        over Q, the primitive integer form the kernel reduces with (see
-        _integer_form; None over other fields); cached per order."""
+        over Q and F_p(t), the primitive form on integers or F_p[t]
+        polynomials that the kernel reduces with (see _primitive_form; None
+        over F_p); cached per order."""
         cache = self._prep
         if cache is None:
             cache = self._prep = {}
@@ -248,13 +249,22 @@ class Polynomial:
             lc = self.terms[lt]
             tail = [(m, c) for m, c in self.terms.items() if m != lt]
             F = self.ring.field
-            ints = _integer_form(F, lc, tail) if F.char == 0 else None
+            ints = _primitive_form(F, lc, tail) if F.size is None else None
             got = cache[order.tag] = (lt, lc, tail, ints)
         return got
 
     def leading(self, order=grevlex):
-        """(monomial, coefficient) maximal under order; error on zero."""
-        return self.prepared(order)[:2]
+        """(monomial, coefficient) maximal under order; error on zero.  Reads
+        the cached prepared form but never builds one, so monic on a
+        remainder builds no primitive form that only its monic multiple
+        needs."""
+        got = self._prep and self._prep.get(order.tag)
+        if got:
+            return got[:2]
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading term")
+        lt = max(self.terms, key=order.key)
+        return lt, self.terms[lt]
 
     def _need(self, other) -> "Polynomial":
         if isinstance(other, int):
@@ -366,15 +376,21 @@ class Polynomial:
         return format_poly(self)
 
 
-def _integer_form(F, lc, tail) -> tuple:
-    """(L, [(m, n)]) with L > 0: the monic element x^lt + sum (c/lc) x^m over
-    Q times L, the lcm of its denominators, is L x^lt + sum n x^m, with
-    integer n and content 1 (each prime of L divides the denominator of some
-    c/lc to its full power in L, so it leaves that n alone)."""
+def _primitive_form(F, lc, tail) -> tuple:
+    """(L, [(m, n)]): the monic element x^lt + sum (c/lc) x^m times L, the
+    lcm of its denominators, is L x^lt + sum n x^m, with content 1 (each
+    prime of L divides the denominator of some c/lc to its full power in L,
+    so it leaves that n alone).  Over Q, L > 0 and the n are ints; over
+    F_p(t), L is monic and L and the n are F_p[t] polynomials, packed ints
+    in the field's slots."""
     if lc != F.one:
         tail = [(m, F.div(c, lc)) for m, c in tail]
-    L = lcm(*[d for _m, (_n, d) in tail])
-    return L, [(m, n * (L // d)) for m, (n, d) in tail]
+    if F.char == 0:
+        L = lcm(*[d for _m, (_n, d) in tail])
+        return L, [(m, n * (L // d)) for m, (n, d) in tail]
+    P = F._polys
+    L = P.lcm(*[d for _m, (_n, d) in tail])
+    return L, [(m, n if d == L else P.mul(n, P.quo(L, d))) for m, (n, d) in tail]
 
 
 def frobenius_power(f: Polynomial, q: int) -> Polynomial:

@@ -252,7 +252,7 @@ SUITE = settings(max_examples=200, deadline=None, derandomize=True,
 
 def _width(p):
     """Bits per coefficient slot in the field's packed layout."""
-    return 1 if p == 2 else RationalFunctionField(p)._polys.w
+    return RationalFunctionField(p)._polys.w
 
 
 def _packed(p, a):

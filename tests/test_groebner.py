@@ -494,6 +494,75 @@ def test_q_kernel_checks_the_budget():
             kernel_nf(f, basis, grevlex)
 
 
+# ---------------------------------------------------------------------------
+# the F_p(t) kernel, which reduces fraction-free on primitive F_p[t] reducers
+
+# 65537 takes the wide byte slots of F_p[t]
+FPT_RINGS = {p: PolyRing(RationalFunctionField(p), ["x", "y", "z"])
+             for p in (2, 3, 5, 65537)}
+# lowest coefficient first: 1, t, t+1, 2t+1 (leads with 2 over F_3), t^2+t+1,
+# t^3+2, (t+1)^2 and t^5+t^2+1
+FPT_DENOMINATORS = ((1,), (0, 1), (1, 1), (1, 2), (1, 1, 1), (2, 0, 0, 1), (1, 2, 1),
+                    (1, 0, 1, 0, 0, 1))
+
+
+def fparse(p, text):
+    return dsl.parse_poly(FPT_RINGS[p], text)
+
+
+def tpoly(F, coeffs):
+    """sum c_i t^i, lowest first, as an element of F."""
+    out, power = F.zero, F.one
+    for c in coeffs:
+        out = F.add(out, F.mul(F.from_int(c), power))
+        power = F.mul(power, F.t)
+    return out
+
+
+@st.composite
+def fpt_case(draw):
+    """f and up to four reducers in x, y, z over F_p(t), p drawn from
+    FPT_RINGS, with rational-function coefficients."""
+    ring = FPT_RINGS[draw(st.sampled_from(sorted(FPT_RINGS)))]
+    F = ring.field
+    numerator = st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(
+        lambda cs: tpoly(F, cs))
+    denominator = st.sampled_from(FPT_DENOMINATORS).map(lambda cs: tpoly(F, cs))
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * 3), numerator, denominator)
+    poly = st.lists(term, max_size=5).map(
+        lambda ts: ring.from_terms({m: F.div(n, d) for m, n, d in ts}))
+    return draw(poly), draw(st.lists(poly, max_size=4))
+
+
+@pytest.mark.parametrize("order", [grevlex, lex, Block(1, lex, grevlex)],
+                         ids=["grevlex", "lex", "block"])
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=fpt_case())
+# non-monic reducer leads, one with a fractional tail
+@example(case=(fparse(5, "x^2*y+t*y^2"), [fparse(5, "(2*t+3)/(t^2+1)*x*y-y^2/(t+1)")]))
+@example(case=(fparse(65537, "x*z+y"), [fparse(65537, "(t^2+7)*z-1/t")]))
+# an F_3(t) denominator that leads with 2: the canonical pair is 2/(t+2)
+@example(case=(fparse(3, "x^2/(2*t+1)+y"), [fparse(3, "x/(2*t^2+1)-y/(t+2)")]))
+# shared and coprime denominators in f
+@example(case=(fparse(2, "x^2/(t+1)+x*y/(t+1)+y^2/t+z/(t^2+t)"),
+               [fparse(2, "x-y/(t^2+t+1)"), fparse(2, "y^2+z/t")]))
+# s grows by more than 16 slots and gcd(s, W) is t^5+t^2+1: the fixed content
+# division runs
+@example(case=(fparse(2, "x^3*y^2*z^2/(t^5+t^2+1)"),
+               [fparse(2, "x*z/(t^5+t^2+1)+y*z/(t^17+t^3+1)")]))
+def test_fpt_kernel_matches_reference_division(order, case):
+    f, basis = case
+    assert_matches_reference(f, basis, order)
+
+
+def test_fpt_kernel_checks_the_budget():
+    f = fparse(5, "(x+y+z+1/t)^6")
+    basis = [fparse(5, "x-y/(t+1)"), fparse(5, "y^2-2/(t^2+3)*z")]
+    assert kernel_nf(f, basis, grevlex).terms  # a reduction with terms left over
+    with config.budget(0):
+        with pytest.raises(config.BudgetExhausted):
+            kernel_nf(f, basis, grevlex)
+
 
 def poly2(field):
     """Polynomials in x, y of degree at most 2 in each: a few of them keep
