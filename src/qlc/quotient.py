@@ -29,6 +29,10 @@ class QuotientPresentation:
     relations is a sequence of polynomials or an IdealHandle.  A handle over
     ambient with no zero generator is kept as it is, with the basis it has
     computed; anything else is rebuilt from its nonzero generators.
+
+    ideal() hands out one shared IdealHandle per generator tuple, kept in a
+    table on the presentation: an ideal asked for twice costs one Groebner
+    basis, and the handle lives exactly as long as the presentation.
     """
 
     def __init__(self, ambient: PolyRing, relations=()):
@@ -42,6 +46,7 @@ class QuotientPresentation:
             self.relations = IdealHandle(ambient, [r for r in relations if not r.is_zero()])
         if self.relations.generators and self.relations.is_unit_ideal():
             raise ValueError("relations generate the unit ideal: the ring is zero")
+        self._ideals = {}
 
     @staticmethod
     def parse(text: str) -> "QuotientPresentation":
@@ -52,10 +57,19 @@ class QuotientPresentation:
         return dsl.format_ring(self.ambient, self.relations.generators)
 
     def ideal(self, gens) -> IdealHandle:
-        """Ideal of the quotient ring: generators plus the relations."""
+        """Ideal of the quotient ring: generators plus the relations.
+
+        The handle for a given generator tuple (the relations' generators
+        appended) is shared: the first call builds it, every later call with
+        an equal tuple returns the same handle and so the basis it keeps.
+        Another order of the same generators gets a handle of its own."""
         if isinstance(gens, IdealHandle):
             gens = gens.generators
-        return IdealHandle(self.ambient, tuple(gens) + self.relations.generators)
+        gens = tuple(gens) + self.relations.generators
+        handle = self._ideals.get(gens)
+        if handle is None:
+            handle = self._ideals[gens] = IdealHandle(self.ambient, gens)
+        return handle
 
     def __repr__(self):
         return self.describe()

@@ -69,14 +69,34 @@ def test_cubic_membership_rows_match_arithmetic_oracle():
     assert [r.member for r in bare.rows] == [False]
 
 
-def test_multiplier_search_at_degree_one():
+def _count_buchberger(monkeypatch) -> list:
+    """Wrap groebner.buchberger; the list it returns collects the generator
+    tuple of every call."""
+    calls = []
+    buchberger = groebner.buchberger
+
+    def counted(gens, *args, **kwargs):
+        calls.append(tuple(gens))
+        return buchberger(gens, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    return calls
+
+
+def test_multiplier_search_at_degree_one(monkeypatch):
     pres = QuotientPresentation.parse(FERMAT)
     x, y, z = (pres.ambient.var(n) for n in "xyz")
+    brackets = [(x ** q, y ** q) + pres.relations.generators for q in (7, 49)]
+    calls = _count_buchberger(monkeypatch)
     found = element_search(pres, z ** 2, (x, y), (1, 2), degree_bound=1)
     assert found is not None
     assert dsl.format_poly(found) == "x"  # first passing monomial in scan order
-    # the returned multiplier really passes its own table
+    # the returned multiplier really passes its own table, which shares the
+    # search's bracket handles: each bracket basis is computed once (the
+    # brenner_monsky flow)
     assert tight_membership_table(pres, z ** 2, (x, y), found, (1, 2)).all_pass()
+    monkeypatch.undo()
+    assert [calls.count(b) for b in brackets] == [1, 1]
 
 
 def test_brenner_monsky_q8_row_within_budget():
@@ -297,21 +317,23 @@ def test_qseq_supported_on_cubic(monkeypatch):
     assert report.verdict == "supported"
     assert report.multiplier is not None and report.table.all_pass()
     assert report.disproof is None
-    # the table is the search's own rows: each bracket basis is computed
-    # once, and a one-shot iterator of exponents gives the same report
+    # the table is the search's own rows: on a fresh presentation each
+    # bracket basis is computed once, and a one-shot iterator of exponents
+    # gives the same report; a repeat on the first presentation reuses its
+    # bracket handles and computes neither basis again
     brackets = [pres.ideal([x ** q, y ** q]).generators for q in (7, 49)]
-    calls = []
-    buchberger = groebner.buchberger
-
-    def counted(gens, *args, **kwargs):
-        calls.append(tuple(gens))
-        return buchberger(gens, *args, **kwargs)
-
-    monkeypatch.setattr(groebner, "buchberger", counted)
-    again = qseq_verdict_charp(pres, (x, y), z ** 2, t=1, e_list=iter((1, 2)),
+    fresh = QuotientPresentation.parse(FERMAT)
+    fx, fy, fz = (fresh.ambient.var(n) for n in "xyz")
+    calls = _count_buchberger(monkeypatch)
+    again = qseq_verdict_charp(fresh, (fx, fy), fz ** 2, t=1, e_list=iter((1, 2)),
                                degree_bound=1)
-    monkeypatch.undo()
     assert [calls.count(b) for b in brackets] == [1, 1]
+    calls.clear()
+    repeat = qseq_verdict_charp(pres, (x, y), z ** 2, t=1, e_list=(1, 2),
+                                degree_bound=1)
+    monkeypatch.undo()
+    assert [calls.count(b) for b in brackets] == [0, 0]
+    assert repeat.table.rows == report.table.rows
     fields = ("verdict", "multiplier", "table", "disproof", "target_count",
               "found_count", "notes", "searches_complete")
     assert [getattr(again, f) for f in fields] == [getattr(report, f) for f in fields]

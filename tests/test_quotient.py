@@ -100,6 +100,26 @@ def test_presentation_keeps_a_passed_handle():
         QuotientPresentation(ring, ideal(ring, [x + 1, x]))
 
 
+def test_presentation_shares_one_handle_per_generator_tuple():
+    pres = QuotientPresentation.parse("F2[x,y]/(x^3)")
+    x, y = pres.ambient.gens()
+    I = pres.ideal([x * y, y ** 2])
+    assert pres.ideal((x * y, y ** 2)) is I
+    assert pres.ideal(g for g in (x * y, y ** 2)) is I
+    assert pres.ideal(ideal(pres.ambient, [x * y, y ** 2])) is I
+    basis = I.groebner_basis()
+    assert pres.ideal([x * y, y ** 2]).groebner_basis() is basis
+    # another presentation of the same ring, or another order of the same
+    # generators, gets a handle of its own for the same ideal
+    twin = QuotientPresentation.parse("F2[x,y]/(x^3)")
+    tx, ty = twin.ambient.gens()
+    assert twin.ideal([tx * ty, ty ** 2]) is not I
+    assert twin.ideal([tx * ty, ty ** 2]).key() == I.key()
+    swapped = pres.ideal([y ** 2, x * y])
+    assert swapped is not I and swapped.key() == I.key()
+    assert pres.ideal([x * y]) is not I
+
+
 def test_presentation_nf_and_membership():
     pres = QuotientPresentation.parse("Q[x,y,z]/(x^3+y^3+z^3)")
     x, y, z = (pres.ambient.var(n) for n in "xyz")
