@@ -265,6 +265,11 @@ def short_filtration_search(pres: QuotientPresentation, xs, t: int,
     steps, so a found certificate is shortest within the candidate pool.
     Nodes are capped by config.disproof_node_budget; running out returns
     complete=False and no certificate.
+
+    The pool is screened once against base = relations + (x^t): every stage
+    is base grown by plus, so a candidate inside base has normal form zero
+    at every node, and the walk skipped it there anyway.  Dropping it up
+    front leaves the walk, its node count and its certificate unchanged.
     """
     xs = tuple(xs)
     target = parameter_powers(xs, t)
@@ -272,10 +277,11 @@ def short_filtration_search(pres: QuotientPresentation, xs, t: int,
     full = t ** d
     max_steps = full - 1
     ambient = pres.ambient
+    base = pres.ideal(target)
     pool = []
     for m in _monomials_by_degree(ambient, 2 * t * d):
         check_budget()
-        if not m.is_constant():
+        if not m.is_constant() and not base.contains_poly(m):
             pool.append(m)
     # I^r must fit inside a stage that can still finish within r steps;
     # the table grows by one product per deepening step
@@ -321,7 +327,6 @@ def short_filtration_search(pres: QuotientPresentation, xs, t: int,
         dead.add(key)
         return None
 
-    base = pres.ideal(target)
     for limit in range(1, max_steps + 1):
         power_gens.append(next(powers).generators)
         dead.clear()

@@ -10,7 +10,10 @@ basis is canonical, so IdealHandle.key is that basis itself.  The order of
 the terms inside a polynomial is not canonical (a basis element may keep its
 terms in input order); Polynomial equality and hashing ignore it, and
 format_poly sorts the terms before printing.  IdealHandle.plus grows an
-ideal one generator at a time, seeding Buchberger with the kept basis.
+ideal one generator at a time, seeding Buchberger with the kept basis; a
+monomial basis grown by a remainder of one term needs no Buchberger run,
+since every S-pair of two monomials is zero, and plus writes down the
+reduced basis that run would give.
 
 Pair selection is by sugar degree, and the pair criteria are Gebauer and
 Moeller's update, "On an installation of Buchberger's algorithm" (J.
@@ -507,6 +510,13 @@ class IdealHandle:
         term that a new leading term divides is reduced again, and every
         other seed element is carried over unchanged, prepared reducer
         included.
+
+        When no element of the basis has a tail and the remainder r of f is
+        one term, there is no run at all.  Every S-pair among monomials is
+        zero and no tail can be hit, so the seeded run would only drop the
+        elements r's monomial divides and sort monic(r) in among the rest;
+        plus does just that, and the basis, its order and the key come out
+        as the run gives them.
         """
         r = normal_form(f, self)
         if r.is_zero():
@@ -516,8 +526,26 @@ class IdealHandle:
         grown = object.__new__(IdealHandle)
         grown.ring = self.ring
         grown.generators = self.generators + (f,)
-        grown._keep(buchberger([r], seed=self.groebner_basis()))
+        reducers = self._reducers   # built by normal_form
+        if len(r.terms) == 1 and not any(p[2] for p in reducers):
+            grown._grow_monomial(self._basis, reducers, r.monic())
+        else:
+            grown._keep(buchberger([r], seed=self._basis))
         return grown
+
+    def _grow_monomial(self, basis, reducers, g: Polynomial) -> None:
+        """Keep the reduced basis of (basis, g), basis monomial and g a monic
+        monomial no element divides: basis less g's multiples, g sorted in
+        as _reduce_basis sorts."""
+        prep = g.prepared()
+        m = prep[0]
+        kept = [(h, p) for h, p in zip(basis, reducers) if not mono_divides(m, p[0])]
+        key = grevlex.heap_key(m)
+        at = next((i for i, (_h, p) in enumerate(kept) if grevlex.heap_key(p[0]) < key),
+                  len(kept))
+        kept.insert(at, (g, prep))
+        self._basis = tuple(h for h, _p in kept)
+        self._reducers = [p for _h, p in kept]
 
     def __repr__(self):
         inside = "; ".join(repr(g) for g in self.generators) or "0"

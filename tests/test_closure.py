@@ -8,7 +8,7 @@ never touches a basis computation.
 
 import pytest
 
-from qlc import dsl, groebner
+from qlc import closure, dsl, groebner
 from qlc.closure import (generic_forcing_algebra, lc_class_vanishing,
                          qseq_verdict_charp, short_filtration_search,
                          tight_membership_table)
@@ -272,6 +272,29 @@ def test_short_search_exhausts_on_forced_fermat_cubic():
     res = short_filtration_search(S, (S.ambient.var("x"), S.ambient.var("y")), 2)
     assert res.certificate is None and res.complete
     assert res.nodes == 180
+
+
+def test_short_search_screens_the_pool_against_the_base_ideal(monkeypatch):
+    # a candidate inside relations + (x^t) reduces to zero at every stage, so
+    # the pool drops it once and the walk never asks for its normal form
+    base = QuotientPresentation.parse("F2[x,y,z]/(x^3 + y^3 + z^3)")
+    x, y, z = (base.ambient.var(n) for n in "xyz")
+    S = generic_forcing_algebra(base, (x ** 2, y ** 2), z ** 2).presentation
+    xs = (S.ambient.var("x"), S.ambient.var("y"))
+    inside = IdealHandle(S.ambient, [g ** 2 for g in xs] + list(S.relations.generators))
+    original = closure.normal_form
+    asked = []
+
+    def screened(f, stage):
+        assert not inside.contains_poly(f)
+        asked.append(f)
+        return original(f, stage)
+
+    monkeypatch.setattr(closure, "normal_form", screened)
+    res = short_filtration_search(S, xs, 2)
+    assert res.certificate is None and res.complete
+    assert res.nodes == 180
+    assert asked
 
 
 def test_plus_matches_a_fresh_basis_along_the_t3_walk(monkeypatch):

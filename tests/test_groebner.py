@@ -9,6 +9,7 @@ import operator
 import random
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 import sympy
@@ -362,6 +363,88 @@ def test_growing_basis_tracks_buchberger():
     assert not grow.is_unit_ideal()
     grow = grow.plus(x - 2)  # now 8 = 1, so the ideal collapses
     assert grow.is_unit_ideal()
+
+
+# ---------------------------------------------------------------------------
+# plus on a monomial basis: no Buchberger run, the seeded run's basis
+
+
+def plus_checked(stage, f):
+    """stage.plus(f), checked against the seeded Buchberger run on the
+    remainder and against a fresh handle on the same generators; returns
+    the grown stage and the number of Buchberger runs plus made."""
+    r = normal_form(f, stage)   # builds stage's basis before the count starts
+    with mock.patch.object(groebner, "buchberger", wraps=groebner.buchberger) as runs:
+        grown = stage.plus(f)
+    if r.is_zero():
+        assert grown is stage
+    else:
+        # tuple equality: the same elements in the same order
+        assert grown.groebner_basis() == tuple(buchberger([r], seed=stage.groebner_basis()))
+    assert grown.key() == groebner.IdealHandle(grown.ring, grown.generators).key()
+    return grown, runs.call_count
+
+
+def monomial_steps(field):
+    """(start monomials, then (monomial, coefficient, absorbed) steps) in
+    x, y, z: absorbed adds a multiple of an earlier generator, which the
+    remainder drops, so a two-term step can still grow by one monomial."""
+    mono = st.tuples(*[st.integers(0, 3)] * 3)
+    coefficient = st.integers(1, 6).filter(lambda c: c % field.char if field.char else True)
+    step = st.tuples(mono, coefficient, st.booleans())
+    return st.tuples(st.lists(mono, max_size=4), st.lists(step, min_size=1, max_size=8))
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=["F2", "F3", "Q"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_monomial_plus_matches_seeded_buchberger(field, data):
+    ring = PolyRing(field, ["x", "y", "z"])
+    start, steps = data.draw(monomial_steps(field))
+    stage = ideal(ring, [ring.monomial(m) for m in start])
+    for m, c, absorbed in steps:
+        f = ring.monomial(m) * ring.from_int(c)
+        if absorbed and stage.generators:
+            f = f + stage.generators[0] * ring.monomial((1, 0, 1))
+        stage, runs = plus_checked(stage, f)
+        assert runs == 0
+        assert all(len(g.terms) == 1 for g in stage.groebner_basis())
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=["F2", "F3", "Q"])
+def test_monomial_plus_edge_cases(field):
+    ring = PolyRing(field, ["x", "y", "z"])
+    x, y, z = ring.gens()
+    two = ring.from_int(2) if field.char != 2 else ring.one()
+    stage = ideal(ring, [x ** 3, x ** 2 * y, x * y ** 2, y ** 3, z ** 4])
+    # r = x*y divides x^2*y and x*y^2: both leave, x*y sorts in among the rest
+    grown, runs = plus_checked(stage, two * x * y)
+    assert runs == 0
+    assert [g.leading()[0] for g in grown.groebner_basis()] == [
+        (1, 1, 0), (0, 3, 0), (3, 0, 0), (0, 0, 4)]
+    # r = 1 divides everything
+    unit, runs = plus_checked(grown, two * ring.one())
+    assert runs == 0 and unit.is_unit_ideal()
+    assert unit.groebner_basis() == (ring.one(),)
+    # a member changes nothing
+    same, runs = plus_checked(grown, x ** 3 * z + y * x * two)
+    assert same is grown and runs == 0
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=["F2", "F3", "Q"])
+def test_plus_with_a_tail_takes_the_seeded_run(field):
+    ring = PolyRing(field, ["x", "y", "z"])
+    x, y, z = ring.gens()
+    # a basis element with a tail, grown by a monomial
+    stage = ideal(ring, [x ** 2 - y * z, y ** 3])
+    grown, runs = plus_checked(stage, x * y)
+    assert runs == 1
+    assert any(len(g.terms) > 1 for g in grown.groebner_basis())
+    # a monomial basis, grown by a remainder of two terms
+    stage = ideal(ring, [x ** 2, y ** 3])
+    grown, runs = plus_checked(stage, x * z - y * z + x ** 2 * y)
+    assert runs == 1
+    assert any(len(g.terms) > 1 for g in grown.groebner_basis())
 
 
 # ---------------------------------------------------------------------------
