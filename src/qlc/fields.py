@@ -27,12 +27,12 @@ the arithmetic.  Everything is exact, nothing is mutated.
     (p - c) * b * t^s and drops the top slot, whose value mod p gave c, and
     the slots are reduced mod p only when the next step could carry.
 
-The Groebner kernel's normal forms over Q and over F_p(t) do not add or
-multiply these pairs: they reduce fraction-free on the numerators, ints or
-F_p[t] polynomials, with at most one gcd per step and one per surviving
-term, and divide by the content once the common denominator has grown by
-64 bits over Q or by 16 slots over F_p(t) (see the groebner module
-docstring); the pairs they return are canonical as well.
+The Groebner kernel's normal forms call no field method: every field
+reduces on its domain (see the groebner module docstring), F_p on ints
+taken mod p as they leave the heap, Q and F_p(t) fraction-free on the
+numerators, ints or F_p[t] polynomials, with at most one gcd per step and
+one per surviving term and a content division once the common denominator
+has grown by 64 bits over Q or by 16 slots over F_p(t).
 
 Q and F_p(t) sums and products split their gcds (Henrici, JACM 3, 1956;
 Knuth, TAOCP 2, 4.5.1): a product cancels gcd(an, bd) and gcd(bn, ad) rather

@@ -36,25 +36,28 @@ properly for M and equal to it for F, together with (i, j), whose lcm
 divides L and may equal it.  Gebauer and Moeller's chain argument then
 shows that the result stays a Groebner basis.
 
-Over Q and over F_p(t) the heap reduction runs fraction-free (pseudo-division
-on primitive parts; Knuth, TAOCP 2, 4.6.1), on ints over Q and on F_p[t]
-polynomials, the packed ints of the field's _polys, over F_p(t).
-Polynomial.prepared keeps each reducer's primitive form
+Every field's heap reduction runs fraction-free on its domain
+(pseudo-division on primitive parts; Knuth, TAOCP 2, 4.6.1): on ints over Q
+and F_p, and on F_p[t] polynomials, the packed ints of the field's _polys,
+over F_p(t).  Polynomial.prepared keeps each reducer's primitive form
 L x^lt + sum n_i x^(m_i) next to its canonical terms: the monic element
-times L, the lcm of its denominators, with L > 0 over Q and L monic over
-F_p(t), built once and freed with the polynomial.  The part of f still to
-treat is W/s, W a dict of numerators and s > 0 or monic.  A step on a term
-w x^m whose monomial lt divides takes g = gcd(w, L) and sets
+times L, the lcm of its denominators, with L > 0 over Q, L = 1 over F_p and
+L monic over F_p(t), built once and freed with the polynomial.  The part of
+f still to treat is W/s, W a dict of numerators and s > 0 or monic.  A step
+on a term w x^m whose monomial lt divides takes g = gcd(w, L) and sets
 W <- (L/g) W - (w/g) x^(m-lt) tail and s <- (L/g) s, scaling only when
 L/g != 1; a term that no leading term divides leaves as the canonical pair
 (w/g', s/g'), g' = gcd(w, s).  The content rule is fixed: once s has grown
 by more than 64 bits over Q, or 16 slots over F_p(t), since the last
-division (or the start), W and s are divided by gcd(s, W).  W/s is exactly
-the work polynomial of the field arithmetic at every step, so the same
-terms survive, the same reducer meets each one, and every normal form and
-reduced basis is the one canonical pairs give.  The Q and F_p(t) sums and
-products stay in poly_divide_exact and _s_polynomial, and F_p reduces as it
-always did.
+division (or the start), W and s are divided by gcd(s, W).  Over F_p, s
+stays 1, and a term is taken mod p only when it leaves the heap (Monagan
+and Pearce, J. Symbolic Comput. 46, 2011): skipped there when 0, as a
+cancelled term is, and kept as its residue when no leading term divides
+it.  W/s (W mod p over F_p) is exactly the work polynomial of the field
+arithmetic at every step, so the same terms survive, the same reducer
+meets each one, and every normal form and reduced basis is the one
+canonical elements give.  The field sums and products stay in
+poly_divide_exact and _s_polynomial.
 """
 
 from __future__ import annotations
@@ -93,23 +96,6 @@ def _heap_of(work: dict, order) -> list:
     return heap
 
 
-def _add_multiple(work: dict, heap: list, heap_key, factor, q, tail, field) -> None:
-    """work += factor * x^q * tail; a monomial new to work goes on the heap."""
-    fmul, fadd, zero = field.mul, field.add, field.zero
-    for tm, tc in tail:
-        nm = tuple(map(add, tm, q))
-        old = work.get(nm)
-        if old is None:
-            work[nm] = fmul(factor, tc)
-            heapq.heappush(heap, (heap_key(nm), nm))
-        else:
-            s = fadd(old, fmul(factor, tc))
-            if s == zero:
-                del work[nm]
-            else:
-                work[nm] = s
-
-
 def _reduce_terms(terms: dict, prepped, order, field) -> dict:
     """Full normal form of a term dict against prepared reducers
     (lt, lc, tail, ints).
@@ -117,15 +103,22 @@ def _reduce_terms(terms: dict, prepped, order, field) -> dict:
     The terms still to treat live in work, and a heap over them yields the
     biggest one next.  Each monomial's heap key is computed once, when it
     enters work; entries whose monomial cancelled out of work are skipped.
-    Over Q and F_p(t) the reduction runs fraction-free on numerators, ints
-    or F_p[t] polynomials, as the module docstring says.
+    Every field reduces fraction-free on its domain, as the module docstring
+    says: Q and F_p on ints, F_p(t) on F_p[t] polynomials.
     """
     heap_key = order.heap_key
     out: dict = {}
-    if field.char == 0:
-        # work / s is the part still to treat: work holds ints and s > 0
-        s = lcm(*[d for _n, d in terms.values()])
-        work = {m: n if d == s else n * (s // d) for m, (n, d) in terms.items()}
+    p = field.size   # the modulus over F_p, None over Q and F_p(t)
+    if p or field.char == 0:
+        # work / s is the part still to treat: work holds ints and s > 0;
+        # over F_p, s = 1 and a term of work is taken mod p when it leaves
+        # the heap
+        if p:
+            s = 1
+            work = dict(terms)
+        else:
+            s = lcm(*[d for _n, d in terms.values()])
+            work = {m: n if d == s else n * (s // d) for m, (n, d) in terms.items()}
         heap = _heap_of(work, order)
         bits = s.bit_length()   # at the last content division
         while heap:
@@ -133,6 +126,10 @@ def _reduce_terms(terms: dict, prepped, order, field) -> dict:
             w = work.pop(m, None)
             if w is None:
                 continue
+            if p:
+                w %= p
+                if not w:
+                    continue
             config.check_budget()
             for lt, _lc, _tail, ints in prepped:
                 if all(map(ge, m, lt)):
@@ -170,84 +167,68 @@ def _reduce_terms(terms: dict, prepped, order, field) -> dict:
                         bits = s.bit_length()
                     break
             else:
-                g = gcd(w, s)
-                out[m] = (w, s) if g == 1 else (w // g, s // g)
+                if p:
+                    out[m] = w
+                else:
+                    g = gcd(w, s)
+                    out[m] = (w, s) if g == 1 else (w // g, s // g)
         return out
-    if field.size is None:
-        # F_p(t) as Q above, on F_p[t] numerators and a monic s: the packed
-        # polynomials of field._polys stand in for the ints
-        P = field._polys
-        pmul, padd, pneg, pgcd, pquo = P.mul, P.add, P.neg, P.gcd, P.quo
-        s = P.lcm(*[d for _n, d in terms.values()])
-        work = {m: n if d == s else pmul(n, pquo(s, d)) for m, (n, d) in terms.items()}
-        heap = _heap_of(work, order)
-        grow = 16 * P.w   # the fixed content rule: 16 slots of s
-        bits = s.bit_length()   # at the last content division
-        while heap:
-            m = heapq.heappop(heap)[1]
-            w = work.pop(m, None)
-            if w is None:
-                continue
-            config.check_budget()
-            for lt, _lc, _tail, ints in prepped:
-                if all(map(ge, m, lt)):
-                    L, tail = ints
-                    if L != 1:
-                        g = pgcd(w, L)
-                        if g != 1:
-                            w = pquo(w, g)
-                        if g != L:
-                            a = L if g == 1 else pquo(L, g)
-                            for k in work:
-                                work[k] = pmul(work[k], a)
-                            s = pmul(s, a)
-                    q = tuple(map(sub, m, lt))
-                    w = pneg(w)
-                    for tm, tn in tail:
-                        nm = tuple(map(add, tm, q))
-                        old = work.get(nm)
-                        if old is None:
-                            work[nm] = pmul(w, tn)
-                            heapq.heappush(heap, (heap_key(nm), nm))
-                        else:
-                            old = padd(old, pmul(w, tn))
-                            if old:
-                                work[nm] = old
-                            else:
-                                del work[nm]
-                    if s.bit_length() > bits + grow:
-                        c = s
-                        for v in work.values():
-                            c = pgcd(v, c)
-                            if c == 1:
-                                break
-                        if c != 1:
-                            s = pquo(s, c)
-                            for k in work:
-                                work[k] = pquo(work[k], c)
-                        bits = s.bit_length()
-                    break
-            else:
-                g = pgcd(w, s)
-                out[m] = (w, s) if g == 1 else (pquo(w, g), pquo(s, g))
-        return out
-    work = dict(terms)
+    # F_p(t) as Q above, on F_p[t] numerators and a monic s: the packed
+    # polynomials of field._polys stand in for the ints
+    P = field._polys
+    pmul, padd, pneg, pgcd, pquo = P.mul, P.add, P.neg, P.gcd, P.quo
+    s = P.lcm(*[d for _n, d in terms.values()])
+    work = {m: n if d == s else pmul(n, pquo(s, d)) for m, (n, d) in terms.items()}
     heap = _heap_of(work, order)
-    one = field.one
+    grow = 16 * P.w   # the fixed content rule: 16 slots of s
+    bits = s.bit_length()   # at the last content division
     while heap:
         m = heapq.heappop(heap)[1]
-        c = work.pop(m, None)
-        if c is None:
+        w = work.pop(m, None)
+        if w is None:
             continue
         config.check_budget()
-        for lt, lc, tail, _ints in prepped:
+        for lt, _lc, _tail, ints in prepped:
             if all(map(ge, m, lt)):
-                # work -= (c/lc) * x^q * g; the leading term cancels exactly
-                factor = field.neg(c if lc == one else field.div(c, lc))
-                _add_multiple(work, heap, heap_key, factor, tuple(map(sub, m, lt)), tail, field)
+                L, tail = ints
+                if L != 1:
+                    g = pgcd(w, L)
+                    if g != 1:
+                        w = pquo(w, g)
+                    if g != L:
+                        a = L if g == 1 else pquo(L, g)
+                        for k in work:
+                            work[k] = pmul(work[k], a)
+                        s = pmul(s, a)
+                q = tuple(map(sub, m, lt))
+                w = pneg(w)
+                for tm, tn in tail:
+                    nm = tuple(map(add, tm, q))
+                    old = work.get(nm)
+                    if old is None:
+                        work[nm] = pmul(w, tn)
+                        heapq.heappush(heap, (heap_key(nm), nm))
+                    else:
+                        old = padd(old, pmul(w, tn))
+                        if old:
+                            work[nm] = old
+                        else:
+                            del work[nm]
+                if s.bit_length() > bits + grow:
+                    c = s
+                    for v in work.values():
+                        c = pgcd(v, c)
+                        if c == 1:
+                            break
+                    if c != 1:
+                        s = pquo(s, c)
+                        for k in work:
+                            work[k] = pquo(work[k], c)
+                    bits = s.bit_length()
                 break
         else:
-            out[m] = c
+            g = pgcd(w, s)
+            out[m] = (w, s) if g == 1 else (pquo(w, g), pquo(s, g))
     return out
 
 
@@ -290,6 +271,7 @@ def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     if g.is_zero():
         raise InternalError("division by the zero polynomial")
     field = f.ring.field
+    fmul, fadd, zero, heap_key = field.mul, field.add, field.zero, grevlex.heap_key
     ltg, lcg, tail, _ints = g.prepared()
     work = dict(f.terms)
     heap = _heap_of(work, grevlex)
@@ -304,7 +286,19 @@ def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
         if d is None:
             raise InternalError(f"exact division failed: remainder has term {m}")
         quot[d] = coef = field.div(c, lcg)
-        _add_multiple(work, heap, grevlex.heap_key, field.neg(coef), d, tail, field)
+        factor = field.neg(coef)
+        for tm, tc in tail:   # work -= coef * x^d * tail
+            nm = tuple(map(add, tm, d))
+            old = work.get(nm)
+            if old is None:
+                work[nm] = fmul(factor, tc)
+                heapq.heappush(heap, (heap_key(nm), nm))
+            else:
+                old = fadd(old, fmul(factor, tc))
+                if old == zero:
+                    del work[nm]
+                else:
+                    work[nm] = old
     return f.ring.from_terms(quot)
 
 
@@ -617,7 +611,11 @@ def _fresh_name(ring: PolyRing, base: str) -> str:
 
 
 def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
-    """I ∩ J via a tag variable w and elimination: (wI + (1-w)J) ∩ base ring."""
+    """I ∩ J via a tag variable w and elimination: (wI + (1-w)J) ∩ base ring.
+
+    The w-free elements of the reduced Block(1, lex, grevlex) basis are the
+    reduced grevlex basis of I ∩ J, in _reduce_basis's order (elimination
+    theorem), and the returned handle keeps them as its basis."""
     ring = I.ring
     if J.ring != ring:
         raise RingMismatch("intersection across different rings")
@@ -632,11 +630,11 @@ def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     gens = [w * lift(f) for f in I.generators if not f.is_zero()]
     gens += [(one - w) * lift(g) for g in J.generators if not g.is_zero()]
     gb = buchberger(gens, Block(1, lex, grevlex))
-    kept = []
-    for g in gb:
-        if all(m[0] == 0 for m in g.terms):
-            kept.append(Polynomial(ring, {m[1:]: c for m, c in g.terms.items()}))
-    return IdealHandle(ring, kept)
+    kept = [Polynomial(ring, {m[1:]: c for m, c in g.terms.items()})
+            for g in gb if all(m[0] == 0 for m in g.terms)]
+    K = IdealHandle(ring, kept)
+    K._keep(kept)
+    return K
 
 
 def colon(I: IdealHandle, J: IdealHandle) -> IdealHandle:

@@ -3,8 +3,8 @@
 Monomials are exponent tuples; a polynomial is an immutable
 {exponents: coefficient} map tied to a PolyRing.  Monomial orders are small
 key objects; a polynomial caches its prepared form (leading term, leading
-coefficient, tail and, over Q and F_p(t), the primitive form the kernel
-reduces with) per order for the Groebner kernel.
+coefficient, tail and the primitive form the kernel reduces with on the
+field's domain) per order for the Groebner kernel.
 """
 
 from __future__ import annotations
@@ -234,10 +234,9 @@ class Polynomial:
 
     def prepared(self, order=grevlex):
         """(lt, lc, tail, ints) under order: the leading monomial, its
-        coefficient, the other terms as (monomial, coefficient) pairs and,
-        over Q and F_p(t), the primitive form on integers or F_p[t]
-        polynomials that the kernel reduces with (see _primitive_form; None
-        over F_p); cached per order."""
+        coefficient, the other terms as (monomial, coefficient) pairs and
+        the primitive form on ints or F_p[t] polynomials that the kernel
+        reduces with (see _primitive_form); cached per order."""
         cache = self._prep
         if cache is None:
             cache = self._prep = {}
@@ -248,9 +247,7 @@ class Polynomial:
             lt = max(self.terms, key=order.key)
             lc = self.terms[lt]
             tail = [(m, c) for m, c in self.terms.items() if m != lt]
-            F = self.ring.field
-            ints = _primitive_form(F, lc, tail) if F.size is None else None
-            got = cache[order.tag] = (lt, lc, tail, ints)
+            got = cache[order.tag] = (lt, lc, tail, _primitive_form(self.ring.field, lc, tail))
         return got
 
     def leading(self, order=grevlex):
@@ -381,10 +378,12 @@ def _primitive_form(F, lc, tail) -> tuple:
     lcm of its denominators, is L x^lt + sum n x^m, with content 1 (each
     prime of L divides the denominator of some c/lc to its full power in L,
     so it leaves that n alone).  Over Q, L > 0 and the n are ints; over
-    F_p(t), L is monic and L and the n are F_p[t] polynomials, packed ints
-    in the field's slots."""
+    F_p, L = 1 and the n are the residues c/lc; over F_p(t), L is monic and
+    L and the n are F_p[t] polynomials, packed ints in the field's slots."""
     if lc != F.one:
         tail = [(m, F.div(c, lc)) for m, c in tail]
+    if F.size:
+        return 1, tail
     if F.char == 0:
         L = lcm(*[d for _m, (_n, d) in tail])
         return L, [(m, n * (L // d)) for m, (n, d) in tail]

@@ -229,8 +229,10 @@ def vector_module(J: IdealHandle, K: IdealHandle) -> VectorModule:
 
 
 def quotient_module(Q: IdealHandle) -> VectorModule:
-    """R/Q as a VectorModule (J = (1))."""
-    return vector_module(IdealHandle(Q.ring, [Q.ring.one()]), Q)
+    """R/Q as a VectorModule (J = (1), whose reduced basis is (1) itself)."""
+    unit = IdealHandle(Q.ring, [Q.ring.one()])
+    unit._keep(unit.generators)
+    return vector_module(unit, Q)
 
 
 def direct_sum(M: VectorModule, N: VectorModule) -> VectorModule:

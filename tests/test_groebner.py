@@ -116,6 +116,35 @@ def test_groebner_matches_sympy_lex_three_vars():
         assert _canonical_from_ours(ours) == _canonical_from_sympy(theirs, syms, lex)
 
 
+def _gf_p_from_sympy(gb, syms, p):
+    """sympy's basis over GF(p), printed with symmetric residues, as sets of
+    (monomial, residue in [0, p)) made monic under our grevlex."""
+    out = set()
+    for expr in gb.exprs:
+        terms = [(tuple(int(e) for e in m), int(c) % p)
+                 for m, c in sympy.Poly(expr, *syms, modulus=p).terms()]
+        inverse = pow(max(terms, key=lambda t: grevlex.key(t[0]))[1], -1, p)
+        out.add(frozenset((m, c * inverse % p) for m, c in terms))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2**61 - 1], ids=["F2", "F3", "F32003", "F2^61-1"])
+def test_groebner_matches_sympy_over_gf_p(p):
+    # over 2^61 - 1 the kernel's lazy products pass 64 bits
+    rng = random.Random(p)
+    ring = PolyRing(PrimeField(p), ["x", "y", "z"])
+    syms = sympy.symbols("x y z")
+    for _ in range(12):
+        gens = [ring.from_terms({tuple(rng.randrange(3) for _ in range(3)): rng.randrange(1, p)
+                                 for _ in range(rng.randrange(1, 4))})
+                for _ in range(rng.randrange(1, 4))]
+        theirs = sympy.groebner([sum(c * sympy.prod(s ** e for s, e in zip(syms, m))
+                                     for m, c in g.terms.items()) for g in gens],
+                                *syms, order="grevlex", modulus=p)
+        assert _canonical_from_ours(buchberger(gens, grevlex)) \
+            == _gf_p_from_sympy(theirs, syms, p)
+
+
 _CYCLIC4 = ("abcd", "a+b+c+d; a*b+b*c+c*d+d*a; a*b*c+b*c*d+c*d*a+d*a*b; a*b*c*d-1")
 _KATSURA4 = (["u0", "u1", "u2", "u3", "u4"],
              "u0^2+2*u1^2+2*u2^2+2*u3^2+2*u4^2-u0; 2*u0*u1+2*u1*u2+2*u2*u3+2*u3*u4-u1;"
@@ -275,6 +304,24 @@ def test_intersect_membership_both_sides():
         assert I.contains_poly(f) and J.contains_poly(f)
     # the product ideal always sits inside the intersection
     assert M.contains_ideal(ideal_product(I, J))
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, PrimeField(5), RationalFunctionField(2)],
+                         ids=["Q", "F2", "F5", "F2(t)"])
+def test_intersect_keeps_the_reduced_basis_it_extracts(field):
+    # the w-free part of the elimination basis is the reduced grevlex basis
+    # of I ∩ J, element for element: one Buchberger run per intersect
+    rng = random.Random(619)
+    ring = PolyRing(field, ["x", "y"])
+    for _ in range(10):
+        I, J = (ideal(ring, [random_poly(rng, ring, max_deg=2, max_terms=3)
+                             for _ in range(rng.randrange(1, 3))]) for _ in "IJ")
+        with mock.patch.object(groebner, "buchberger", wraps=groebner.buchberger) as runs:
+            K = intersect(I, J)
+            basis = K.groebner_basis()
+        assert runs.call_count == 1
+        assert list(basis) == buchberger(list(K.generators))
+        assert all(I.contains_poly(g) and J.contains_poly(g) for g in basis)
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +498,14 @@ def test_plus_with_a_tail_takes_the_seeded_run(field):
 # the heap-driven reducer against a plain reference division
 
 F5 = PrimeField(5)
+F_MERSENNE61 = PrimeField(2**61 - 1)
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
-def reference_normal_form(f, basis, order):
+def reference_normal_form(f, basis, order, steps=None):
     """Textbook division: take the biggest remaining term, reduce it by the
-    first element of basis (in list order) whose leading term divides it."""
+    first element of basis (in list order) whose leading term divides it.
+    Each term taken is appended to steps when a list is given."""
     F = f.ring.field
     basis = [g for g in basis if g.terms]
     work = dict(f.terms)
@@ -464,6 +513,8 @@ def reference_normal_form(f, basis, order):
     while work:
         m = max(work, key=order.key)
         c = work.pop(m)
+        if steps is not None:
+            steps.append(m)
         for g in basis:
             lt = max(g.terms, key=order.key)
             if all(a >= b for a, b in zip(m, lt)):
@@ -495,7 +546,7 @@ def assert_matches_reference(f, basis, order):
     assert kernel_nf(f, basis, order).terms == reference_normal_form(f, basis, order)
 
 
-@pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
+@pytest.mark.parametrize("field", [F5, F_MERSENNE61, QQ], ids=["F5", "F2^61-1", "Q"])
 @pytest.mark.parametrize("order", [grevlex, lex, Block(1, lex, grevlex)],
                          ids=["grevlex", "lex", "block"])
 @PROPERTY
@@ -527,6 +578,41 @@ def test_exact_division_recovers_the_cofactor(data):
     g = data.draw(poly3(QQ))
     assume(not g.is_zero())
     assert poly_divide_exact(f * g, g) == f
+
+
+# ---------------------------------------------------------------------------
+# the F_p kernel, which reduces on ints and takes each term mod p as it
+# leaves the heap
+
+def test_fp_normal_form_calls_no_field_method(monkeypatch):
+    ring = PolyRing(PrimeField(32003), ["x", "y", "z"])
+    I = ideal(ring, dsl.parse_polys(ring, "x^2+3*y*z-1; y^2-5*x*z+2; z^3+x*y"))
+    basis = list(I.groebner_basis())
+    f = dsl.parse_poly(ring, "(x+2*y+3*z+4)^5")
+    expected = reference_normal_form(f, basis, grevlex)
+    calls = []
+    for name in ("add", "sub", "neg", "mul", "inv", "div"):
+        monkeypatch.setattr(PrimeField, name, lambda *args, _name=name: calls.append(_name))
+    got = normal_form(f, I)
+    monkeypatch.undo()
+    assert len(got.terms) > 1 and got.terms == expected
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), F_MERSENNE61],
+                         ids=["F2", "F3", "F2^61-1"])
+def test_fp_kernel_checks_the_budget_once_per_term_taken(field, monkeypatch):
+    # a term that is 0 mod p is skipped before its budget check, as a term
+    # that cancelled out of work is: one check per term the division takes
+    ring = PolyRing(field, ["x", "y", "z"])
+    f = dsl.parse_poly(ring, "(x+y+z+1)^6 + (x*y-z)^3")
+    basis = buchberger(dsl.parse_polys(ring, "x^2-y*z-1; y^2-x*z"))
+    steps = []
+    expected = reference_normal_form(f, basis, grevlex, steps)
+    checks = []
+    monkeypatch.setattr(config, "check_budget", lambda: checks.append(1))
+    assert kernel_nf(f, basis, grevlex).terms == expected != {}
+    assert len(checks) == len(steps)
 
 
 # ---------------------------------------------------------------------------

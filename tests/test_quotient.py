@@ -3,12 +3,13 @@ the reduced bases of J and K, checked against the colon (K : J)."""
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qlc import dsl, quotient
+from qlc import dsl, groebner, quotient
 from qlc.fields import GF2, GF3, QQ, RationalFunctionField
 from qlc.groebner import colon, ideal, normal_form
 from qlc.linalg import RowSpace
@@ -159,6 +160,16 @@ def test_quotient_module_matches_length():
         exps = [e for e in exps if any(e)]
         I = ideal(ring, [ring.monomial(e) for e in exps])
         assert quotient_module(I).dim == length(I)
+
+
+def test_quotient_module_runs_buchberger_on_the_relations_only():
+    # J = (1) is handed its reduced basis (1): no Buchberger run on it
+    ring = PolyRing(GF2, ["x", "y"])
+    x, y = ring.gens()
+    with mock.patch.object(groebner, "buchberger", wraps=groebner.buchberger) as runs:
+        M = quotient_module(ideal(ring, [x ** 2, y ** 2]))
+    assert M.dim == 4 and M.labels == ["x*y", "x", "y", "1"]
+    assert runs.call_count == 1
 
 
 def test_infinite_length_is_refused_before_any_spin(monkeypatch):
