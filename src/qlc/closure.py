@@ -19,7 +19,7 @@ from . import dsl
 from .config import DEFAULT, JobConfig, check_budget
 from .groebner import (InternalError, bracket_power, ideal, ideal_powers,
                        normal_form)
-from .poly import Polynomial, frobenius_power
+from .poly import Polynomial, frobenius_power, mono_divides
 from .quasilength import (FiltrationCertificate, RingContext, parameter_powers,
                           require_valid)
 from .quotient import QuotientPresentation
@@ -178,6 +178,41 @@ def _monomials_by_degree(ring, degree_bound: int):
             yield ring.monomial(tuple(e))
 
 
+def _standard_monomials(ring, lts, degree_bound: int) -> list:
+    """The monomials of degree 1 to degree_bound that no monomial in lts
+    divides, in _monomials_by_degree's order.
+
+    The walk raises one exponent at a time, the variables in turn, and
+    stops raising it at the first multiple of an element of lts, since
+    every larger exponent gives a multiple too.  It meets each degree's
+    monomials in increasing lex order, the reverse of the order wanted.
+    Each exponent tried checks the budget, and so does each degree as its
+    monomials are built.
+    """
+    n = ring.nvars
+    by_degree: list = [[] for _ in range(degree_bound + 1)]
+    exps = [0] * n
+
+    def walk(i: int, deg: int) -> None:
+        if i == n:
+            by_degree[deg].append(tuple(exps))
+            return
+        for e in range(degree_bound - deg + 1):
+            check_budget()
+            exps[i] = e
+            if any(mono_divides(lt, exps) for lt in lts):
+                break
+            walk(i + 1, deg + e)
+        exps[i] = 0
+
+    walk(0, 0)
+    pool = []
+    for ms in by_degree[1:]:
+        check_budget()
+        pool += map(ring.monomial, reversed(ms))
+    return pool
+
+
 def test_element_search(pres: QuotientPresentation, u: Polynomial, gens,
                         e_list, degree_bound: int = 4) -> Polynomial | None:
     """First monomial c (by degree, then earlier-variable-first) that passes
@@ -266,10 +301,13 @@ def short_filtration_search(pres: QuotientPresentation, xs, t: int,
     Nodes are capped by config.disproof_node_budget; running out returns
     complete=False and no certificate.
 
-    The pool is screened once against base = relations + (x^t): every stage
-    is base grown by plus, so a candidate inside base has normal form zero
-    at every node, and the walk skipped it there anyway.  Dropping it up
-    front leaves the walk, its node count and its certificate unchanged.
+    The pool leaves out base = relations + (x^t) once: every stage is base
+    grown by plus, so a candidate inside base has normal form zero at every
+    node, and the walk skipped it there anyway.  Dropping it up front leaves
+    the walk, its node count and its certificate unchanged.  When base's
+    reduced basis is monomial, the pool is its standard monomials, listed
+    directly (_standard_monomials); otherwise each monomial is screened by
+    a normal form.
     """
     xs = tuple(xs)
     target = parameter_powers(xs, t)
@@ -278,11 +316,15 @@ def short_filtration_search(pres: QuotientPresentation, xs, t: int,
     max_steps = full - 1
     ambient = pres.ambient
     base = pres.ideal(target)
-    pool = []
-    for m in _monomials_by_degree(ambient, 2 * t * d):
-        check_budget()
-        if not m.is_constant() and not base.contains_poly(m):
-            pool.append(m)
+    basis = base.groebner_basis()
+    if all(len(g.terms) == 1 for g in basis):
+        pool = _standard_monomials(ambient, [m for g in basis for m in g.terms], 2 * t * d)
+    else:
+        pool = []
+        for m in _monomials_by_degree(ambient, 2 * t * d):
+            check_budget()
+            if not m.is_constant() and not base.contains_poly(m):
+                pool.append(m)
     # I^r must fit inside a stage that can still finish within r steps;
     # the table grows by one product per deepening step
     powers = ideal_powers(ideal(ambient, list(xs)))

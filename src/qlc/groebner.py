@@ -5,7 +5,7 @@ order; the layers above work in grevlex, since nothing the engine reports
 but a printed basis depends on the order, and reach another order only by
 calling buchberger directly.
 IdealHandle is the one ideal object: its generators and its reduced grevlex
-Groebner basis, kept next to that basis's prepared reducers.  The reduced
+Groebner basis, kept next to that basis's packed reducers.  The reduced
 basis is canonical, so IdealHandle.key is that basis itself.  The order of
 the terms inside a polynomial is not canonical (a basis element may keep its
 terms in input order); Polynomial equality and hashing ignore it, and
@@ -39,10 +39,11 @@ shows that the result stays a Groebner basis.
 Every field's heap reduction runs fraction-free on its domain
 (pseudo-division on primitive parts; Knuth, TAOCP 2, 4.6.1): on ints over Q
 and F_p, and on F_p[t] polynomials, the packed ints of the field's _polys,
-over F_p(t).  Polynomial.prepared keeps each reducer's primitive form
+over F_p(t).  Polynomial.packed keeps each reducer's primitive form
 L x^lt + sum n_i x^(m_i) next to its canonical terms: the monic element
 times L, the lcm of its denominators, with L > 0 over Q, L = 1 over F_p and
-L monic over F_p(t), built once and freed with the polynomial.  The part of
+L monic over F_p(t), built once per packing and freed with the polynomial.
+The part of
 f still to treat is W/s, W a dict of numerators and s > 0 or monic.  A step
 on a term w x^m whose monomial lt divides takes g = gcd(w, L) and sets
 W <- (L/g) W - (w/g) x^(m-lt) tail and s <- (L/g) s, scaling only when
@@ -58,14 +59,35 @@ arithmetic at every step, so the same terms survive, the same reducer
 meets each one, and every normal form and reduced basis is the one
 canonical elements give.  The field sums and products stay in
 poly_divide_exact and _s_polynomial.
+
+Inside the reducers monomials are packed ints (Bachmann and Schoenemann,
+ISSAC 1998; Monagan and Pearce): terms are packed as they enter
+_reduce_terms and unpacked as they leave, and a reducer's packed form is
+built once per slot width (_Reducers, Polynomial.packed).  The layout is
+poly.Packing's: a slot of w bits per variable at the bottom, its top bit a
+guard, and the order's linear rows above, so that a smaller int is a
+bigger monomial and one int is heap key, dict key and monomial.  In
+grevlex that is -deg on top and then the exponents, x_n most significant.
+A product is one addition, and divisibility one subtraction whose borrows
+clear guards.  The width rule: w is 8, 16, 32, ... bits, the narrowest
+whose slots hold the reducers' largest exponent and every bound a call has
+asked for; a call's bound is deg f in a graded order, since no term met
+while reducing f has a larger degree, and f's largest exponent in any
+other.  The overflow rule: lex and the block orders have no such bound, so
+every new product is checked against the guards (an exponent slot that
+overflows sets its guard, and carries into no other), and on an overflow
+the call runs again from the start one width up.  Tuples stay
+the representation everywhere else: Polynomial.terms, the pair criteria
+and _s_polynomial.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from itertools import compress
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, ge, le, sub
+from operator import add, le, sub
 
 from . import config
 from .config import InternalError
@@ -78,10 +100,10 @@ from .poly import (
     grevlex,
     lex,
     mono_deg,
-    mono_div,
     mono_divides,
     mono_gcd_is_one,
     mono_lcm,
+    packing_width,
 )
 
 
@@ -89,108 +111,186 @@ from .poly import (
 # reduction
 
 
-def _heap_of(work: dict, order) -> list:
-    """Max-heap of the monomials of work: (heap_key, monomial) entries."""
-    heap = [(order.heap_key(m), m) for m in work]
-    heapq.heapify(heap)
-    return heap
+class _Reducers:
+    """A basis as the kernel reduces with it: the polynomials and, at one
+    slot width, the Packing, their packed forms (Polynomial.packed), their
+    divisibility keys in basis order, which the one-term scan reads, and
+    the set of keys whose reducer has a tail.  The packed lists are built
+    on first use, grow with append and move up a width when a call's bound
+    or a reducer's exponent needs it; they live as long as the basis does,
+    with the IdealHandle or the Buchberger run."""
+
+    __slots__ = ("ring", "order", "polys", "_packed")
+
+    def __init__(self, ring: PolyRing, order, polys=()):
+        self.ring = ring
+        self.order = order
+        self.polys = list(polys)
+        self._packed = None
+
+    def at(self, bound: int) -> tuple:
+        """(packing, forms, div_keys, tailed) at a width that holds bound
+        and every exponent of the basis."""
+        got = self._packed
+        if got is not None and bound <= got[0].max_exp and len(got[1]) == len(self.polys):
+            return got
+        if got is None or bound > got[0].max_exp:
+            width = packing_width(bound)
+            got = self._packed = (self.ring.packing(self.order, width), [], [], set())
+        packing, forms, keys, tailed = got
+        for g in self.polys[len(forms):]:
+            form = g.packed(packing)
+            if form is None:   # an exponent past the slots: all again, a width up
+                self._packed = None
+                return self.at(packing.max_exp + 1)
+            forms.append(form)
+            keys.append(form[0])
+            if form[3]:
+                tailed.add(form[0])
+        return got
+
+    def plus_monomial(self, g: Polynomial) -> "_Reducers":
+        """The reducers of the reduced grevlex basis of (basis, g), for a
+        basis with no tails and a monic monomial g that no element divides:
+        the basis less g's multiples, g sorted in as _reduce_basis sorts,
+        smallest leading term first, so before the first element whose
+        packed leading monomial is a smaller int.  The packed lists are
+        carried over, not rebuilt."""
+        (exps,) = g.terms
+        packing, forms, _keys, _tailed = self.at(max(exps))
+        form = g.packed(packing)
+        key, m = form[0], form[1]
+        guards = packing.guards
+        keep = [(h[1] - key) & guards != guards for h in forms]
+        forms = list(compress(forms, keep))
+        at = next((i for i, h in enumerate(forms) if h[1] < m), len(forms))
+        forms.insert(at, form)
+        grown = object.__new__(_Reducers)
+        grown.ring, grown.order = self.ring, self.order
+        grown.polys = list(compress(self.polys, keep))
+        grown.polys.insert(at, g)
+        grown._packed = (packing, forms, [h[0] for h in forms], set())
+        return grown
 
 
-def _reduce_terms(terms: dict, prepped, order, field) -> dict:
-    """Full normal form of a term dict against prepared reducers
-    (lt, lc, tail, ints).
+def _reduce_terms(terms: dict, red: _Reducers, field, bound: int) -> dict:
+    """Full normal form of a term dict against the reducers.
 
-    The terms still to treat live in work, and a heap over them yields the
-    biggest one next.  Each monomial's heap key is computed once, when it
-    enters work; entries whose monomial cancelled out of work are skipped.
-    Every field reduces fraction-free on its domain, as the module docstring
-    says: Q and F_p on ints, F_p(t) on F_p[t] polynomials.
+    bound is the largest exponent the call expects to meet: deg f in a
+    graded order, where no term met exceeds it, and f's largest exponent in
+    any other.  The terms are packed at entry and the result unpacked at
+    exit; in between the loop of the field's domain (_reduce_ints,
+    _reduce_polys) works on packed monomials.  When a product overflows a
+    slot, which only an order that is not graded allows, the call runs
+    again one width up.
     """
-    heap_key = order.heap_key
+    loop = _reduce_ints if field.size or field.char == 0 else _reduce_polys
+    while True:
+        packing, forms, _keys, _tailed = red.at(bound)
+        pack = packing.pack
+        out = loop({pack(m): c for m, c in terms.items()}, forms, packing.guards, field)
+        if out is not None:
+            unpack = packing.unpack
+            return {unpack(m): c for m, c in out.items()}
+        bound = packing.max_exp + 1
+
+
+def _reduce_ints(terms: dict, forms, guards: int, field) -> dict | None:
+    """_reduce_terms over Q and F_p, on ints; None when a product overflows.
+
+    The terms still to treat live in work, keyed by packed monomial, and a
+    heap over those keys yields the biggest monomial next; keys whose
+    monomial cancelled out of work are skipped.  work / s is the part still
+    to treat, work of ints and s > 0.  Over F_p, s = 1 and a term of work is
+    taken mod p when it leaves the heap.
+    """
     out: dict = {}
-    p = field.size   # the modulus over F_p, None over Q and F_p(t)
-    if p or field.char == 0:
-        # work / s is the part still to treat: work holds ints and s > 0;
-        # over F_p, s = 1 and a term of work is taken mod p when it leaves
-        # the heap
+    p = field.size   # the modulus over F_p, None over Q
+    if p:
+        s = 1
+        work = terms
+    else:
+        s = lcm(*[d for _n, d in terms.values()])
+        work = {m: n if d == s else n * (s // d) for m, (n, d) in terms.items()}
+    heap = list(work)
+    heapify(heap)
+    bits = s.bit_length()   # at the last content division
+    while heap:
+        m = heappop(heap)
+        w = work.pop(m, None)
+        if w is None:
+            continue
         if p:
-            s = 1
-            work = dict(terms)
-        else:
-            s = lcm(*[d for _n, d in terms.values()])
-            work = {m: n if d == s else n * (s // d) for m, (n, d) in terms.items()}
-        heap = _heap_of(work, order)
-        bits = s.bit_length()   # at the last content division
-        while heap:
-            m = heapq.heappop(heap)[1]
-            w = work.pop(m, None)
-            if w is None:
+            w %= p
+            if not w:
                 continue
-            if p:
-                w %= p
-                if not w:
-                    continue
-            config.check_budget()
-            for lt, _lc, _tail, ints in prepped:
-                if all(map(ge, m, lt)):
-                    # with g = gcd(w, L): work <- (L/g) work - (w/g) x^q tail
-                    # and s <- (L/g) s; the leading term cancels exactly
-                    L, tail = ints
-                    if L != 1:
-                        g = gcd(w, L)
-                        w //= g
-                        if g != L:
-                            a = L // g
-                            for k in work:
-                                work[k] *= a
-                            s *= a
-                    q = tuple(map(sub, m, lt))
-                    w = -w
-                    for tm, tn in tail:
-                        nm = tuple(map(add, tm, q))
-                        old = work.get(nm)
-                        if old is None:
-                            work[nm] = w * tn
-                            heapq.heappush(heap, (heap_key(nm), nm))
+        config.check_budget()
+        for key, lt, L, tail in forms:
+            if (m - key) & guards == guards:
+                # with g = gcd(w, L): work <- (L/g) work - (w/g) x^(m-lt) tail
+                # and s <- (L/g) s; the leading term cancels exactly
+                if L != 1:
+                    g = gcd(w, L)
+                    w //= g
+                    if g != L:
+                        a = L // g
+                        for k in work:
+                            work[k] *= a
+                        s *= a
+                q = m - lt
+                w = -w
+                for tm, tn in tail:
+                    nm = tm + q
+                    old = work.get(nm)
+                    if old is None:
+                        if nm & guards:
+                            return None
+                        work[nm] = w * tn
+                        heappush(heap, nm)
+                    else:
+                        old += w * tn
+                        if old:
+                            work[nm] = old
                         else:
-                            old += w * tn
-                            if old:
-                                work[nm] = old
-                            else:
-                                del work[nm]
-                    if s.bit_length() > bits + 64:   # the fixed content rule
-                        c = gcd(s, *work.values())
-                        if c != 1:
-                            s //= c
-                            for k in work:
-                                work[k] //= c
-                        bits = s.bit_length()
-                    break
+                            del work[nm]
+                if s.bit_length() > bits + 64:   # the fixed content rule
+                    c = gcd(s, *work.values())
+                    if c != 1:
+                        s //= c
+                        for k in work:
+                            work[k] //= c
+                    bits = s.bit_length()
+                break
+        else:
+            if p:
+                out[m] = w
             else:
-                if p:
-                    out[m] = w
-                else:
-                    g = gcd(w, s)
-                    out[m] = (w, s) if g == 1 else (w // g, s // g)
-        return out
-    # F_p(t) as Q above, on F_p[t] numerators and a monic s: the packed
-    # polynomials of field._polys stand in for the ints
+                g = gcd(w, s)
+                out[m] = (w, s) if g == 1 else (w // g, s // g)
+    return out
+
+
+def _reduce_polys(terms: dict, forms, guards: int, field) -> dict | None:
+    """_reduce_terms over F_p(t): _reduce_ints's Q loop on F_p[t] numerators
+    and a monic s, the packed polynomials of field._polys standing in for
+    the ints."""
     P = field._polys
     pmul, padd, pneg, pgcd, pquo = P.mul, P.add, P.neg, P.gcd, P.quo
+    out: dict = {}
     s = P.lcm(*[d for _n, d in terms.values()])
     work = {m: n if d == s else pmul(n, pquo(s, d)) for m, (n, d) in terms.items()}
-    heap = _heap_of(work, order)
+    heap = list(work)
+    heapify(heap)
     grow = 16 * P.w   # the fixed content rule: 16 slots of s
     bits = s.bit_length()   # at the last content division
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = heappop(heap)
         w = work.pop(m, None)
         if w is None:
             continue
         config.check_budget()
-        for lt, _lc, _tail, ints in prepped:
-            if all(map(ge, m, lt)):
-                L, tail = ints
+        for key, lt, L, tail in forms:
+            if (m - key) & guards == guards:
                 if L != 1:
                     g = pgcd(w, L)
                     if g != 1:
@@ -200,14 +300,16 @@ def _reduce_terms(terms: dict, prepped, order, field) -> dict:
                         for k in work:
                             work[k] = pmul(work[k], a)
                         s = pmul(s, a)
-                q = tuple(map(sub, m, lt))
+                q = m - lt
                 w = pneg(w)
                 for tm, tn in tail:
-                    nm = tuple(map(add, tm, q))
+                    nm = tm + q
                     old = work.get(nm)
                     if old is None:
+                        if nm & guards:
+                            return None
                         work[nm] = pmul(w, tn)
-                        heapq.heappush(heap, (heap_key(nm), nm))
+                        heappush(heap, nm)
                     else:
                         old = padd(old, pmul(w, tn))
                         if old:
@@ -232,26 +334,34 @@ def _reduce_terms(terms: dict, prepped, order, field) -> dict:
     return out
 
 
-def _reduce(f: Polynomial, prepped, order) -> Polynomial:
-    """Normal form of f against prepared reducers.
+def _reduce(f: Polynomial, red: _Reducers) -> Polynomial:
+    """Normal form of f against the reducers.
 
     Zero comes back as it is.  A one-term f is settled by one scan over the
-    reducers: kept when none divides it, zero when the first that does has
-    no tail.  Everything else goes through the heap in _reduce_terms.
+    divisibility keys: kept when none divides it, zero when the first that
+    does has no tail.  Everything else goes through the heap in
+    _reduce_terms, at a width from deg f in a graded order (no term met
+    has a larger degree) and from f's largest exponent in any other.
     """
     terms = f.terms
     if len(terms) == 1:
-        (m,) = terms
-        for lt, _lc, tail, _ints in prepped:
-            if all(map(ge, m, lt)):
-                if not tail:
+        packing, _forms, keys, tailed = red.at(0)
+        m = f.packed_term(packing)
+        if m is None:
+            packing, _forms, keys, tailed = red.at(max(next(iter(terms))))
+            m = f.packed_term(packing)
+        guards = packing.guards
+        for key in keys:
+            if (m - key) & guards == guards:
+                if key not in tailed:
                     return f.ring.zero()
                 break
         else:
             return f
     elif not terms:
         return f
-    return Polynomial(f.ring, _reduce_terms(terms, prepped, order, f.ring.field))
+    bound = f.total_degree() if red.order.graded else max(map(max, terms))
+    return Polynomial(f.ring, _reduce_terms(terms, red, f.ring.field, bound))
 
 
 def normal_form(f: Polynomial, I: IdealHandle) -> Polynomial:
@@ -260,46 +370,57 @@ def normal_form(f: Polynomial, I: IdealHandle) -> Polynomial:
     back as f itself.  Raises RingMismatch when f lives in another ring."""
     if f.ring is not I.ring and f.ring != I.ring:
         raise RingMismatch(f"polynomial ring {f.ring!r} differs from {I.ring!r}")
-    prepped = I._prepared()
-    if not prepped:
+    red = I._prepared()
+    if not red.polys:
         return f
-    return _reduce(f, prepped, grevlex)
+    return _reduce(f, red)
 
 
 def poly_divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient f/g for f in (g); raises InternalError on nonzero remainder."""
+    """Quotient f/g for f in (g); raises InternalError on nonzero remainder.
+
+    A grevlex division on packed monomials at a width from deg f, which no
+    term met exceeds."""
     if g.is_zero():
         raise InternalError("division by the zero polynomial")
-    field = f.ring.field
-    fmul, fadd, zero, heap_key = field.mul, field.add, field.zero, grevlex.heap_key
-    ltg, lcg, tail, _ints = g.prepared()
-    work = dict(f.terms)
-    heap = _heap_of(work, grevlex)
+    ring = f.ring
+    field = ring.field
+    fmul, fadd, zero = field.mul, field.add, field.zero
+    packing = ring.packing(grevlex, packing_width(max(f.total_degree(), *map(max, g.terms))))
+    pack, guards = packing.pack, packing.guards
+    ltg, lcg, tail = g.prepared()
+    ltg = pack(ltg)
+    key = ltg - guards
+    tail = [(pack(m), c) for m, c in tail]
+    work = {pack(m): c for m, c in f.terms.items()}
+    heap = list(work)
+    heapify(heap)
     quot: dict = {}
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = heappop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
         config.check_budget()
-        d = mono_div(m, ltg)
-        if d is None:
-            raise InternalError(f"exact division failed: remainder has term {m}")
+        if (m - key) & guards != guards:
+            raise InternalError(f"exact division failed: remainder has term {packing.unpack(m)}")
+        d = m - ltg
         quot[d] = coef = field.div(c, lcg)
         factor = field.neg(coef)
         for tm, tc in tail:   # work -= coef * x^d * tail
-            nm = tuple(map(add, tm, d))
+            nm = tm + d
             old = work.get(nm)
             if old is None:
                 work[nm] = fmul(factor, tc)
-                heapq.heappush(heap, (heap_key(nm), nm))
+                heappush(heap, nm)
             else:
                 old = fadd(old, fmul(factor, tc))
                 if old == zero:
                     del work[nm]
                 else:
                     work[nm] = old
-    return f.ring.from_terms(quot)
+    unpack = packing.unpack
+    return ring.from_terms({unpack(d): c for d, c in quot.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +442,9 @@ def buchberger(gens, order=grevlex, seed=()) -> list[Polynomial]:
         return []
     ring = (gens[0] if gens else seed[0]).ring
 
-    basis = list(seed)
-    prepped = [g.prepared(order) for g in basis]   # (lt, lc, tail, ints), kept with basis
+    red = _Reducers(ring, order, seed)
+    basis = red.polys
+    prepped = [g.prepared(order) for g in basis]   # (lt, lc, tail), kept with basis
     lts = [p[0] for p in prepped]
     n0 = len(basis)
     sugars = [None] * n0   # a seed element's sugar, read on first use
@@ -367,7 +489,7 @@ def buchberger(gens, order=grevlex, seed=()) -> list[Polynomial]:
                 minimal.append(L)
                 if plain:
                     live[i, k] = L
-                    heapq.heappush(heap, (max(sugar_of(i) - mono_deg(lts[i]), shift) + dL,
+                    heappush(heap, (max(sugar_of(i) - mono_deg(lts[i]), shift) + dL,
                                           dL, order.key(L), i, k, L))
         active[:] = [i for i in active if not all(map(le, lt, lts[i]))]
         active.append(k)
@@ -377,16 +499,16 @@ def buchberger(gens, order=grevlex, seed=()) -> list[Polynomial]:
         sugars.append(sugar)
 
     for g in gens:
-        r = _reduce(g, prepped, order) if prepped else g
+        r = _reduce(g, red) if basis else g
         if r.terms:
             append(r, g.total_degree())
 
     while heap:
         config.check_budget()
-        sugar, _, _, i, j, L = heapq.heappop(heap)
+        sugar, _, _, i, j, L = heappop(heap)
         if live.pop((i, j), None) is None:
             continue
-        r = _reduce(_s_polynomial(prepped[i], prepped[j], L, ring), prepped, order)
+        r = _reduce(_s_polynomial(prepped[i], prepped[j], L, ring), red)
         if r.terms:
             append(r, max(sugar, r.total_degree()))
 
@@ -437,10 +559,8 @@ def _reduce_basis(basis, prepped, kept, n0, order) -> list[Polynomial]:
             continue
         later = fresh_lts if pos < n_seed else fresh_lts[pos - n_seed + 1:]
         if later and any(mono_divides(lt, m) for m, _c in tail for lt in later):
-            others = [prepped[k] for k in kept if k != i]
-            g = _reduce(basis[i], others, order).monic(order)
-            basis[i] = g
-            prepped[i] = g.prepared(order)
+            others = _Reducers(basis[i].ring, order, [basis[k] for k in kept if k != i])
+            basis[i] = _reduce(basis[i], others).monic(order)
     # heap_key is the order reversed, and in grevlex it costs less than key
     kept.sort(key=lambda i: order.heap_key(lts[i]), reverse=True)
     return [basis[i] for i in kept]
@@ -452,7 +572,7 @@ def _reduce_basis(basis, prepped, kept, n0, order) -> list[Polynomial]:
 
 class IdealHandle:
     """An ideal given by generators, with its reduced grevlex GB kept next to
-    that basis's prepared reducers (lt, lc, tail, ints), both computed on first use."""
+    that basis's _Reducers, both computed on first use."""
 
     __slots__ = ("ring", "generators", "_basis", "_reducers")
 
@@ -467,9 +587,9 @@ class IdealHandle:
 
     def _keep(self, basis) -> None:
         self._basis = tuple(basis)
-        self._reducers = [g.prepared() for g in basis]
+        self._reducers = _Reducers(self.ring, grevlex, basis)
 
-    def _prepared(self) -> list:
+    def _prepared(self) -> _Reducers:
         if self._reducers is None:
             self._keep(buchberger(self.generators))
         return self._reducers
@@ -520,26 +640,13 @@ class IdealHandle:
         grown = object.__new__(IdealHandle)
         grown.ring = self.ring
         grown.generators = self.generators + (f,)
-        reducers = self._reducers   # built by normal_form
-        if len(r.terms) == 1 and not any(p[2] for p in reducers):
-            grown._grow_monomial(self._basis, reducers, r.monic())
+        red = self._reducers   # built by normal_form
+        if len(r.terms) == 1 and not red.at(0)[3]:
+            grown._reducers = red.plus_monomial(r.monic())
+            grown._basis = tuple(grown._reducers.polys)
         else:
             grown._keep(buchberger([r], seed=self._basis))
         return grown
-
-    def _grow_monomial(self, basis, reducers, g: Polynomial) -> None:
-        """Keep the reduced basis of (basis, g), basis monomial and g a monic
-        monomial no element divides: basis less g's multiples, g sorted in
-        as _reduce_basis sorts."""
-        prep = g.prepared()
-        m = prep[0]
-        kept = [(h, p) for h, p in zip(basis, reducers) if not mono_divides(m, p[0])]
-        key = grevlex.heap_key(m)
-        at = next((i for i, (_h, p) in enumerate(kept) if grevlex.heap_key(p[0]) < key),
-                  len(kept))
-        kept.insert(at, (g, prep))
-        self._basis = tuple(h for h, _p in kept)
-        self._reducers = [p for _h, p in kept]
 
     def __repr__(self):
         inside = "; ".join(repr(g) for g in self.generators) or "0"

@@ -1,16 +1,19 @@
 """Sparse multivariate polynomials over an exact field.
 
-Monomials are exponent tuples; a polynomial is an immutable
-{exponents: coefficient} map tied to a PolyRing.  Monomial orders are small
-key objects; a polynomial caches its prepared form (leading term, leading
-coefficient, tail and the primitive form the kernel reduces with on the
-field's domain) per order for the Groebner kernel.
+Monomials are exponent tuples at the boundary: a polynomial is an immutable
+{exponents: coefficient} map tied to a PolyRing, and the DSL, the
+formatters and every layer above the Groebner kernel read and write tuples.
+Inside the kernel a monomial is one int, its Packing for the order and a
+slot width (see Packing).  Monomial orders are small key objects that also
+give that packing's layout; a polynomial caches its prepared form (leading
+term, leading coefficient and tail) per order, and per packing the packed
+primitive form the kernel reduces with on the field's domain.
 """
 
 from __future__ import annotations
 
 from math import lcm, log
-from operator import add, ge, le, sub
+from operator import add, le, mul
 
 from . import config
 
@@ -28,11 +31,6 @@ def mono_mul(a, b):
 
 def mono_divides(a, b) -> bool:
     return all(map(le, a, b))
-
-
-def mono_div(a, b):
-    """a / b, or None when b does not divide a."""
-    return tuple(map(sub, a, b)) if all(map(ge, a, b)) else None
 
 
 def mono_lcm(a, b):
@@ -56,11 +54,18 @@ class MonomialOrder:
 
     name = "?"
     tag: tuple = ()
+    graded = False   # compares total degree first
 
     def key(self, exps):
         raise NotImplementedError
 
     def heap_key(self, exps):
+        raise NotImplementedError
+
+    def layout(self, nvars: int) -> tuple:
+        """(rows, ties) for Packing: weight vectors compared first, biggest
+        product first, then variables whose smaller exponent wins, the most
+        significant first."""
         raise NotImplementedError
 
     def __eq__(self, other):
@@ -83,6 +88,9 @@ class Lex(MonomialOrder):
     def heap_key(self, exps):
         return tuple([-e for e in exps])
 
+    def layout(self, nvars):
+        return [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)], []
+
 
 class GrevLex(MonomialOrder):
     """Graded reverse lexicographic: by total degree, ties broken by the
@@ -90,12 +98,16 @@ class GrevLex(MonomialOrder):
 
     name = "grevlex"
     tag = ("grevlex",)
+    graded = True
 
     def key(self, exps):
         return (sum(exps), tuple(-e for e in reversed(exps)))
 
     def heap_key(self, exps):
         return (-sum(exps), exps[::-1])
+
+    def layout(self, nvars):
+        return [(1,) * nvars], list(range(nvars - 1, -1, -1))
 
 
 class Block(MonomialOrder):
@@ -117,15 +129,85 @@ class Block(MonomialOrder):
         return (self.left.heap_key(exps[: self.split]),
                 self.right.heap_key(exps[self.split :]))
 
+    def layout(self, nvars):
+        # the left block's ties become rows of weight -1, so that the whole
+        # left block is compared before any right row
+        k = self.split
+        rows, ties = self.left.layout(k)
+        rows = [r + (0,) * (nvars - k) for r in rows]
+        rows += [tuple(-int(i == j) for j in range(nvars)) for i in ties]
+        right_rows, right_ties = self.right.layout(nvars - k)
+        rows += [(0,) * k + r for r in right_rows]
+        return rows, [k + i for i in right_ties]
+
 
 lex = Lex()
 grevlex = GrevLex()
 
 
+class Packing:
+    """The monomials of one ring as ints, for one order and one slot width w.
+
+    Each variable has a slot of w bits holding its exponent, the top bit a
+    guard that is 0 in every packed monomial, so exponents up to max_exp =
+    2^(w-1) - 1 fit.  The variable slots sit in the low bits, tie variables
+    most significant; above them each weight row r of the order's layout
+    takes away r.e in a slot as wide as the row's span over exponents up
+    to max_exp, the first row on top and unbounded.  A packed monomial is
+    linear in its exponents, pack(a) + pack(b) = pack(ab), and a smaller int
+    is a bigger monomial, so one int serves as the kernel's heap key, dict
+    key and monomial.  In grevlex the layout is -deg on top and then the
+    exponents with x_n most significant: the tuple heap key, linearised.
+
+    b divides a when every exponent slot of a - pack(b) + guards keeps its
+    guard bit (a borrow clears it); the kernel keeps div_key(b) = pack(b) -
+    guards per reducer.  A product of two packed monomials overflows an
+    exponent slot exactly when it sets that slot's guard, and no exponent
+    slot carries into another, so `product & guards` detects every
+    overflow.
+    """
+
+    __slots__ = ("order", "key", "max_exp", "guards", "coefs", "shifts")
+
+    def __init__(self, order: MonomialOrder, nvars: int, width: int):
+        rows, ties = order.layout(nvars)
+        self.order = order
+        self.key = f"{order.name}/{width}"   # a str caches its hash
+        self.max_exp = top = (1 << (width - 1)) - 1
+        slots = ties + [i for i in range(nvars) if i not in ties]
+        shifts = [0] * nvars
+        for k, i in enumerate(reversed(slots)):
+            shifts[i] = k * width
+        self.shifts = shifts
+        self.guards = sum(1 << (s + width - 1) for s in shifts)
+        coefs = [1 << s for s in shifts]
+        off = nvars * width
+        for row in reversed(rows):
+            coefs = [c - (r << off) for c, r in zip(coefs, row)]
+            off += (sum(map(abs, row)) * top).bit_length()
+        self.coefs = coefs
+
+    def pack(self, exps) -> int:
+        return sum(map(mul, exps, self.coefs))
+
+    def unpack(self, packed: int) -> tuple:
+        top = self.max_exp
+        return tuple([packed >> s & top for s in self.shifts])
+
+
+def packing_width(bound: int) -> int:
+    """The narrowest slot width, 8 bits or a power of two above, whose
+    max_exp is at least bound."""
+    width = 8
+    while bound >> (width - 1):
+        width *= 2
+    return width
+
+
 class PolyRing:
     """Polynomial ring field[x1..xn]; value-equal by (field, variables)."""
 
-    __slots__ = ("field", "variables", "_index", "_zero")
+    __slots__ = ("field", "variables", "_index", "_zero", "_packings")
 
     def __init__(self, field, variables):
         variables = tuple(variables)
@@ -137,6 +219,14 @@ class PolyRing:
         self.variables = variables
         self._index = {v: i for i, v in enumerate(variables)}
         self._zero = Polynomial(self, {})  # one zero per ring: polynomials are immutable
+        self._packings: dict = {}
+
+    def packing(self, order, width: int) -> Packing:
+        """The ring's Packing for order at width, built once per ring."""
+        got = self._packings.get((order.tag, width))
+        if got is None:
+            got = self._packings[order.tag, width] = Packing(order, self.nvars, width)
+        return got
 
     @property
     def nvars(self) -> int:
@@ -204,19 +294,22 @@ class Polynomial:
     """An element of a PolyRing: terms maps exponent tuples to nonzero coefficients.
 
     The terms dict is owned by the polynomial and must not be mutated once the
-    polynomial is built: the hash and the prepared form per monomial order
-    (leading term, its coefficient and the remaining terms, see prepared) are
-    computed from it once and cached.  Equality and the hash read the terms
-    and the ring, never the order the terms are stored in.
+    polynomial is built: the hash, the prepared form per monomial order
+    (leading term, its coefficient and the remaining terms, see prepared),
+    the packed form per Packing (see packed) and a one-term polynomial's
+    packed monomial (see packed_term) are computed from it once and cached.
+    Equality and the hash read the terms and the ring, never the order the
+    terms are stored in.
     """
 
-    __slots__ = ("ring", "terms", "_hash", "_prep")
+    __slots__ = ("ring", "terms", "_hash", "_prep", "_mono")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
         self._hash = None
         self._prep = None
+        self._mono = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -230,13 +323,12 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """-1 for the zero polynomial."""
-        return max((mono_deg(m) for m in self.terms), default=-1)
+        return max(map(sum, self.terms), default=-1)
 
     def prepared(self, order=grevlex):
-        """(lt, lc, tail, ints) under order: the leading monomial, its
-        coefficient, the other terms as (monomial, coefficient) pairs and
-        the primitive form on ints or F_p[t] polynomials that the kernel
-        reduces with (see _primitive_form); cached per order."""
+        """(lt, lc, tail) under order: the leading monomial, its coefficient
+        and the other terms as (monomial, coefficient) pairs; cached per
+        order."""
         cache = self._prep
         if cache is None:
             cache = self._prep = {}
@@ -246,9 +338,49 @@ class Polynomial:
                 raise ValueError("zero polynomial has no leading term")
             lt = max(self.terms, key=order.key)
             lc = self.terms[lt]
-            tail = [(m, c) for m, c in self.terms.items() if m != lt]
-            got = cache[order.tag] = (lt, lc, tail, _primitive_form(self.ring.field, lc, tail))
+            got = cache[order.tag] = (lt, lc, [(m, c) for m, c in self.terms.items() if m != lt])
         return got
+
+    def packed(self, packing: Packing):
+        """(div_key, lt, L, tail) at packing, the reducer the Groebner kernel
+        reads: the packed leading monomial lt, its divisibility key lt -
+        packing.guards, and the primitive form L x^lt + tail of the monic
+        element (see _primitive_form), tail as (packed monomial, numerator)
+        pairs; None when an exponent is above packing.max_exp.  Built from
+        prepared once per packing and freed with the polynomial."""
+        cache = self._prep
+        if cache is None:
+            cache = self._prep = {}
+        got = cache.get(packing.key, False)
+        if got is not False:
+            return got
+        if len(self.terms) == 1:   # x^lt, whatever its coefficient
+            lt = self.packed_term(packing)
+            got = None if lt is None else (lt - packing.guards, lt, 1, ())
+        elif max(map(max, self.terms)) > packing.max_exp:
+            got = None
+        else:
+            lt, lc, tail = self.prepared(packing.order)
+            L, tail = _primitive_form(self.ring.field, lc, tail)
+            pack = packing.pack
+            lt = pack(lt)
+            got = (lt - packing.guards, lt, L, [(pack(m), n) for m, n in tail])
+        cache[packing.key] = got
+        return got
+
+    def packed_term(self, packing: Packing) -> int | None:
+        """The monomial of a one-term polynomial packed at packing, None
+        when an exponent is above packing.max_exp.  The last one packed is
+        kept, so that the kernel's one-term scans, which meet the same
+        polynomials against many ideals, pack each once."""
+        got = self._mono
+        if got is not None and got[0] == packing.key:
+            return got[1]
+        (m,) = self.terms
+        if max(m) > packing.max_exp:
+            return None
+        self._mono = (packing.key, packing.pack(m))
+        return self._mono[1]
 
     def leading(self, order=grevlex):
         """(monomial, coefficient) maximal under order; error on zero.  Reads

@@ -131,6 +131,13 @@ def test_gb_over_q_prints_fractional_and_negative_coefficients(capsys):
     assert capsys.readouterr().out == "y^2-3/35*x\nx*y-2/21\nx^2-10/9*y\n"
 
 
+def test_lex_basis_whose_exponents_outgrow_the_input(capsys):
+    # reducing x^200 by x - y^2 in lex meets y^400, past the width that the
+    # input's exponents choose: the kernel detects the overflow and reruns
+    assert run(["gb", "--order", "lex", "--ring", "Q[x,y]", "--ideal", "x-y^2;x^200"]) == EXIT_OK
+    assert capsys.readouterr().out == "y^400\n-y^2+x\n"
+
+
 def test_vmod_json_payload(capsys):
     code = run(["vmod", "--ring", "F2[x]", "--top", "x", "--bottom", "x^4",
                 "--json"])

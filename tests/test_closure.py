@@ -7,6 +7,8 @@ never touches a basis computation.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlc import closure, dsl, groebner
 from qlc.closure import (generic_forcing_algebra, lc_class_vanishing,
@@ -295,6 +297,33 @@ def test_short_search_screens_the_pool_against_the_base_ideal(monkeypatch):
     assert res.certificate is None and res.complete
     assert res.nodes == 180
     assert asked
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gens=st.lists(st.tuples(*[st.integers(0, 4)] * 3), max_size=4),
+       bound=st.integers(0, 7))
+def test_standard_monomials_are_the_screened_pool(gens, bound):
+    # over a monomial ideal the walk lists exactly the monomials the screen
+    # keeps, in _monomials_by_degree's order
+    ring = dsl.parse_ring("F2[x,y,z]")[0]
+    base = IdealHandle(ring, [ring.monomial(e) for e in gens])
+    lts = [m for g in base.groebner_basis() for m in g.terms]
+    screened = [m for m in closure._monomials_by_degree(ring, bound)
+                if not m.is_constant() and not base.contains_poly(m)]
+    assert closure._standard_monomials(ring, lts, bound) == screened
+
+
+def test_a_monomial_base_lists_its_pool_without_normal_forms(monkeypatch):
+    # the forced Fermat cubic at t = 3 has a monomial base: the pool costs no
+    # normal form, and the walk and its node count stay as they were
+    base = QuotientPresentation.parse("F2[x,y,z]/(x^3 + y^3 + z^3)")
+    x, y, z = (base.ambient.var(n) for n in "xyz")
+    S = generic_forcing_algebra(base, (x ** 3, y ** 3), z ** 2).presentation
+    xs = (S.ambient.var("x"), S.ambient.var("y"))
+    assert all(len(g.terms) == 1 for g in S.ideal([g ** 3 for g in xs]).groebner_basis())
+    monkeypatch.setattr(closure, "_monomials_by_degree", None)
+    res = short_filtration_search(S, xs, 3, config=JobConfig(disproof_node_budget=300))
+    assert res.nodes == 301 and res.complete is False
 
 
 def test_plus_matches_a_fresh_basis_along_the_t3_walk(monkeypatch):

@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 
 from qlc import config, dsl, groebner
 from qlc.fields import GF2, GF3, QQ, PrimeField, RationalFunctionField
-from qlc.groebner import (InternalError, _reduce, bracket_power,
+from qlc.groebner import (InternalError, _reduce, _Reducers, bracket_power,
                           buchberger, colon, ideal, ideal_compare,
                           ideal_power, ideal_powers, ideal_product, ideal_sum,
                           intersect, normal_form, poly_divide_exact)
-from qlc.poly import Block, PolyRing, RingMismatch, grevlex, lex
+from qlc.poly import Block, Polynomial, PolyRing, RingMismatch, grevlex, lex
 
 
 def qring(names="xy"):
@@ -30,7 +30,7 @@ def qring(names="xy"):
 
 
 def kernel_nf(f, basis, order):  # the kernel against a list, under any order
-    return _reduce(f, [g.prepared(order) for g in basis if g.terms], order)
+    return _reduce(f, _Reducers(f.ring, order, [g for g in basis if g.terms]))
 
 
 def random_poly(rng, ring, max_deg=3, max_terms=4):
@@ -810,6 +810,135 @@ def test_a_one_term_reduced_to_zero_is_a_real_zero():
         assert hash(r) == hash(R.zero()) == hash(x - x)
         assert {r: 1}[R.zero()] == 1
         assert r + y == y and I.contains_poly(f)
+
+
+# ---------------------------------------------------------------------------
+# packed monomials: the layout, slot widths past the first, and overflow
+
+@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+@pytest.mark.parametrize("width", [8, 16, 64])
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_packing_is_linear_and_orders_like_the_order(order, width, data):
+    packing = PolyRing(QQ, ["x", "y", "z", "w"]).packing(order, width)
+    top = packing.max_exp
+    exps = st.tuples(*[st.sampled_from([0, 1, 2, top // 2 - 1, top // 2])] * 4)
+    a, b = data.draw(exps), data.draw(exps)
+    pa, pb = packing.pack(a), packing.pack(b)
+    assert packing.unpack(pa) == a and not pa & packing.guards
+    assert (pa < pb) == (order.key(a) > order.key(b))   # smaller int, bigger monomial
+    assert pa + pb == packing.pack(tuple(map(operator.add, a, b)))
+    divides = ((pa - (pb - packing.guards)) & packing.guards) == packing.guards
+    assert divides == all(x >= y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_a_product_past_max_exp_sets_its_guard(width):
+    packing = PolyRing(QQ, ["x", "y", "z"]).packing(lex, width)
+    top = packing.max_exp
+    assert not (packing.pack((top, 0, 1)) + packing.pack((0, top, 1))) & packing.guards
+    for a, b in [((top, 0, 0), (1, 0, 0)), ((0, 3, top), (0, 2, top)),
+                 ((top, top, top), (top, top, top))]:
+        assert (packing.pack(a) + packing.pack(b)) & packing.guards
+
+
+F2T = RationalFunctionField(2)
+WIDE_FIELDS = [F5, F_MERSENNE61, QQ, F2T, RationalFunctionField(3)]
+WIDE_FIELD_IDS = ["F5", "F2^61-1", "Q", "F2(t)", "F3(t)"]
+
+
+def _stretched(g, k, shift=(0, 0, 0)):
+    """g(x^k, y^k, z^k) times x^shift: the same division, wider exponents."""
+    return g.ring.from_terms({tuple(e * k + s for e, s in zip(m, shift)): c
+                              for m, c in g.terms.items()})
+
+
+@st.composite
+def wide_case(draw, field):
+    """f and up to four reducers in x, y, z whose exponents reach past the
+    8-bit slots, the 16-bit slots or 32 bits."""
+    ring = PolyRing(field, ["x", "y", "z"])
+    if field.char and field.size is None:
+        coefficient = st.tuples(st.lists(st.integers(-2, 2), min_size=1, max_size=3),
+                                st.sampled_from(FPT_DENOMINATORS)).map(
+            lambda nd: field.div(tpoly(field, nd[0]), tpoly(field, nd[1])))
+    else:
+        coefficient = st.integers(-4, 4).map(field.from_int)
+    term = st.tuples(exps3, coefficient)
+    poly = st.lists(term, max_size=4).map(lambda ts: ring.from_terms(dict(ts)))
+    k = draw(st.sampled_from([1, 45, 2**15 + 1, 2**31 + 3]))
+    shift = draw(st.tuples(*[st.sampled_from([0, 1, 130])] * 3))
+    return (_stretched(draw(poly), k, shift),
+            [_stretched(g, k) for g in draw(st.lists(poly, max_size=4))])
+
+
+@pytest.mark.parametrize("field", WIDE_FIELDS, ids=WIDE_FIELD_IDS)
+@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_packed_kernel_matches_reference_past_the_slot_width(field, order, data):
+    f, basis = data.draw(wide_case(field))
+    assert_matches_reference(f, basis, order)
+
+
+@pytest.mark.parametrize("field", WIDE_FIELDS, ids=WIDE_FIELD_IDS)
+@pytest.mark.parametrize("order", [lex, Block(1, lex, grevlex)], ids=["lex", "block"])
+def test_an_overflowing_reduction_reruns_wider(field, order):
+    # x^100 and x - y^2 fit 8-bit slots, but the division meets y^128 and
+    # ends at y^200
+    ring = PolyRing(field, ["x", "y", "z"])
+    f = dsl.parse_poly(ring, "x^100+x*z")
+    basis = [dsl.parse_poly(ring, "x-y^2")]
+    got = kernel_nf(f, basis, order)
+    assert got.terms == reference_normal_form(f, basis, order)
+    assert (0, 200, 0) in got.terms
+
+
+FIELDS_BY_DOMAIN = [QQ, GF2, F_MERSENNE61, F2T]
+FIELD_BY_DOMAIN_IDS = ["Q", "F2", "F2^61-1", "F2(t)"]
+
+
+@pytest.mark.parametrize("field", FIELDS_BY_DOMAIN, ids=FIELD_BY_DOMAIN_IDS)
+def test_normal_form_checks_the_budget_once_per_term_taken(field, monkeypatch):
+    # the count config.budget_checks traces: one check per term the division
+    # takes, none for a term that cancelled or, over F_p, is 0 mod p
+    ring = PolyRing(field, ["x", "y", "z"])
+    I = ideal(ring, dsl.parse_polys(ring, "x^2-y*z-1; y^2-x*z; x*y*z-z"))
+    basis = list(I.groebner_basis())
+    f = dsl.parse_poly(ring, "(x+y+z+1)^6 + (x*y-z)^3 + 2*x^7")
+    steps = []
+    expected = reference_normal_form(f, basis, grevlex, steps)
+    checks = []
+    monkeypatch.setattr(config, "check_budget", lambda: checks.append(1))
+    assert normal_form(f, I).terms == expected != {}
+    assert len(checks) == len(steps)
+
+
+@pytest.mark.parametrize("field", FIELDS_BY_DOMAIN, ids=FIELD_BY_DOMAIN_IDS)
+def test_a_handle_packs_its_reducers_once(field, monkeypatch):
+    ring = PolyRing(field, ["x", "y", "z"])
+    I = ideal(ring, dsl.parse_polys(ring, "x^2-y*z-1; y^2-x*z; z^3"))
+    basis = I.groebner_basis()
+    calls = []
+    for name in ("prepared", "packed"):
+        original = getattr(Polynomial, name)
+
+        def wrapped(self, *args, _original=original, _name=name):
+            if any(self is g for g in basis):
+                calls.append(_name)
+            return _original(self, *args)
+        monkeypatch.setattr(Polynomial, name, wrapped)
+    fs = dsl.parse_polys(ring, "(x+y+z)^4; x^3*y; x*y+z^2; x^7; y^2*z^2")
+    # the first normal form asks each element for its packed form once (the
+    # Buchberger run that found the basis may have built it already)
+    normal_form(fs[0], I)
+    tailed = sum(len(g.terms) > 1 for g in basis)
+    assert calls.count("packed") == len(basis) and calls.count("prepared") <= tailed
+    calls.clear()
+    for _ in range(3):
+        for f in fs:
+            normal_form(f, I)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

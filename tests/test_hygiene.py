@@ -166,8 +166,8 @@ def test_public_scan_sees_calls_strings_and_exports():
 
 
 KERNEL_ORDER_TAKERS = {
-    "groebner.py:_heap_of", "groebner.py:_reduce_terms", "groebner.py:_reduce",
-    "groebner.py:buchberger", "groebner.py:_reduce_basis",
+    "groebner.py:_Reducers.__init__", "groebner.py:buchberger",
+    "groebner.py:_reduce_basis", "poly.py:Packing.__init__", "poly.py:PolyRing.packing",
     "poly.py:Polynomial.prepared", "poly.py:Polynomial.leading",
     "poly.py:Polynomial.monic",
 }
