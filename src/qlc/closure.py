@@ -19,7 +19,7 @@ from . import dsl
 from .config import DEFAULT, JobConfig, check_budget
 from .groebner import (InternalError, bracket_power, ideal, ideal_powers,
                        normal_form)
-from .poly import Polynomial, frobenius_power, mono_divides
+from .poly import Polynomial, frobenius_power, grevlex, packing_width
 from .quasilength import (FiltrationCertificate, RingContext, parameter_powers,
                           require_valid)
 from .quotient import QuotientPresentation
@@ -178,39 +178,50 @@ def _monomials_by_degree(ring, degree_bound: int):
             yield ring.monomial(tuple(e))
 
 
-def _standard_monomials(ring, lts, degree_bound: int) -> list:
-    """The monomials of degree 1 to degree_bound that no monomial in lts
-    divides, in _monomials_by_degree's order.
+def _standard_monomials(packing, keys, degree_bound: int) -> list:
+    """The monomials of degree 1 to degree_bound that no divisibility key in
+    keys divides, packed at packing, in _monomials_by_degree's order.
 
-    The walk raises one exponent at a time, the variables in turn, and
-    stops raising it at the first multiple of an element of lts, since
-    every larger exponent gives a multiple too.  It meets each degree's
-    monomials in increasing lex order, the reverse of the order wanted.
-    Each exponent tried checks the budget, and so does each degree as its
-    monomials are built.
+    The walk raises one exponent at a time, the variables in turn, adding
+    the variable's packed coefficient, and stops raising it at the first
+    multiple of a key, since every larger exponent gives a multiple too.
+    It meets each degree's monomials in increasing lex order, the reverse
+    of the order wanted.  Each exponent tried checks the budget, and so
+    does each degree as the pool is put together.  packing must hold
+    degree_bound.
     """
-    n = ring.nvars
+    coefs = packing.coefs
+    guards = packing.guards
+    n = len(coefs)
     by_degree: list = [[] for _ in range(degree_bound + 1)]
-    exps = [0] * n
 
-    def walk(i: int, deg: int) -> None:
+    def walk(i: int, deg: int, m: int) -> None:
         if i == n:
-            by_degree[deg].append(tuple(exps))
+            by_degree[deg].append(m)
             return
+        step = coefs[i]
         for e in range(degree_bound - deg + 1):
             check_budget()
-            exps[i] = e
-            if any(mono_divides(lt, exps) for lt in lts):
+            if _divisible(m, keys, guards):
                 break
-            walk(i + 1, deg + e)
-        exps[i] = 0
+            walk(i + 1, deg + e, m)
+            m += step
 
-    walk(0, 0)
+    walk(0, 0, 0)
     pool = []
     for ms in by_degree[1:]:
         check_budget()
-        pool += map(ring.monomial, reversed(ms))
+        pool += reversed(ms)
     return pool
+
+
+def _divisible(m: int, keys, guards: int) -> bool:
+    """Whether one of the divisibility keys (Packing: pack(b) - guards)
+    divides the packed monomial m."""
+    for k in keys:
+        if (m - k) & guards == guards:
+            return True
+    return False
 
 
 def test_element_search(pres: QuotientPresentation, u: Polynomial, gens,
@@ -289,97 +300,218 @@ class ShortSearchResult:
     target_count: int
 
 
-def short_filtration_search(pres: QuotientPresentation, xs, t: int,
-                            config: JobConfig = DEFAULT) -> ShortSearchResult:
-    """Depth-limited search for a filtration of R/(relations + (x^t)) with
-    fewer than t^d one-generator steps.
+class _IdealStages:
+    """Stages as IdealHandles, grown by plus: the walk for any base.
 
-    Candidates for the next generator are monomials of degree at most 2*t*d
-    whose products with every parameter already reduce to zero; the chain
-    always closes with 1.  Iterative deepening tries 1, 2, ... up to t^d - 1
-    steps, so a found certificate is shortest within the candidate pool.
-    Nodes are capped by config.disproof_node_budget; running out returns
-    complete=False and no certificate.
-
-    The pool leaves out base = relations + (x^t) once: every stage is base
-    grown by plus, so a candidate inside base has normal form zero at every
-    node, and the walk skipped it there anyway.  Dropping it up front leaves
-    the walk, its node count and its certificate unchanged.  When base's
-    reduced basis is monomial, the pool is its standard monomials, listed
-    directly (_standard_monomials); otherwise each monomial is screened by
-    a normal form.
+    The pool is every nonconstant monomial up to the degree bound outside
+    base, screened by a normal form each.  At a node a candidate c costs a
+    normal form r; it opens a child when r is not zero and every x_j*c
+    lies in the stage, and the child is the stage plus r.  Tests of
+    membership are polynomials, put to contains_poly.
     """
-    xs = tuple(xs)
-    target = parameter_powers(xs, t)
-    d = len(xs)
-    full = t ** d
-    max_steps = full - 1
-    ambient = pres.ambient
-    base = pres.ideal(target)
-    basis = base.groebner_basis()
-    if all(len(g.terms) == 1 for g in basis):
-        pool = _standard_monomials(ambient, [m for g in basis for m in g.terms], 2 * t * d)
-    else:
-        pool = []
-        for m in _monomials_by_degree(ambient, 2 * t * d):
+
+    def __init__(self, base, xs, degree_bound: int):
+        self.ring = base.ring
+        self.root = base
+        self.xs = xs
+        self.pool = []
+        for m in _monomials_by_degree(base.ring, degree_bound):
             check_budget()
             if not m.is_constant() and not base.contains_poly(m):
-                pool.append(m)
+                self.pool.append(m)
+        self.products: dict = {}  # (parameter, candidate) -> their product, built on first use
+
+    def prepare(self, polys) -> tuple:
+        return tuple(polys)
+
+    def holds(self, stage, test) -> bool:
+        return all(stage.contains_poly(f) for f in test)
+
+    def key(self, stage) -> tuple:
+        return stage.key()
+
+    def member(self, i: int) -> Polynomial:
+        return self.pool[i]
+
+    def _times(self, j: int, i: int) -> Polynomial:
+        got = self.products.get((j, i))
+        if got is None:
+            got = self.products[j, i] = self.xs[j] * self.pool[i]
+        return got
+
+    def children(self, stage):
+        """(candidate index, grown stage) for each candidate that opens a
+        child, in pool order."""
+        d = len(self.xs)
+        for i, c in enumerate(self.pool):
+            r = normal_form(c, stage)
+            if r.is_zero():
+                continue
+            if not all(stage.contains_poly(self._times(j, i)) for j in range(d)):
+                continue
+            yield i, stage.plus(r)
+
+
+class _MonomialStages:
+    """Stages of a base whose reduced basis is monomial, on packed ints.
+
+    Every stage is then a monomial ideal, and it is kept as the sorted
+    tuple of the divisibility keys of its minimal generators (Packing:
+    pack(b) - guards, at one grevlex packing of the ambient ring), which is
+    also its key in the dead set.  A polynomial lies in a stage when a key
+    divides each of its terms, so a parameter with several terms is tested
+    term by term.  A candidate that no key divides grows the stage: the
+    keys it divides leave and its own comes in.  The pool is packed straight
+    from _standard_monomials, and only a chain's members are built as
+    polynomials.
+
+    The width holds the base's exponents and the degree bound plus the
+    parameters' largest exponent, so a product x_j*c is one addition per
+    term of x_j.  A test term is packed with each exponent capped at the
+    width's max_exp, which no key exceeds, so divisibility is unchanged.
+    """
+
+    def __init__(self, base, xs, degree_bound: int):
+        self.ring = ring = base.ring
+        lts = [m for g in base.groebner_basis() for m in g.terms]
+        top = max((max(m) for x in xs for m in x.terms), default=0)
+        bound = max([degree_bound + top, *(max(m) for m in lts)])
+        self.packing = packing = ring.packing(grevlex, packing_width(bound))
+        self.guards = guards = packing.guards
+        self.root = tuple(sorted(packing.pack(m) - guards for m in lts))
+        self.pool = _standard_monomials(packing, self.root, degree_bound)
+        self.factors = [packing.pack(m) for x in xs for m in x.terms]
+
+    def prepare(self, polys) -> tuple:
+        """The packed terms of polys, each exponent capped at max_exp."""
+        top, pack = self.packing.max_exp, self.packing.pack
+        return tuple(dict.fromkeys(pack([min(e, top) for e in m])
+                                   for f in polys for m in f.terms))
+
+    def holds(self, stage: tuple, test: tuple) -> bool:
+        guards = self.guards
+        for m in test:
+            if not _divisible(m, stage, guards):
+                return False
+        return True
+
+    def key(self, stage: tuple) -> tuple:
+        return stage
+
+    def member(self, i: int) -> Polynomial:
+        return self.ring.monomial(self.packing.unpack(self.pool[i]))
+
+    def grow(self, stage: tuple, c: int) -> tuple:
+        """The stage plus the packed monomial c, which no key of stage
+        divides: the keys whose monomial c divides leave, c's key comes in."""
+        guards = self.guards
+        key = c - guards
+        kept = [k for k in stage if (k + guards - key) & guards != guards]
+        kept.append(key)
+        kept.sort()
+        return tuple(kept)
+
+    def children(self, stage: tuple):
+        """(candidate index, grown stage) for each candidate that opens a
+        child, in pool order.  Each candidate checks the budget, since one
+        scan of a large pool (338 328 candidates for x*y at t = 30) may
+        open no child and so reach no node's check."""
+        guards = self.guards
+        factors = self.factors
+        for i, c in enumerate(self.pool):
+            check_budget()
+            if _divisible(c, stage, guards):
+                continue
+            for f in factors:
+                if not _divisible(c + f, stage, guards):
+                    break
+            else:
+                yield i, self.grow(stage, c)
+
+
+def _deepen(stages, xs, max_steps: int, node_budget: int) -> tuple:
+    """The walk of short_filtration_search over one kind of stage:
+    (chain of pool indices or None, nodes, out of budget)."""
+    powers = ideal_powers(ideal(stages.ring, list(xs)))
     # I^r must fit inside a stage that can still finish within r steps;
     # the table grows by one product per deepening step
-    powers = ideal_powers(ideal(ambient, list(xs)))
-    power_gens = [next(powers).generators]
-
-    budget = config.disproof_node_budget
+    power_gens = [stages.prepare(next(powers).generators)]
+    closing = stages.prepare(xs)
     state = {"nodes": 0, "out_of_budget": False}
-    dead: set = set()  # (ideal key, remaining) that provably cannot finish
-    products: dict = {}  # (parameter, candidate) -> their product, built on first use
-
-    def times(j: int, i: int):
-        got = products.get((j, i))
-        if got is None:
-            got = products[j, i] = xs[j] * pool[i]
-        return got
+    dead: set = set()  # (stage key, remaining) that provably cannot finish
 
     def dive(stage, remaining: int, chain: list) -> list | None:
         check_budget()
         state["nodes"] += 1
-        if state["nodes"] > budget:
+        if state["nodes"] > node_budget:
             state["out_of_budget"] = True
             return None
-        if remaining >= 1 and all(stage.contains_poly(x) for x in xs):
-            return chain + [ambient.one()]
+        if remaining >= 1 and stages.holds(stage, closing):
+            return chain
         if remaining <= 1:
             return None
-        key = (stage.key(), remaining)
+        key = (stages.key(stage), remaining)
         if key in dead:
             return None
-        if not all(stage.contains_poly(g) for g in power_gens[remaining]):
+        if not stages.holds(stage, power_gens[remaining]):
             dead.add(key)
             return None
-        for i, c in enumerate(pool):
-            r = normal_form(c, stage)
-            if r.is_zero():
-                continue
-            if not all(stage.contains_poly(times(j, i)) for j in range(d)):
-                continue
-            found = dive(stage.plus(r), remaining - 1, chain + [c])
+        for i, grown in stages.children(stage):
+            found = dive(grown, remaining - 1, chain + [i])
             if found is not None or state["out_of_budget"]:
                 return found
         dead.add(key)
         return None
 
     for limit in range(1, max_steps + 1):
-        power_gens.append(next(powers).generators)
+        power_gens.append(stages.prepare(next(powers).generators))
         dead.clear()
-        chain = dive(base, limit, [])
-        if chain is not None:
-            cert = require_valid(FiltrationCertificate(RingContext(pres, target), xs,
-                                                       tuple(chain)), "short-filtration search")
-            return ShortSearchResult(cert, True, state["nodes"], full)
-        if state["out_of_budget"]:
-            return ShortSearchResult(None, False, state["nodes"], full)
-    return ShortSearchResult(None, True, state["nodes"], full)
+        chain = dive(stages.root, limit, [])
+        if chain is not None or state["out_of_budget"]:
+            return chain, state["nodes"], state["out_of_budget"]
+    return None, state["nodes"], False
+
+
+def short_filtration_search(pres: QuotientPresentation, xs, t: int,
+                            config: JobConfig = DEFAULT) -> ShortSearchResult:
+    """Depth-limited search for a filtration of R/(relations + (x^t)) with
+    fewer than t^d one-generator steps.
+
+    Candidates for the next generator are monomials of degree at most 2*t*d
+    whose products with every parameter already lie in the stage; the chain
+    always closes with 1.  Iterative deepening tries 1, 2, ... up to t^d - 1
+    steps, so a found certificate is shortest within the candidate pool.
+    Nodes are capped by config.disproof_node_budget; running out returns
+    complete=False and no certificate.
+
+    The pool leaves out base = relations + (x^t) once: every stage is base
+    grown by one candidate per step, so a candidate inside base lies in
+    every stage, and the walk skipped it there anyway.  Dropping it up front
+    leaves the walk, its node count and its certificate unchanged.
+
+    The stages come in two kinds with one walk (_deepen).  When base's
+    reduced basis is monomial, every stage is a monomial ideal, and the
+    walk runs on packed ints (_MonomialStages): the pool is base's standard
+    monomials, listed directly, and membership is divisibility by a
+    stage's minimal generators, with no normal form, IdealHandle or plus
+    per node.  Otherwise each stage is an IdealHandle grown by plus, and
+    each candidate costs a normal form (_IdealStages).
+    """
+    xs = tuple(xs)
+    target = parameter_powers(xs, t)
+    d = len(xs)
+    full = t ** d
+    base = pres.ideal(target)
+    monomial = all(len(g.terms) == 1 for g in base.groebner_basis())
+    stages = (_MonomialStages if monomial else _IdealStages)(base, xs, 2 * t * d)
+    chain, nodes, out_of_budget = _deepen(stages, xs, full - 1,
+                                          config.disproof_node_budget)
+    if chain is None:
+        return ShortSearchResult(None, not out_of_budget, nodes, full)
+    gens = tuple(map(stages.member, chain)) + (pres.ambient.one(),)
+    cert = require_valid(FiltrationCertificate(RingContext(pres, target), xs, gens),
+                         "short-filtration search")
+    return ShortSearchResult(cert, True, nodes, full)
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,18 @@ def test_module_commands_take_no_degree_bound(command, capsys):
     assert "--degree-bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t, chain", [("2", ["x", "1"]), ("3", ["x^2", "x", "1"])])
+def test_qseq_refutes_on_a_base_with_a_tail(t, chain, capsys):
+    # relations + (x^t) for u = x + y keeps a two-term element, so the
+    # search walks IdealHandle stages, a normal form per candidate
+    code = run(["force", "qseq", "--ring", "F2[x,y]", "--params", "x;y",
+                "--element", "x+y", "--t", t, "--json"])
+    assert code == EXIT_OK
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["verdict"] == "refuted" and result["searches_complete"]
+    assert result["disproof"] == chain and result["target_count"] == int(t) ** 2
+
+
 def test_validate_round_trip(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     code = run(["force", "qseq", "--ring", "F2[x,y]", "--params", "x;y",
@@ -426,9 +438,9 @@ def test_one_long_gcd_respects_the_budget(monkeypatch):
 
 
 def test_fermat_t3_search_respects_the_budget(monkeypatch):
-    # the short-filtration search at t=3 runs far past the budget; most of
-    # its normal forms are one-term lookups that take no budget check, so
-    # the check per search node and per reduced term must still be enough
+    # the short-filtration search at t=3 runs far past the budget on packed
+    # monomial stages, which take no normal form, so the check per search
+    # node and per candidate tried must be enough
     budget = 1
     monkeypatch.setenv("QLC_BUDGET_SECS", str(budget))
     start = time.monotonic()

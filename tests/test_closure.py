@@ -17,6 +17,7 @@ from qlc.closure import (generic_forcing_algebra, lc_class_vanishing,
 from qlc.closure import test_element_search as element_search
 from qlc.config import JobConfig, budget
 from qlc.groebner import IdealHandle
+from qlc.poly import grevlex, packing_width
 from qlc.quasilength import validate_filtration
 from qlc.quotient import QuotientPresentation
 
@@ -277,26 +278,28 @@ def test_short_search_exhausts_on_forced_fermat_cubic():
 
 
 def test_short_search_screens_the_pool_against_the_base_ideal(monkeypatch):
-    # a candidate inside relations + (x^t) reduces to zero at every stage, so
-    # the pool drops it once and the walk never asks for its normal form
+    # a candidate inside relations + (x^t) lies in every stage, so the pool
+    # drops it once; the walk reads its candidates from the pool of the
+    # stages it is handed, and none of them lies inside
     base = QuotientPresentation.parse("F2[x,y,z]/(x^3 + y^3 + z^3)")
     x, y, z = (base.ambient.var(n) for n in "xyz")
     S = generic_forcing_algebra(base, (x ** 2, y ** 2), z ** 2).presentation
     xs = (S.ambient.var("x"), S.ambient.var("y"))
     inside = IdealHandle(S.ambient, [g ** 2 for g in xs] + list(S.relations.generators))
-    original = closure.normal_form
-    asked = []
+    deepen = closure._deepen
+    walked = []
 
-    def screened(f, stage):
-        assert not inside.contains_poly(f)
-        asked.append(f)
-        return original(f, stage)
+    def observed(stages, *args):
+        walked.append(stages)
+        return deepen(stages, *args)
 
-    monkeypatch.setattr(closure, "normal_form", screened)
+    monkeypatch.setattr(closure, "_deepen", observed)
     res = short_filtration_search(S, xs, 2)
     assert res.certificate is None and res.complete
     assert res.nodes == 180
-    assert asked
+    (stages,) = walked
+    pool = [stages.member(i) for i in range(len(stages.pool))]
+    assert pool and not any(inside.contains_poly(c) for c in pool)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -308,9 +311,12 @@ def test_standard_monomials_are_the_screened_pool(gens, bound):
     ring = dsl.parse_ring("F2[x,y,z]")[0]
     base = IdealHandle(ring, [ring.monomial(e) for e in gens])
     lts = [m for g in base.groebner_basis() for m in g.terms]
+    packing = ring.packing(grevlex, packing_width(max([bound, *map(max, lts)])))
+    keys = [packing.pack(m) - packing.guards for m in lts]
     screened = [m for m in closure._monomials_by_degree(ring, bound)
                 if not m.is_constant() and not base.contains_poly(m)]
-    assert closure._standard_monomials(ring, lts, bound) == screened
+    listed = closure._standard_monomials(packing, keys, bound)
+    assert [ring.monomial(packing.unpack(m)) for m in listed] == screened
 
 
 def test_a_monomial_base_lists_its_pool_without_normal_forms(monkeypatch):
@@ -326,27 +332,121 @@ def test_a_monomial_base_lists_its_pool_without_normal_forms(monkeypatch):
     assert res.nodes == 301 and res.complete is False
 
 
+def _stage_polys(stages, stage) -> set:
+    """The minimal generators of a packed stage, as polynomials."""
+    return {stages.ring.monomial(stages.packing.unpack(k + stages.guards)) for k in stage}
+
+
 def test_plus_matches_a_fresh_basis_along_the_t3_walk(monkeypatch):
-    # every stage the capped t=3 search grows with plus has the reduced
-    # basis a fresh Buchberger run on its generators gives
+    # every stage the capped t=3 search grows has the minimal generators of
+    # the reduced basis a fresh Buchberger run on its generators (relations,
+    # parameter powers and the chain so far) gives
     base = QuotientPresentation.parse("F2[x,y,z]/(x^3 + y^3 + z^3)")
     x, y, z = (base.ambient.var(n) for n in "xyz")
     S = generic_forcing_algebra(base, (x ** 3, y ** 3), z ** 2).presentation
-    plus = IdealHandle.plus
+    xs = (S.ambient.var("x"), S.ambient.var("y"))
+    root_gens = [g ** 3 for g in xs] + list(S.relations.generators)
+    grow = closure._MonomialStages.grow
+    gens_of: dict = {}
     stages = []
 
-    def checked(self, f):
-        stage = plus(self, f)
-        assert stage.key() == IdealHandle(stage.ring, stage.generators).key()
-        stages.append(stage)
-        return stage
+    def checked(self, stage, c):
+        grown = grow(self, stage, c)
+        if stage == self.root:
+            assert _stage_polys(self, stage) == set(IdealHandle(S.ambient, root_gens).key())
+        gens = gens_of.get(stage, root_gens) + [S.ambient.monomial(self.packing.unpack(c))]
+        fresh = IdealHandle(S.ambient, gens).key()
+        assert _stage_polys(self, grown) == set(fresh) and len(grown) == len(fresh)
+        gens_of.setdefault(grown, gens)
+        stages.append(grown)
+        return grown
 
-    monkeypatch.setattr(IdealHandle, "plus", checked)
-    res = short_filtration_search(S, (S.ambient.var("x"), S.ambient.var("y")), 3,
-                                  config=JobConfig(disproof_node_budget=300))
+    monkeypatch.setattr(closure._MonomialStages, "grow", checked)
+    res = short_filtration_search(S, xs, 3, config=JobConfig(disproof_node_budget=300))
     assert res.nodes == 301 and res.complete is False
     assert res.certificate is None
     assert len(stages) == 295   # one per node but the six deepening roots
+
+
+_MONOMIALS = st.tuples(*[st.integers(0, 4)] * 3)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(field=st.sampled_from(["F2", "F3", "Q"]),
+       gens=st.lists(_MONOMIALS, min_size=1, max_size=4),
+       f=st.dictionaries(st.tuples(*[st.sampled_from((0, 1, 2, 3, 5, 200))] * 3),
+                         st.integers(1, 2), min_size=1, max_size=4),
+       cs=st.lists(_MONOMIALS, min_size=1, max_size=3))
+def test_packed_stages_agree_with_the_ideal_handle(field, gens, f, cs):
+    # membership of a polynomial with several terms, some with an exponent
+    # past the packing's 8-bit slots, and the growth by a monomial, against
+    # contains_poly and plus on the same monomial ideal
+    ring = dsl.parse_ring(f"{field}[x,y,z]")[0]
+    handle = IdealHandle(ring, [ring.monomial(e) for e in gens])
+    stages = closure._MonomialStages(handle, tuple(map(ring.var, "xyz")), 2)
+    poly = sum((ring.from_int(k) * ring.monomial(e) for e, k in f.items()), ring.zero())
+    stage = stages.root
+    assert _stage_polys(stages, stage) == set(handle.key())
+    for e in cs:
+        assert stages.holds(stage, stages.prepare([poly])) == handle.contains_poly(poly)
+        c = stages.packing.pack(e)
+        inside = handle.contains_poly(ring.monomial(e))
+        assert closure._divisible(c, stage, stages.guards) == inside
+        if not inside:
+            handle = handle.plus(ring.monomial(e))
+            stage = stages.grow(stage, c)
+            assert _stage_polys(stages, stage) == set(handle.key())
+            assert len(stage) == len(handle.key())
+    assert stages.holds(stage, stages.prepare([poly])) == handle.contains_poly(poly)
+
+
+def _forced(ring_text: str, gens, u: str):
+    base = QuotientPresentation.parse(ring_text)
+    amb = base.ambient
+    S = generic_forcing_algebra(base, [dsl.parse_poly(amb, g) for g in gens],
+                                dsl.parse_poly(amb, u)).presentation
+    return S, (S.ambient.var("x"), S.ambient.var("y"))
+
+
+@pytest.mark.parametrize("ring_text, params, u, t, nodes, chain", [
+    ("F2[x,y]", "x;y", "x*y", 2, 77, ["x", "y", "1"]),
+    ("F2[x,y]", "x;y", "x*y", 3, 18557, ["x^2", "x", "y^2", "y", "1"]),
+    ("F2[x,y,z]/(x^3 + y^3 + z^3)", "x;y", "z^2", 2, 180, None),
+    ("F2[x,y]/(x^2)", "x;x+y", None, 4, 41,
+     ["x*y^3", "x*y^2", "x*y", "x", "y^3", "y^2", "y", "1"]),
+    ("F3[x,y,z]/(x^2, z^2)", "x+z;y", None, 3, 94, None),
+], ids=["xy-t2", "xy-t3", "fermat-t2", "two-term-parameter", "two-term-parameter-f3"])
+def test_both_stage_kinds_walk_a_monomial_base_alike(ring_text, params, u, t, nodes, chain):
+    # the one deepening walk, handed IdealHandle stages and packed stages of
+    # the same monomial base, visits the same nodes and finds the same chain;
+    # a parameter with two terms is tested term by term on packed stages
+    if u is None:
+        S = QuotientPresentation.parse(ring_text)
+        xs = tuple(dsl.parse_polys(S.ambient, params))
+    else:
+        S, xs = _forced(ring_text, [f"x^{t}", f"y^{t}"], u)
+    base = S.ideal([g ** t for g in xs])
+    assert all(len(g.terms) == 1 for g in base.groebner_basis())
+    walks = []
+    for kind in (closure._IdealStages, closure._MonomialStages):
+        stages = kind(base, xs, 2 * t * len(xs))
+        found, count, out_of_budget = closure._deepen(stages, xs, t ** len(xs) - 1, 200000)
+        if found is not None:
+            found = [dsl.format_poly(stages.member(i)) for i in found] + ["1"]
+        walks.append((found, count, out_of_budget))
+    assert walks[0] == walks[1] == (chain, nodes, False)
+
+
+@pytest.mark.parametrize("t, nodes, chain", [(2, 3, ["x", "1"]), (3, 5, ["x^2", "x", "1"])])
+def test_a_base_with_a_tail_walks_ideal_handle_stages(t, nodes, chain):
+    # relations + (x^t) for u = x + y keeps x + y: the general path, one
+    # normal form per candidate
+    S, xs = _forced("F2[x,y]", [f"x^{t}", f"y^{t}"], "x+y")
+    assert any(len(g.terms) > 1 for g in S.ideal([g ** t for g in xs]).groebner_basis())
+    res = short_filtration_search(S, xs, t)
+    assert res.complete and res.nodes == nodes
+    assert [dsl.format_poly(g) for g in res.certificate.generators] == chain
+    assert validate_filtration(res.certificate).ok
 
 
 def test_qseq_refuted_on_square_product():
