@@ -4,8 +4,8 @@ The kernel (buchberger and the private reducers) runs under any monomial
 order; the layers above work in grevlex, since nothing the engine reports
 but a printed basis depends on the order, and reach another order only by
 calling buchberger directly.
-IdealHandle is the one ideal object: its generators and its reduced grevlex
-Groebner basis, kept next to that basis's packed reducers.  The reduced
+IdealHandle is the one ideal object: its generators and the _Reducers of
+its reduced grevlex Groebner basis, which hold that basis.  The reduced
 basis is canonical, so IdealHandle.key is that basis itself.  The order of
 the terms inside a polynomial is not canonical (a basis element may keep its
 terms in input order); Polynomial equality and hashing ignore it, and
@@ -118,14 +118,15 @@ class _Reducers:
     the set of keys whose reducer has a tail.  The packed lists are built
     on first use, grow with append and move up a width when a call's bound
     or a reducer's exponent needs it; they live as long as the basis does,
-    with the IdealHandle or the Buchberger run."""
+    with the IdealHandle (polys its basis tuple) or the Buchberger run
+    (polys the list it appends to)."""
 
     __slots__ = ("ring", "order", "polys", "_packed")
 
-    def __init__(self, ring: PolyRing, order, polys=()):
+    def __init__(self, ring: PolyRing, order, polys):
         self.ring = ring
         self.order = order
-        self.polys = list(polys)
+        self.polys = polys
         self._packed = None
 
     def at(self, bound: int) -> tuple:
@@ -165,10 +166,9 @@ class _Reducers:
         forms = list(compress(forms, keep))
         at = next((i for i, h in enumerate(forms) if h[1] < m), len(forms))
         forms.insert(at, form)
-        grown = object.__new__(_Reducers)
-        grown.ring, grown.order = self.ring, self.order
-        grown.polys = list(compress(self.polys, keep))
-        grown.polys.insert(at, g)
+        polys = list(compress(self.polys, keep))
+        polys.insert(at, g)
+        grown = _Reducers(self.ring, self.order, tuple(polys))
         grown._packed = (packing, forms, [h[0] for h in forms], set())
         return grown
 
@@ -337,19 +337,17 @@ def _reduce_polys(terms: dict, forms, guards: int, field) -> dict | None:
 def _reduce(f: Polynomial, red: _Reducers) -> Polynomial:
     """Normal form of f against the reducers.
 
-    Zero comes back as it is.  A one-term f is settled by one scan over the
-    divisibility keys: kept when none divides it, zero when the first that
-    does has no tail.  Everything else goes through the heap in
-    _reduce_terms, at a width from deg f in a graded order (no term met
-    has a larger degree) and from f's largest exponent in any other.
+    Zero comes back as it is.  A one-term f is settled by one scan of its
+    packed monomial over the divisibility keys, at a width that holds it:
+    kept when none divides it, zero when the first that does has no tail.
+    Everything else goes through the heap in _reduce_terms, at a width
+    from deg f in a graded order (no term met has a larger degree) and
+    from f's largest exponent in any other.
     """
     terms = f.terms
     if len(terms) == 1:
-        packing, _forms, keys, tailed = red.at(0)
-        m = f.packed_term(packing)
-        if m is None:
-            packing, _forms, keys, tailed = red.at(max(next(iter(terms))))
-            m = f.packed_term(packing)
+        packing, _forms, keys, tailed = red.at(max(next(iter(terms))))
+        m = f.packed(packing)[1]
         guards = packing.guards
         for key in keys:
             if (m - key) & guards == guards:
@@ -442,7 +440,7 @@ def buchberger(gens, order=grevlex, seed=()) -> list[Polynomial]:
         return []
     ring = (gens[0] if gens else seed[0]).ring
 
-    red = _Reducers(ring, order, seed)
+    red = _Reducers(ring, order, list(seed))
     basis = red.polys
     prepped = [g.prepared(order) for g in basis]   # (lt, lc, tail), kept with basis
     lts = [p[0] for p in prepped]
@@ -561,8 +559,7 @@ def _reduce_basis(basis, prepped, kept, n0, order) -> list[Polynomial]:
         if later and any(mono_divides(lt, m) for m, _c in tail for lt in later):
             others = _Reducers(basis[i].ring, order, [basis[k] for k in kept if k != i])
             basis[i] = _reduce(basis[i], others).monic(order)
-    # heap_key is the order reversed, and in grevlex it costs less than key
-    kept.sort(key=lambda i: order.heap_key(lts[i]), reverse=True)
+    kept.sort(key=lambda i: order.key(lts[i]))
     return [basis[i] for i in kept]
 
 
@@ -571,10 +568,10 @@ def _reduce_basis(basis, prepped, kept, n0, order) -> list[Polynomial]:
 
 
 class IdealHandle:
-    """An ideal given by generators, with its reduced grevlex GB kept next to
-    that basis's _Reducers, both computed on first use."""
+    """An ideal given by generators, with the _Reducers of its reduced
+    grevlex GB, computed on first use; their polys tuple is the basis."""
 
-    __slots__ = ("ring", "generators", "_basis", "_reducers")
+    __slots__ = ("ring", "generators", "_reducers")
 
     def __init__(self, ring: PolyRing, gens):
         gens = tuple(gens)
@@ -583,11 +580,10 @@ class IdealHandle:
                 raise RingMismatch(f"generator ring {g.ring!r} differs from {ring!r}")
         self.ring = ring
         self.generators = gens
-        self._basis = self._reducers = None
+        self._reducers = None
 
     def _keep(self, basis) -> None:
-        self._basis = tuple(basis)
-        self._reducers = _Reducers(self.ring, grevlex, basis)
+        self._reducers = _Reducers(self.ring, grevlex, tuple(basis))
 
     def _prepared(self) -> _Reducers:
         if self._reducers is None:
@@ -595,8 +591,7 @@ class IdealHandle:
         return self._reducers
 
     def groebner_basis(self) -> tuple[Polynomial, ...]:
-        self._prepared()
-        return self._basis
+        return self._prepared().polys
 
     def contains_poly(self, f: Polynomial) -> bool:
         return normal_form(f, self).is_zero()
@@ -643,9 +638,8 @@ class IdealHandle:
         red = self._reducers   # built by normal_form
         if len(r.terms) == 1 and not red.at(0)[3]:
             grown._reducers = red.plus_monomial(r.monic())
-            grown._basis = tuple(grown._reducers.polys)
         else:
-            grown._keep(buchberger([r], seed=self._basis))
+            grown._keep(buchberger([r], seed=red.polys))
         return grown
 
     def __repr__(self):

@@ -4,10 +4,10 @@ Monomials are exponent tuples at the boundary: a polynomial is an immutable
 {exponents: coefficient} map tied to a PolyRing, and the DSL, the
 formatters and every layer above the Groebner kernel read and write tuples.
 Inside the kernel a monomial is one int, its Packing for the order and a
-slot width (see Packing).  Monomial orders are small key objects that also
-give that packing's layout; a polynomial caches its prepared form (leading
-term, leading coefficient and tail) per order, and per packing the packed
-primitive form the kernel reduces with on the field's domain.
+slot width (see Packing).  Monomial orders are sort keys that also give
+that packing's layout; a polynomial caches its prepared form (leading term,
+leading coefficient and tail) per order, and per packing the one packed
+form the kernel reduces with, monomials and the field's domain included.
 """
 
 from __future__ import annotations
@@ -46,20 +46,15 @@ def mono_deg(a) -> int:
 
 
 class MonomialOrder:
-    """Total order on exponent tuples via a sort key; bigger key = bigger monomial.
-
-    heap_key is the same order reversed (smaller heap_key = bigger monomial),
-    so heapq's min-heap pops the biggest monomial first.
-    """
+    """Total order on exponent tuples via a sort key; bigger key = bigger
+    monomial.  layout gives the same order as the linear rows of a Packing,
+    whose ints the Groebner kernel's heaps pop biggest monomial first."""
 
     name = "?"
     tag: tuple = ()
     graded = False   # compares total degree first
 
     def key(self, exps):
-        raise NotImplementedError
-
-    def heap_key(self, exps):
         raise NotImplementedError
 
     def layout(self, nvars: int) -> tuple:
@@ -85,9 +80,6 @@ class Lex(MonomialOrder):
     def key(self, exps):
         return exps
 
-    def heap_key(self, exps):
-        return tuple([-e for e in exps])
-
     def layout(self, nvars):
         return [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)], []
 
@@ -101,10 +93,7 @@ class GrevLex(MonomialOrder):
     graded = True
 
     def key(self, exps):
-        return (sum(exps), tuple(-e for e in reversed(exps)))
-
-    def heap_key(self, exps):
-        return (-sum(exps), exps[::-1])
+        return (sum(exps), tuple([-e for e in exps[::-1]]))
 
     def layout(self, nvars):
         return [(1,) * nvars], list(range(nvars - 1, -1, -1))
@@ -124,10 +113,6 @@ class Block(MonomialOrder):
 
     def key(self, exps):
         return (self.left.key(exps[: self.split]), self.right.key(exps[self.split :]))
-
-    def heap_key(self, exps):
-        return (self.left.heap_key(exps[: self.split]),
-                self.right.heap_key(exps[self.split :]))
 
     def layout(self, nvars):
         # the left block's ties become rows of weight -1, so that the whole
@@ -157,7 +142,7 @@ class Packing:
     linear in its exponents, pack(a) + pack(b) = pack(ab), and a smaller int
     is a bigger monomial, so one int serves as the kernel's heap key, dict
     key and monomial.  In grevlex the layout is -deg on top and then the
-    exponents with x_n most significant: the tuple heap key, linearised.
+    exponents with x_n most significant: GrevLex.key negated, linearised.
 
     b divides a when every exponent slot of a - pack(b) + guards keeps its
     guard bit (a borrow clears it); the kernel keeps div_key(b) = pack(b) -
@@ -295,21 +280,19 @@ class Polynomial:
 
     The terms dict is owned by the polynomial and must not be mutated once the
     polynomial is built: the hash, the prepared form per monomial order
-    (leading term, its coefficient and the remaining terms, see prepared),
-    the packed form per Packing (see packed) and a one-term polynomial's
-    packed monomial (see packed_term) are computed from it once and cached.
+    (leading term, its coefficient and the remaining terms, see prepared)
+    and the packed form per Packing (see packed) are cached once built.
     Equality and the hash read the terms and the ring, never the order the
     terms are stored in.
     """
 
-    __slots__ = ("ring", "terms", "_hash", "_prep", "_mono")
+    __slots__ = ("ring", "terms", "_hash", "_prep")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
         self._hash = None
         self._prep = None
-        self._mono = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -346,19 +329,20 @@ class Polynomial:
         reads: the packed leading monomial lt, its divisibility key lt -
         packing.guards, and the primitive form L x^lt + tail of the monic
         element (see _primitive_form), tail as (packed monomial, numerator)
-        pairs; None when an exponent is above packing.max_exp.  Built from
-        prepared once per packing and freed with the polynomial."""
+        pairs; None when an exponent is above packing.max_exp.  Built once
+        per packing (a one-term one straight from its monomial) and freed
+        with the polynomial."""
         cache = self._prep
         if cache is None:
             cache = self._prep = {}
         got = cache.get(packing.key, False)
         if got is not False:
             return got
-        if len(self.terms) == 1:   # x^lt, whatever its coefficient
-            lt = self.packed_term(packing)
-            got = None if lt is None else (lt - packing.guards, lt, 1, ())
-        elif max(map(max, self.terms)) > packing.max_exp:
+        if max(map(max, self.terms)) > packing.max_exp:
             got = None
+        elif len(self.terms) == 1:   # x^lt, whatever its coefficient
+            lt = packing.pack(next(iter(self.terms)))
+            got = (lt - packing.guards, lt, 1, ())
         else:
             lt, lc, tail = self.prepared(packing.order)
             L, tail = _primitive_form(self.ring.field, lc, tail)
@@ -367,20 +351,6 @@ class Polynomial:
             got = (lt - packing.guards, lt, L, [(pack(m), n) for m, n in tail])
         cache[packing.key] = got
         return got
-
-    def packed_term(self, packing: Packing) -> int | None:
-        """The monomial of a one-term polynomial packed at packing, None
-        when an exponent is above packing.max_exp.  The last one packed is
-        kept, so that the kernel's one-term scans, which meet the same
-        polynomials against many ideals, pack each once."""
-        got = self._mono
-        if got is not None and got[0] == packing.key:
-            return got[1]
-        (m,) = self.terms
-        if max(m) > packing.max_exp:
-            return None
-        self._mono = (packing.key, packing.pack(m))
-        return self._mono[1]
 
     def leading(self, order=grevlex):
         """(monomial, coefficient) maximal under order; error on zero.  Reads

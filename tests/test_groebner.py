@@ -16,7 +16,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qlc import config, dsl, groebner
+from qlc import config, dsl, groebner, quotient
 from qlc.fields import GF2, GF3, QQ, PrimeField, RationalFunctionField
 from qlc.groebner import (InternalError, _reduce, _Reducers, bracket_power,
                           buchberger, colon, ideal, ideal_compare,
@@ -492,6 +492,31 @@ def test_plus_with_a_tail_takes_the_seeded_run(field):
     grown, runs = plus_checked(stage, x * z - y * z + x ** 2 * y)
     assert runs == 1
     assert any(len(g.terms) > 1 for g in grown.groebner_basis())
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=["F2", "F3", "Q"])
+def test_every_construction_path_stores_one_tuple_basis(field, monkeypatch):
+    # a handle keeps its basis once, as its reducers' polys; a list left on
+    # any path would not hash, and the disproof walk's dead sets key by key()
+    ring = PolyRing(field, ["x", "y", "z"])
+    x, y, z = ring.gens()
+    units = []
+    monkeypatch.setattr(quotient, "vector_module", lambda J, K: units.append(J))
+    quotient.quotient_module(ideal(ring, [x ** 2, y ** 2, z ** 2]))
+    handles = {
+        "fresh": ideal(ring, [x ** 2 - y * z, y ** 3]),
+        "zero": ideal(ring, []),
+        "plus, seeded run": ideal(ring, [x ** 2 - y * z, y ** 3]).plus(x * y),
+        "plus, monomial basis": ideal(ring, [x ** 2, y ** 3]).plus(x * y),
+        "intersect": intersect(ideal(ring, [x ** 2, y]), ideal(ring, [x * y, z])),
+        "quotient_module's unit": units[0],
+        "presentation": quotient.QuotientPresentation(ring, [x ** 3, y ** 3]).ideal([x * y]),
+    }
+    for name, H in handles.items():
+        basis = H.groebner_basis()
+        assert type(basis) is tuple and basis is H._prepared().polys, name
+        hash(H.key())
+        assert H.key() == ideal(ring, H.generators).key(), name
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ somewhere in the package besides its own definition.
 Every public module-level function is exported by the package's __init__.py
 or referenced somewhere in the package, its tests or the benchmark; a name
 inside a string counts, because bench/tracer.py names the functions it wraps
-as strings.
+as strings.  Every public method of a module-level class is named, by the
+same rule, somewhere besides its own definitions.
 
 Only the Groebner kernel takes a monomial order: every function or method
 with a parameter named order is one of KERNEL_ORDER_TAKERS, so the option
@@ -163,6 +164,45 @@ def test_public_scan_sees_calls_strings_and_exports():
                                               ("exported", 3), ("dead", 4)]
     referrers = [ast.parse("called()\nTARGETS = [('qlc.m', 'wrapped', 'g')]\n")]
     assert _unreferenced_public(defining, referrers, {"exported"}) == ["m.py.dead (line 4)"]
+
+
+def _public_methods(tree) -> list:
+    """(Class.method, line) of each public method of each module-level
+    class; dunder names are protocol, not public API."""
+    return [(f"{c.name}.{d.name}", d.lineno) for c in tree.body if isinstance(c, ast.ClassDef)
+            for d in c.body if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not d.name.startswith("_")]
+
+
+def _unreferenced_methods(defining: dict, referrers) -> list:
+    """Public methods of the defining trees whose name no referrer reads,
+    writes or spells in a string."""
+    refs = set().union(*(_references(t) | _string_names(t) for t in referrers))
+    return sorted(f"{name}.{meth} (line {line})" for name, tree in defining.items()
+                  for meth, line in _public_methods(tree)
+                  if meth.rsplit(".", 1)[1] not in refs)
+
+
+def test_no_unreferenced_public_methods():
+    defining = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").rglob("*.py")) \
+        + sorted((ROOT / "bench").rglob("*.py"))
+    referrers = [ast.parse(p.read_text(), filename=str(p)) for p in paths]
+    dead = _unreferenced_methods(defining, referrers)
+    assert not dead, f"public methods nothing names: {dead}"
+
+
+def test_method_scan_sees_calls_strings_and_skips_definitions():
+    defining = {"m.py": ast.parse("class C:\n    def called(self): pass\n"
+                                  "    def wrapped(self): pass\n    def dead(self): pass\n"
+                                  "    def _private(self): pass\n    def __len__(self): pass\n"
+                                  "class D(C):\n    def dead(self): pass\n"
+                                  "def function(): pass\n")}
+    assert _public_methods(defining["m.py"]) == [("C.called", 2), ("C.wrapped", 3),
+                                                 ("C.dead", 4), ("D.dead", 8)]
+    referrers = [defining["m.py"], ast.parse("C().called()\nOPS = ['C.wrapped']\n")]
+    assert _unreferenced_methods(defining, referrers) == ["m.py.C.dead (line 4)",
+                                                          "m.py.D.dead (line 8)"]
 
 
 KERNEL_ORDER_TAKERS = {
